@@ -45,7 +45,7 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.
 
 
 def _configure_logging() -> None:
-    name = os.environ.get("COLDSTART_LOG", "info")
+    name = os.environ.get("COLDSTART_LOG", "quiet")
     if name not in _LOG_LEVELS:
         raise ConfigError(
             f"COLDSTART_LOG must be one of {sorted(_LOG_LEVELS)}, got {name!r}"

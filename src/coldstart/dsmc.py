@@ -102,28 +102,6 @@ def saturate(value: float, bound: tuple[float, float]) -> tuple[float, bool]:
 # pure control laws (one call = one step; all series indexed at the call step)
 
 
-def sliding_surfaces(
-    feedback: plant.EngineState,
-    mdot_ao: float,
-    afr_d: float,
-    omega_d: float,
-    t_exh_d: float,
-    m_a_d: float,
-) -> tuple[float, float, float, float]:
-    """Tracking errors of the four loops at the current sample.
-
-    The fuel surface lives in the fuel-flow domain: the AFR target is turned
-    into a fuel-flow target through the measured cylinder air flow.
-    """
-    if afr_d <= 0.0:
-        raise DegenerateInputError(f"desired AFR must be positive, got {afr_d!r}")
-    s1 = feedback.mdot_f - mdot_ao / afr_d
-    s2 = feedback.omega_e - omega_d
-    s3 = feedback.T_exh - t_exh_d
-    s4 = feedback.m_a - m_a_d
-    return s1, s2, s3, s4
-
-
 def control_fuel(
     mdot_f: float,
     s1: float,
@@ -292,36 +270,16 @@ class CascadeController:
             **kwargs,
         )
 
-    def predicted_speed_state(self, feedback: plant.EngineState) -> float:
-        """One-step speed prediction with the current drag estimate.
-
-        Exact when the estimate equals the true uncertainty; used to evaluate
-        the synthetic air-mass target at the step where the air loop can
-        actually deliver it.
-        """
-        c = self.constants
-        f_speed = -plant.load_torque(feedback.omega_e) / c.J
-        return feedback.omega_e + self.T * (
-            self.loop_speed.phi_hat * f_speed
-            + (plant.TORQUE_AIR_GAIN / c.J) * feedback.m_a
-        )
-
     def step(self, feedback: plant.EngineState, targets) -> ControllerOutput:
         """One full cascade pass: surfaces -> estimates -> commands."""
         c = self.constants
         T = self.T
         events: list[str] = []
 
-        mdot_ao = plant.air_outflow(feedback.m_a, feedback.omega_e)
-        afr_value = plant.afr(mdot_ao, feedback.mdot_f, c.mdot_f_floor)
-        afi_value = plant.afi(afr_value)
-        alpha_e = plant.exhaust_time_constant(feedback.omega_e)
-
         # drift terms of the four controlled states at the current sample
-        f_fuel = -feedback.mdot_f / c.alpha_f
-        f_speed = -plant.load_torque(feedback.omega_e) / c.J
-        f_exh = (plant.SPARK_TEMP_BASE * afi_value - feedback.T_exh) / alpha_e
-        f_air = -mdot_ao
+        (
+            mdot_ao, afr_value, afi_value, _, f_fuel, f_speed, f_exh, f_air, speed_gain
+        ) = plant.drift(feedback, c)
 
         # output-loop surfaces; the air surface needs the delay-line target
         if targets.afr_d <= 0.0 or targets.afr_d_next <= 0.0:
@@ -344,8 +302,11 @@ class CascadeController:
         if not self._adapt_hold["exh"]:
             adapt(self.loop_exh, s3, f_exh, T)
 
-        # synthetic target for the NEXT step, from the predicted speed state
-        omega_pred = self.predicted_speed_state(feedback)
+        # synthetic target for the NEXT step, from the one-step speed
+        # prediction with the freshly updated drag estimate
+        omega_pred = feedback.omega_e + T * (
+            self.loop_speed.phi_hat * f_speed + speed_gain * feedback.m_a
+        )
         m_a_d_next = synthetic_air_mass(
             omega_pred,
             omega_pred - targets.omega_d_next,

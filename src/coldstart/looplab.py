@@ -16,14 +16,16 @@ import csv
 import io
 import json
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from . import dsmc, plant
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
+from .plant import PhiTrue
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
@@ -57,22 +59,6 @@ def quantize(value: float, bits: int, lo: float, hi: float) -> float:
     return lo + code * (hi - lo) / levels
 
 
-@dataclass(frozen=True)
-class PhiTrue:
-    """True multiplicative uncertainty on each controlled state's drift."""
-
-    fuel: float = 1.0
-    speed: float = 1.0
-    exh: float = 1.0
-    air: float = 1.0
-
-    def __post_init__(self):
-        for name in LOOPS:
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"phi_true.{name} must be a positive number, got {v!r}")
-
-
 def euler_step(
     state: plant.EngineState,
     inputs: plant.ControlInput,
@@ -81,58 +67,57 @@ def euler_step(
     constants: plant.PlantConstants | None = None,
     conventions: plant.PlantConventions | None = None,
     substeps: int = 1,
-) -> plant.EngineState:
-    """One fixed-step Euler advance with per-state drift uncertainty.
+) -> tuple[plant.EngineState, plant.EmissionOutputs]:
+    """One fixed-step Euler advance x + h*derivatives(x, u, phi).
 
-    With all phi terms at 1 this reduces exactly to Euler on the plain plant
-    derivative.  ``substeps > 1`` subdivides the interval with held inputs
-    (stiffness check only; the shipped scenarios use a single step).
+    Returns the next state and the emission chain evaluated at the start
+    state, which is the record row of this step.  ``substeps > 1``
+    subdivides the interval with held inputs (stiffness check only; the
+    shipped scenarios use a single step).
     """
     c = constants if constants is not None else plant.PlantConstants()
     conv = conventions if conventions is not None else plant.PlantConventions()
     if substeps < 1:
         raise ConfigError(f"substeps must be a positive integer, got {substeps!r}")
     h = T / substeps
-    for _ in range(substeps):
-        mdot_ao = plant.air_outflow(state.m_a, state.omega_e)
-        afr_value = plant.afr(mdot_ao, state.mdot_f, c.mdot_f_floor)
-        afi_value = plant.afi(afr_value)
-        alpha_e = plant.exhaust_time_constant(state.omega_e)
-        emission = plant.emissions(state, inputs.delta, c, conv)
-        q_in, q_out, q_gen = plant.catalyst_heat_terms(state, emission, c, conv)
-        q_in_signed = q_in if conv.qin_direction == "heats_catalyst" else -q_in
-
+    for i in range(substeps):
+        d, emission = plant.derivatives(state, inputs, c, conv, phi)
+        if i == 0:
+            start_emission = emission
         state = plant.EngineState(
-            m_a=state.m_a + h * (phi.air * -mdot_ao + inputs.mdot_ai),
-            omega_e=state.omega_e
-            + h
-            * (
-                phi.speed * (-plant.load_torque(state.omega_e) / c.J)
-                + (plant.TORQUE_AIR_GAIN / c.J) * state.m_a
-            ),
-            mdot_f=state.mdot_f
-            + h * (phi.fuel * (-state.mdot_f / c.alpha_f) + inputs.mdot_fc / c.alpha_f),
-            T_cat=state.T_cat + h * ((q_gen + q_in_signed - q_out) / c.mcp),
-            T_exh=state.T_exh
-            + h
-            * (
-                phi.exh * ((plant.SPARK_TEMP_BASE * afi_value - state.T_exh) / alpha_e)
-                + (plant.SPARK_TEMP_GAIN * afi_value / alpha_e) * inputs.delta
-            ),
+            m_a=state.m_a + h * d.m_a,
+            omega_e=state.omega_e + h * d.omega_e,
+            mdot_f=state.mdot_f + h * d.mdot_f,
+            T_cat=state.T_cat + h * d.T_cat,
+            T_exh=state.T_exh + h * d.T_exh,
         )
-    return state
+    return state, start_emission
 
 
 # ---------------------------------------------------------------------------
 # scenario configuration
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a finite float; ConfigError naming the field otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an integer of at least ``low``; ConfigError otherwise."""
+    if _real(value, name) != int(value) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _pair(value, name: str) -> tuple[float, float]:
     try:
         lo, hi = value
-        lo, hi = float(lo), float(hi)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a (lo, hi) pair, got {value!r}") from None
+    lo, hi = _real(lo, f"{name}[0]"), _real(hi, f"{name}[1]")
     if not lo < hi:
         raise ConfigError(f"{name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
     return lo, hi
@@ -181,13 +166,23 @@ class ScenarioConfig:
     trajectory: TrajectoryTable | None = None  # None -> shipped default profile
 
     def __post_init__(self):
+        for name in (
+            "T", "duration", "adapt_sign", "phi_hat_init", "afi_floor", "delta_initial",
+            "metrics_window_start",
+        ):
+            _real(getattr(self, name), name)
+        for dict_name in ("beta", "rho", "constants"):
+            values = getattr(self, dict_name)
+            if not isinstance(values, dict):
+                raise ConfigError(f"{dict_name} must be an object")
+            setattr(self, dict_name, {k: _real(v, f"{dict_name}.{k}") for k, v in values.items()})
         if self.T <= 0.0:
             raise ConfigError(f"T must be positive, got {self.T!r}")
         if self.duration < 0.0:
             raise ConfigError(f"duration must be nonnegative, got {self.duration!r}")
-        if not 8 <= int(self.quant_bits) <= 32:
+        self.quant_bits = _count(self.quant_bits, "quant_bits", 8)
+        if self.quant_bits > 32:
             raise ConfigError(f"quant_bits must be in [8, 32], got {self.quant_bits!r}")
-        self.quant_bits = int(self.quant_bits)
         for name in DEFAULT_SIGNAL_RANGES:
             if name not in self.signal_ranges:
                 raise ConfigError(f"signal_ranges is missing {name!r}")
@@ -207,15 +202,8 @@ class ScenarioConfig:
         for loop, r in self.rho.items():
             if not r > 0.0:
                 raise ConfigError(f"rho.{loop} must be positive, got {r!r}")
-        if self.substeps < 1 or int(self.substeps) != self.substeps:
-            raise ConfigError(f"substeps must be a positive integer, got {self.substeps!r}")
-        self.substeps = int(self.substeps)
-        if self.feedback_delay_steps < 0 or int(self.feedback_delay_steps) != self.feedback_delay_steps:
-            raise ConfigError(
-                f"feedback_delay_steps must be a nonnegative integer, "
-                f"got {self.feedback_delay_steps!r}"
-            )
-        self.feedback_delay_steps = int(self.feedback_delay_steps)
+        self.substeps = _count(self.substeps, "substeps", 1)
+        self.feedback_delay_steps = _count(self.feedback_delay_steps, "feedback_delay_steps", 0)
         if self.metrics_window_start < 0.0:
             raise ConfigError(
                 f"metrics_window_start must be nonnegative, got {self.metrics_window_start!r}"
@@ -227,7 +215,7 @@ class ScenarioConfig:
 
     def build_constants(self) -> plant.PlantConstants:
         try:
-            return plant.with_constants(plant.PlantConstants(), **self.constants)
+            return replace(plant.PlantConstants(), **self.constants)
         except TypeError:
             known = set(plant.PlantConstants().__dataclass_fields__)
             bad = sorted(set(self.constants) - known)
@@ -339,10 +327,7 @@ class ScenarioConfig:
         if "signal_ranges" in kwargs:
             if not isinstance(kwargs["signal_ranges"], dict):
                 raise ConfigError("signal_ranges must be an object")
-            merged = dict(DEFAULT_SIGNAL_RANGES)
-            for name, value in kwargs["signal_ranges"].items():
-                merged[name] = _pair(value, f"signal_ranges.{name}")
-            kwargs["signal_ranges"] = merged
+            kwargs["signal_ranges"] = {**DEFAULT_SIGNAL_RANGES, **kwargs["signal_ranges"]}
         if "phi_true" in kwargs:
             if not isinstance(kwargs["phi_true"], dict):
                 raise ConfigError("phi_true must be an object with the four loop names")
@@ -366,28 +351,24 @@ class ScenarioConfig:
             if not isinstance(s, dict) or set(s) != names:
                 raise ConfigError(f"initial_state must be an object with fields {sorted(names)}")
             kwargs["initial_state"] = plant.EngineState(
-                m_a=float(s["m_a"]),
-                omega_e=float(s["omega_e"]),
-                mdot_f=float(s["mdot_f"]),
-                T_cat=float(s["t_cat"]),
-                T_exh=float(s["t_exh"]),
+                *(
+                    _real(s[k], f"initial_state.{k}")
+                    for k in ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
+                )
             )
         if kwargs.get("trajectory") is not None:
             t = kwargs["trajectory"]
             names = {"time", "afr_d", "omega_d", "t_exh_d"}
             if not isinstance(t, dict) or set(t) != names:
                 raise ConfigError(f"trajectory must be an object with columns {sorted(names)}")
+            if not all(isinstance(t[k], (list, tuple)) for k in names):
+                raise ConfigError("trajectory columns must be arrays of numbers")
             kwargs["trajectory"] = TrajectoryTable(
-                time=tuple(float(v) for v in t["time"]),
-                afr_d=tuple(float(v) for v in t["afr_d"]),
-                omega_d=tuple(float(v) for v in t["omega_d"]),
-                t_exh_d=tuple(float(v) for v in t["t_exh_d"]),
+                **{
+                    k: tuple(_real(v, f"trajectory.{k}[{i}]") for i, v in enumerate(t[k]))
+                    for k in ("time", "afr_d", "omega_d", "t_exh_d")
+                }
             )
-        for dict_key in ("beta", "rho", "constants"):
-            if dict_key in kwargs:
-                if not isinstance(kwargs[dict_key], dict):
-                    raise ConfigError(f"{dict_key} must be an object")
-                kwargs[dict_key] = {k: float(v) for k, v in kwargs[dict_key].items()}
         return cls(**kwargs)
 
     def to_json(self) -> str:
@@ -525,9 +506,10 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     """Execute one closed-loop scenario on the sample grid.
 
     Per step: sample (and quantize) feedback, run the cascade, quantize the
-    commands, advance the plant one Euler step, evaluate the emission chain.
-    The record gets one row per grid instant including the final state, where
-    the last issued commands are shown held.
+    commands, advance the plant one Euler step.  The row of each step takes
+    the emission chain the Euler step evaluated at its start state, so the
+    chain runs once per step.  The record gets one row per grid instant
+    including the final state, where the last issued commands are shown held.
     """
     constants = config.build_constants()
     conventions = config.build_conventions()
@@ -574,14 +556,10 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
         t: float,
         state: plant.EngineState,
         applied: plant.ControlInput,
+        emission: plant.EmissionOutputs,
         out: dsmc.ControllerOutput | None,
         targets,
-        step: int,
     ) -> None:
-        try:
-            emission = plant.emissions(state, applied.delta, constants, conventions)
-        except DegenerateInputError as err:
-            raise SimulationAbort(f"emission chain: {err}", step=step) from None
         row = {
             "time": t,
             "m_a": state.m_a,
@@ -642,33 +620,36 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
         [state] * (config.feedback_delay_steps + 1), maxlen=config.feedback_delay_steps + 1
     )
 
-    if n_steps == 0:
-        append_row(0.0, state, applied, None, (traj.afr_d[0], traj.omega_d[0], traj.t_exh_d[0]), 0)
-    else:
-        for k in range(n_steps):
-            targets = traj.window(k)
-            feedback = q_state(fb_queue[0])
-            try:
-                out = controller.step(feedback, targets)
-            except DegenerateInputError as err:
-                raise SimulationAbort(f"controller: {err}", step=k) from None
-            applied = q_input(plant.ControlInput(out.mdot_ai, out.mdot_fc, out.delta))
-            append_row(
-                k * T, state, applied, out,
-                (targets.afr_d, targets.omega_d, targets.t_exh_d), k,
+    for k in range(n_steps):
+        targets = traj.window(k)
+        feedback = q_state(fb_queue[0])
+        try:
+            out = controller.step(feedback, targets)
+        except DegenerateInputError as err:
+            raise SimulationAbort(f"controller: {err}", step=k) from None
+        applied = q_input(plant.ControlInput(out.mdot_ai, out.mdot_fc, out.delta))
+        try:
+            next_state, emission = euler_step(
+                state, applied, config.phi_true, T, constants, conventions, config.substeps
             )
-            try:
-                state = euler_step(
-                    state, applied, config.phi_true, T, constants, conventions, config.substeps
-                )
-            except DegenerateInputError as err:
-                raise SimulationAbort(f"plant: {err}", step=k) from None
-            check_state(state, k + 1)
-            fb_queue.append(state)
+        except DegenerateInputError as err:
+            raise SimulationAbort(f"plant: {err}", step=k) from None
         append_row(
-            n_steps * T, state, applied, None,
-            (traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps]), n_steps,
+            k * T, state, applied, emission, out,
+            (targets.afr_d, targets.omega_d, targets.t_exh_d),
         )
+        state = next_state
+        check_state(state, k + 1)
+        fb_queue.append(state)
+    # the final grid point gets no controller pass, so no Euler step either
+    try:
+        emission = plant.emissions(state, applied.delta, constants, conventions)
+    except DegenerateInputError as err:
+        raise SimulationAbort(f"emission chain: {err}", step=n_steps) from None
+    append_row(
+        n_steps * T, state, applied, emission, None,
+        (traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps]),
+    )
 
     series = {name: np.asarray(vals, dtype=float) for name, vals in columns.items()}
     hc_tp = series["hc_tp"]

@@ -6,18 +6,24 @@ closed-form pieces (volumetric efficiency, torque, spark-timing influence,
 burn duration, engine-out HC, catalyst conversion efficiency, catalyst heat
 balance) are exposed as pure functions so they can be checked in isolation.
 
+The four controlled states are control-affine, x' = phi*f(x) + g(x)*u.
+``drift`` is the only place f(x) is written down; ``derivatives`` builds
+every row from it, and the controller reads its drift terms and speed-row
+input gain from the same function.
+
 Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .errors import DegenerateInputError
+from .errors import ConfigError, DegenerateInputError
 
-# Torque fit shared with the controller: the speed/constant terms act as the
-# load, the air-mass term as the drive.  Keep one definition for both sides.
+# Torque fit: the speed/constant terms are the load (the speed row's drift),
+# the air-mass term is the drive (its input gain).
 TORQUE_AIR_GAIN = 30000.0  # Nm per kg of manifold air
 TORQUE_SPEED_COEF = 0.4    # Nm per rad/s
 TORQUE_CONST = 100.0       # Nm
@@ -99,7 +105,22 @@ class ControlInput:
 
 
 @dataclass(frozen=True)
-class StateDerivative:
+class PhiTrue:
+    """True multiplicative uncertainty on each controlled state's drift."""
+
+    fuel: float = 1.0
+    speed: float = 1.0
+    exh: float = 1.0
+    air: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"phi_true.{f.name} must be a positive number, got {v!r}")
+
+
+class StateDerivative(NamedTuple):
     m_a: float      # [kg/s]
     omega_e: float  # [rad/s^2]
     mdot_f: float   # [kg/s^2]
@@ -107,8 +128,22 @@ class StateDerivative:
     T_exh: float    # [degC/s]
 
 
-@dataclass(frozen=True)
-class EmissionOutputs:
+class Drift(NamedTuple):
+    """Drift f(x) of the four controlled rows, with the intermediates it uses."""
+
+    mdot_ao: float     # cylinder air flow [kg/s]
+    afr: float         # air-fuel ratio [-]
+    afi: float         # AFR influence factor on exhaust temperature [-]
+    alpha_e: float     # exhaust temperature lag [s]
+    f_fuel: float      # fuel-flow drift [kg/s^2]
+    f_speed: float     # speed drift [rad/s^2]
+    f_exh: float       # exhaust-temperature drift [degC/s]
+    f_air: float       # manifold air drift [kg/s]
+    speed_gain: float  # speed-row input gain on manifold air [rad/s^2 per kg]
+
+
+class EmissionOutputs(NamedTuple):
+    mdot_ao: float  # cylinder air flow the chain was evaluated at [kg/s]
     afr: float      # air-fuel ratio fed to the emission chain [-]
     hc_eng: float   # engine-out HC flow [kg/s]
     eta_cat: float  # catalyst conversion efficiency [-]
@@ -133,20 +168,6 @@ def air_outflow(m_a: float, omega_e: float) -> float:
 def load_torque(omega_e: float) -> float:
     """Friction plus accessory load absorbed by the crankshaft [Nm]."""
     return TORQUE_CONST + TORQUE_SPEED_COEF * omega_e
-
-
-def net_torque(m_a: float, omega_e: float) -> float:
-    """Brake torque available to accelerate the crankshaft [Nm].
-
-    The air term is the combustion drive; the speed and constant terms are
-    the load, so this fit is already net of ``load_torque``.
-    """
-    return TORQUE_AIR_GAIN * m_a - TORQUE_SPEED_COEF * omega_e - TORQUE_CONST
-
-
-def spark_term(delta: float) -> float:
-    """Exhaust temperature source set by spark retard [degC]."""
-    return SPARK_TEMP_GAIN * delta + SPARK_TEMP_BASE
 
 
 def afi(afr_value: float) -> float:
@@ -239,12 +260,22 @@ def emissions(
     constants: PlantConstants = PlantConstants(),
     conventions: PlantConventions = PlantConventions(),
 ) -> EmissionOutputs:
-    """Evaluate the engine-out -> catalyst -> tailpipe HC chain at one state."""
+    """Evaluate the engine-out -> catalyst -> tailpipe HC chain at one state.
+
+    An AFR or temperature so far out of range that a fit overflows is
+    reported as a degenerate input, like a fuel flow at the floor.
+    """
     mdot_ao = air_outflow(state.m_a, state.omega_e)
     afr_value = afr(mdot_ao, state.mdot_f, constants.mdot_f_floor)
-    hc_eng = engine_out_hc(state.mdot_f, delta, afr_value, constants, conventions.hc_mode)
-    eta = catalyst_efficiency(afr_value, state.T_cat, constants.afr_cat)
+    try:
+        hc_eng = engine_out_hc(state.mdot_f, delta, afr_value, constants, conventions.hc_mode)
+        eta = catalyst_efficiency(afr_value, state.T_cat, constants.afr_cat)
+    except OverflowError:
+        raise DegenerateInputError(
+            f"emission chain overflows at AFR {afr_value!r}, T_cat {state.T_cat!r}"
+        ) from None
     return EmissionOutputs(
+        mdot_ao=mdot_ao,
         afr=afr_value,
         hc_eng=hc_eng,
         eta_cat=eta,
@@ -263,7 +294,7 @@ def catalyst_heat_terms(
     q_in is exhaust-to-brick feed heat, q_out convection to ambient, q_gen
     exothermic HC conversion on the brick.
     """
-    mdot_ao = air_outflow(state.m_a, state.omega_e)
+    mdot_ao = emission.mdot_ao
     q_in = 16.0 * (state.T_exh - state.T_cat)
     q_out = 0.642 * (state.T_cat - constants.t_atm)
     if conventions.qgen_grouping == "as_printed":
@@ -274,29 +305,49 @@ def catalyst_heat_terms(
     return q_in, q_out, q_gen
 
 
+def drift(state: EngineState, constants: PlantConstants = PlantConstants()) -> Drift:
+    """Drift terms f(x) of the fuel, speed, exhaust and air rows at ``state``.
+
+    The multiplicative uncertainty phi scales exactly these terms; the
+    controller estimates it against the same values.
+    """
+    mdot_ao = air_outflow(state.m_a, state.omega_e)
+    afr_value = afr(mdot_ao, state.mdot_f, constants.mdot_f_floor)
+    afi_value = afi(afr_value)
+    alpha_e = exhaust_time_constant(state.omega_e)
+    return Drift(
+        mdot_ao,
+        afr_value,
+        afi_value,
+        alpha_e,
+        -state.mdot_f / constants.alpha_f,
+        -load_torque(state.omega_e) / constants.J,
+        (SPARK_TEMP_BASE * afi_value - state.T_exh) / alpha_e,
+        -mdot_ao,
+        TORQUE_AIR_GAIN / constants.J,
+    )
+
+
 def derivatives(
     state: EngineState,
     inputs: ControlInput,
     constants: PlantConstants = PlantConstants(),
     conventions: PlantConventions = PlantConventions(),
-) -> StateDerivative:
-    """Continuous-time state derivative of the five-state engine model."""
-    mdot_ao = air_outflow(state.m_a, state.omega_e)
-    afr_value = afr(mdot_ao, state.mdot_f, constants.mdot_f_floor)
+    phi: PhiTrue = PhiTrue(),
+) -> tuple[StateDerivative, EmissionOutputs]:
+    """State derivative x' = phi*f(x) + g(x)*u, and the emission chain at ``state``.
+
+    phi scales only the drift of the four controlled rows; the catalyst row
+    carries no uncertainty.  The default phi of 1 is the plain plant.
+    """
+    d = drift(state, constants)
     emission = emissions(state, inputs.delta, constants, conventions)
     q_in, q_out, q_gen = catalyst_heat_terms(state, emission, constants, conventions)
     q_in_signed = q_in if conventions.qin_direction == "heats_catalyst" else -q_in
-
-    alpha_e = exhaust_time_constant(state.omega_e)
     return StateDerivative(
-        m_a=inputs.mdot_ai - mdot_ao,
-        omega_e=net_torque(state.m_a, state.omega_e) / constants.J,
-        mdot_f=(inputs.mdot_fc - state.mdot_f) / constants.alpha_f,
+        m_a=phi.air * d.f_air + inputs.mdot_ai,
+        omega_e=phi.speed * d.f_speed + d.speed_gain * state.m_a,
+        mdot_f=phi.fuel * d.f_fuel + inputs.mdot_fc / constants.alpha_f,
         T_cat=(q_gen + q_in_signed - q_out) / constants.mcp,
-        T_exh=(spark_term(inputs.delta) * afi(afr_value) - state.T_exh) / alpha_e,
-    )
-
-
-def with_constants(constants: PlantConstants, **overrides) -> PlantConstants:
-    """Copy ``constants`` with the given fields replaced."""
-    return replace(constants, **overrides)
+        T_exh=phi.exh * d.f_exh + (SPARK_TEMP_GAIN * d.afi / d.alpha_e) * inputs.delta,
+    ), emission

@@ -1,12 +1,18 @@
 """End-to-end command checks: files, exit codes, stdout, determinism."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coldstart
 from coldstart import rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
@@ -133,6 +139,37 @@ def test_simulate_runtime_abort_exits_3(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "stalled" in err and "step" in err
+
+
+def test_simulate_matches_the_benchmark_reference_digests(tmp_path):
+    refs = json.loads(
+        (Path(__file__).parents[1] / "bench" / "refs" / "references.json").read_text(
+            encoding="utf-8"
+        )
+    )["cold_start"]
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 0
+    for name in ("run.csv", "metrics.txt"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == refs[name], name
+
+
+def test_log_level_defaults_to_quiet(tmp_path):
+    # a fresh process, because logging is configured once per process
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text("{}")
+    env = {k: v for k, v in os.environ.items() if k != "COLDSTART_LOG"}
+    src = str(Path(coldstart.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coldstart.cli", "sweep", "--template", str(template),
+         "--grid", str(grid), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "sweep.csv").exists()
+    assert "INFO" not in proc.stderr
 
 
 def test_bad_log_level_exits_2(tmp_path, monkeypatch, capsys):
@@ -384,6 +421,20 @@ def test_sweep_grid_rows_and_partial_failures(tmp_path):
     conv_col = header.index("phi_convergence_time_fuel")
     healthy = [r for r in rows[1:] if not r[-1]]
     assert healthy[0][conv_col] != ""
+
+
+def test_sweep_overflowing_cell_fails_alone(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"feedback_delay_steps": [0, 3]}))
+    out = tmp_path / "out"
+    code = main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)])
+    assert code == 4
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 3
+    assert rows[1][-1] == ""
+    assert "overflow" in rows[2][-1] and "step" in rows[2][-1]
 
 
 def test_sweep_single_cell_matches_simulate(tmp_path, capsys):

@@ -86,30 +86,37 @@ def test_adapt_sign_flip():
 # surfaces
 
 
+def state_on_afr(afr_d, m_a=0.004, omega=140.0, t_exh=650.0, mdot_f_offset=0.0):
+    """State whose fuel flow sits ``mdot_f_offset`` above the AFR target's."""
+    mdot_ao = plant.air_outflow(m_a, omega)
+    return plant.EngineState(m_a, omega, mdot_ao / afr_d + mdot_f_offset, 25.0, t_exh)
+
+
 def test_surfaces_zero_when_feedback_matches_targets():
-    state = plant.EngineState(m_a=0.004, omega_e=140.0, mdot_f=1e-3, T_cat=25.0, T_exh=650.0)
-    mdot_ao = 13.0 * state.mdot_f  # consistent with afr_d = 13
-    s = dsmc.sliding_surfaces(state, mdot_ao, 13.0, 140.0, 650.0, 0.004)
-    assert s == (0.0, 0.0, 0.0, 0.0)
+    state = state_on_afr(13.0)
+    out = dsmc.CascadeController.with_default_gains().step(state, constant_targets(13.0))
+    assert (out.s1, out.s2, out.s3) == (0.0, 0.0, 0.0)
+    # the air surface tracks the synthetic target the speed loop issued
+    assert out.s4 == state.m_a - out.m_a_d
 
 
 def test_surface_speed_is_plain_error():
-    state = plant.EngineState(0.004, 110.0, 1e-3, 25.0, 650.0)
-    _, s2, _, _ = dsmc.sliding_surfaces(state, 0.013, 13.0, 100.0, 650.0, 0.004)
-    assert s2 == 10.0
+    state = state_on_afr(13.0, omega=110.0)
+    out = dsmc.CascadeController.with_default_gains().step(state, constant_targets(omega_d=100.0))
+    assert out.s2 == 10.0
 
 
 def test_surface_fuel_flow_domain():
-    # mdot_ao=0.0147, AFR_d=14.7, mdot_f=0.0012 -> s1 = 0.0012 - 0.001 = 2e-4
-    state = plant.EngineState(0.004, 140.0, 0.0012, 25.0, 650.0)
-    s1, _, _, _ = dsmc.sliding_surfaces(state, 0.0147, 14.7, 140.0, 650.0, 0.004)
-    assert s1 == pytest.approx(2e-4, rel=1e-12)
+    # the AFR target becomes a fuel-flow target through the cylinder air flow
+    state = state_on_afr(14.7, mdot_f_offset=2e-4)
+    out = dsmc.CascadeController.with_default_gains().step(state, constant_targets(14.7))
+    assert out.s1 == pytest.approx(2e-4, rel=1e-12)
 
 
 def test_surfaces_reject_degenerate_afr_target():
-    state = plant.EngineState(0.004, 140.0, 1e-3, 25.0, 650.0)
+    state = state_on_afr(13.0)
     with pytest.raises(DegenerateInputError):
-        dsmc.sliding_surfaces(state, 0.013, 0.0, 140.0, 650.0, 0.004)
+        dsmc.CascadeController.with_default_gains().step(state, constant_targets(0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_euler_step_matches_plain_derivative_at_unit_phi():
     c = plant.PlantConstants()
     conv = plant.PlantConventions(qin_direction="heats_catalyst")
     T = 0.02
-    d = plant.derivatives(state, inputs, c, conv)
+    d, _ = plant.derivatives(state, inputs, c, conv)
     expect = plant.EngineState(
         m_a=state.m_a + T * d.m_a,
         omega_e=state.omega_e + T * d.omega_e,
@@ -98,7 +98,7 @@ def test_euler_step_matches_plain_derivative_at_unit_phi():
         T_cat=state.T_cat + T * d.T_cat,
         T_exh=state.T_exh + T * d.T_exh,
     )
-    got = euler_step(state, inputs, PhiTrue(), T, c, conv)
+    got, _ = euler_step(state, inputs, PhiTrue(), T, c, conv)
     for name in ("m_a", "omega_e", "mdot_f", "T_cat", "T_exh"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a == pytest.approx(b, rel=1e-15), name
@@ -108,12 +108,12 @@ def test_euler_step_scales_only_the_drift():
     # fuel row: mdot_f' = mdot_f + T*(phi*(-mdot_f/alpha_f) + u/alpha_f)
     state, inputs = nominal_state(), nominal_inputs()
     T = 0.02
-    got = euler_step(state, inputs, PhiTrue(fuel=0.5), T)
+    got, _ = euler_step(state, inputs, PhiTrue(fuel=0.5), T)
     expect = state.mdot_f + T * (0.5 * (-state.mdot_f / 0.06) + inputs.mdot_fc / 0.06)
     assert got.mdot_f == pytest.approx(expect, rel=1e-15)
     # air row with phi_air=2: m_a' = m_a + T*(2*(-mdot_ao) + mdot_ai)
     mdot_ao = plant.air_outflow(state.m_a, state.omega_e)
-    got2 = euler_step(state, inputs, PhiTrue(air=2.0), T)
+    got2, _ = euler_step(state, inputs, PhiTrue(air=2.0), T)
     assert got2.m_a == pytest.approx(state.m_a + T * (2.0 * -mdot_ao + inputs.mdot_ai), rel=1e-15)
     # the uncertainty multiplies the drift only, never the input path
     assert got.m_a == pytest.approx(state.m_a + T * (-mdot_ao + inputs.mdot_ai), rel=1e-15)
@@ -121,15 +121,15 @@ def test_euler_step_scales_only_the_drift():
 
 def test_euler_step_zero_interval_is_identity():
     state, inputs = nominal_state(), nominal_inputs()
-    got = euler_step(state, inputs, PhiTrue(), 0.0)
+    got, _ = euler_step(state, inputs, PhiTrue(), 0.0)
     assert got == state
 
 
 def test_euler_step_substeps_refine_toward_smaller_steps():
     state, inputs = nominal_state(), nominal_inputs()
-    one = euler_step(state, inputs, PhiTrue(), 0.02, substeps=1)
-    two = euler_step(state, inputs, PhiTrue(), 0.02, substeps=2)
-    four = euler_step(state, inputs, PhiTrue(), 0.02, substeps=4)
+    one, _ = euler_step(state, inputs, PhiTrue(), 0.02, substeps=1)
+    two, _ = euler_step(state, inputs, PhiTrue(), 0.02, substeps=2)
+    four, _ = euler_step(state, inputs, PhiTrue(), 0.02, substeps=4)
     # fixed-step refinement halves the local defect on a smooth field
     d12 = abs(one.T_exh - two.T_exh)
     d24 = abs(two.T_exh - four.T_exh)
@@ -186,6 +186,30 @@ def test_config_validation_messages_name_the_field():
         ScenarioConfig(feedback_delay_steps=-1)
     with pytest.raises(ConfigError, match="unknown signal"):
         ScenarioConfig(signal_ranges={**looplab.DEFAULT_SIGNAL_RANGES, "boost": (0, 1)})
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("beta.fuel", "x"),
+        ("T", math.nan),
+        ("delta_initial", math.nan),
+        ("constants.J", math.nan),
+        ("signal_ranges.m_a", [0.0, math.inf]),
+        ("initial_state.t_cat", "x"),
+        ("quant_bits", 8.5),
+        ("substeps", math.nan),
+    ],
+)
+def test_config_rejects_bad_numbers_with_the_field_path(path, value):
+    data = ScenarioConfig().to_dict()
+    *parents, last = path.split(".")
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        ScenarioConfig.from_dict(data)
 
 
 def test_config_partial_sections_merge_with_defaults():
@@ -291,6 +315,14 @@ def test_run_stall_aborts_with_step_index():
     with pytest.raises(SimulationAbort, match="stalled") as err:
         run_scenario(cfg)
     assert err.value.step >= 1
+
+
+def test_run_overflow_in_the_emission_chain_aborts_at_its_step():
+    # a long sensor delay destabilizes the fuel loop until the catalyst
+    # conversion fit overflows
+    with pytest.raises(SimulationAbort, match="overflow") as err:
+        run_scenario(short_config(feedback_delay_steps=3))
+    assert 1 <= err.value.step < 100
 
 
 def test_run_cumulative_hc_matches_trapezoid_and_is_nondecreasing():

@@ -10,6 +10,7 @@ from coldstart.errors import DegenerateInputError
 from coldstart.plant import (
     ControlInput,
     EngineState,
+    PhiTrue,
     PlantConstants,
     PlantConventions,
 )
@@ -127,23 +128,16 @@ def test_air_outflow_nominal_value():
 
 
 # ---------------------------------------------------------------------------
-# torque, spark and AFR helpers
+# speed-row split and AFR helpers
 
 
-def test_net_torque_hand_value():
-    assert plant.net_torque(0.01, 150.0) == pytest.approx(140.0, rel=1e-14)
-
-
-def test_net_torque_is_drive_minus_load():
-    for m_a, w in [(0.004, 125.0), (0.01, 150.0), (0.02, 80.0)]:
-        assert plant.net_torque(m_a, w) == pytest.approx(
-            30000.0 * m_a - plant.load_torque(w), rel=1e-14
-        )
-
-
-def test_spark_term_base_and_slope():
-    assert plant.spark_term(0.0) == 600.0
-    assert plant.spark_term(10.0) == 675.0
+def test_speed_row_is_load_drift_plus_air_drive():
+    # m_a=0.01, w=150: drift -(100 + 0.4*150) = -160 Nm, drive 30000*0.01 = 300 Nm
+    state = EngineState(m_a=0.01, omega_e=150.0, mdot_f=1e-3, T_cat=25.0, T_exh=500.0)
+    d = plant.drift(state)
+    J = PlantConstants().J
+    assert d.f_speed * J == pytest.approx(-160.0, rel=1e-14)
+    assert (d.f_speed + d.speed_gain * state.m_a) * J == pytest.approx(140.0, rel=1e-14)
 
 
 def test_afi_peaks_at_cosine_center():
@@ -357,7 +351,7 @@ CONST_DICT = {
 def test_derivatives_match_flat_transcription(conventions):
     constants = PlantConstants()
     for state, inputs in random_states_and_inputs(1000):
-        got = plant.derivatives(state, inputs, constants, conventions)
+        got, _ = plant.derivatives(state, inputs, constants, conventions)
         want = oracle_derivatives(
             (state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh),
             (inputs.mdot_ai, inputs.mdot_fc, inputs.delta),
@@ -372,6 +366,25 @@ def test_derivatives_match_flat_transcription(conventions):
             want,
         ):
             assert rel_diff(a, b) <= 1e-12, f"{name}: {a} vs {b}"
+
+
+def test_phi_scales_only_the_drift_of_each_controlled_row():
+    phi = PhiTrue(fuel=0.5, speed=1.5, exh=0.75, air=1.25)
+    for state, inputs in random_states_and_inputs(200):
+        plain, emission = plant.derivatives(state, inputs)
+        scaled, _ = plant.derivatives(state, inputs, phi=phi)
+        d = plant.drift(state)
+        for name, f, p in (
+            ("m_a", d.f_air, phi.air),
+            ("omega_e", d.f_speed, phi.speed),
+            ("mdot_f", d.f_fuel, phi.fuel),
+            ("T_exh", d.f_exh, phi.exh),
+        ):
+            a, b = getattr(scaled, name), getattr(plain, name)
+            scale = max(abs(a), abs(b), abs(f))
+            assert a - b == pytest.approx((p - 1.0) * f, abs=1e-12 * scale), name
+        assert scaled.T_cat == plain.T_cat
+        assert emission == plant.emissions(state, inputs.delta)
 
 
 def test_derivatives_propagate_degenerate_fuel():
