@@ -29,6 +29,8 @@ from .plant import PhiTrue
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
+# plant constants the model divides by; zero or negative values are rejected
+POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat")
 
 # ADC spans per signal; command spans default to the actuator bounds.
 DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
@@ -202,6 +204,10 @@ class ScenarioConfig:
         for loop, r in self.rho.items():
             if not r > 0.0:
                 raise ConfigError(f"rho.{loop} must be positive, got {r!r}")
+        for name in POSITIVE_CONSTANTS:
+            value = self.constants.get(name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"constants.{name} must be positive, got {value!r}")
         self.substeps = _count(self.substeps, "substeps", 1)
         self.feedback_delay_steps = _count(self.feedback_delay_steps, "feedback_delay_steps", 0)
         if self.metrics_window_start < 0.0:

@@ -21,6 +21,7 @@ from .errors import IdentificationError, SingularGainError, SingularMatrixError
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
+_CSV_BLOCK_ROWS = 256  # rga.csv rows converted to text at a time
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,9 @@ class FirstOrderTF:
     k: float    # inverse DC gain [-]
 
     def __post_init__(self):
+        for name in ("tau", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau == 0.0 and self.k == 0.0:
             raise ValueError("tau and k cannot both be zero")
 
@@ -87,13 +91,15 @@ class TFMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def response(self, omega: float) -> np.ndarray:
-        """Complex gain matrix at one frequency; zero-coupling entries give 0."""
-        p = np.zeros((self.n, self.n), dtype=complex)
+    def response(self, omega) -> np.ndarray:
+        """Complex gain matrix at one frequency, (n, n), or over a 1-D array of
+        frequencies, (F, n, n); zero-coupling entries give 0."""
+        w = np.asarray(omega, dtype=float)
+        p = np.zeros(w.shape + (self.n, self.n), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, tf in enumerate(row):
                 if tf is not None:
-                    p[i, j] = freq_response(tf, omega)
+                    p[..., i, j] = freq_response(tf, w)
         return p
 
     def to_json(self) -> str:
@@ -194,34 +200,42 @@ def default_coupling_matrix() -> TFMatrix:
     )
 
 
-def rga_of_matrix(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Relative gain array of a complex gain matrix: P .* inv(P).T."""
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+def _ill_conditioned(cond: np.ndarray, cond_limit: float) -> np.ndarray:
+    """Where a condition number is non-finite or above ``cond_limit``."""
+    return ~np.isfinite(cond) | (cond > cond_limit)
+
+
+def _transposed_inverse(p: np.ndarray, cond_limit: float) -> np.ndarray:
+    """inv(P).T of a square complex matrix, or of each matrix in a (..., n, n) stack.
+
+    Raises SingularMatrixError if any member is too ill-conditioned to invert.
+    """
+    if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError(f"gain matrix must be square, got shape {p.shape}")
     cond = np.linalg.cond(p)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrixError(f"condition number {cond:.3e} above limit {cond_limit:.3e}")
-    return p * np.linalg.inv(p).T
+    bad = _ill_conditioned(cond, cond_limit)
+    if bad.any():
+        worst = np.max(cond[bad])
+        raise SingularMatrixError(f"condition number {worst:.3e} above limit {cond_limit:.3e}")
+    return np.swapaxes(np.linalg.inv(p), -1, -2)
+
+
+def rga_of_matrix(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """Relative gain array P .* inv(P).T of a complex gain matrix, or of each
+    matrix in a (..., n, n) stack."""
+    p = np.asarray(p, dtype=complex)
+    return p * _transposed_inverse(p, cond_limit)
 
 
 def closed_loop_gains(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
     """Apparent channel gains with all other loops closed: 1 / inv(P).T.
 
-    Entries where inv(P).T vanishes (no closed-loop path) come out infinite.
+    Accepts one matrix or a (..., n, n) stack.  Entries where inv(P).T
+    vanishes (no closed-loop path) come out infinite.
     """
-    p = np.asarray(p, dtype=complex)
-    cond = np.linalg.cond(p)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrixError(f"condition number {cond:.3e} above limit {cond_limit:.3e}")
-    c = np.linalg.inv(p).T
+    c = _transposed_inverse(np.asarray(p, dtype=complex), cond_limit)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(c == 0, np.inf + 0j, 1.0 / c)
-
-
-def rga_at(tfm: TFMatrix, omega: float, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """RGA of a transfer matrix at one frequency [rad/s]."""
-    return rga_of_matrix(tfm.response(omega), cond_limit)
 
 
 @dataclass
@@ -253,9 +267,13 @@ class RGAResult:
         self.dominance = scores
 
     def to_csv(self) -> str:
+        """One row per frequency: omega, the gap flag, each element's real and
+        imaginary part, then each element's dB magnitude; gap rows are blank.
+
+        Every field is a float repr, a flag or blank, none of which needs CSV
+        quoting, so rows are joined directly, a block of rows at a time.
+        """
         n = self.lambdas.shape[1]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         header = ["omega", "gap"]
         for i in range(n):
             for j in range(n):
@@ -263,20 +281,27 @@ class RGAResult:
         for i in range(n):
             for j in range(n):
                 header.append(f"db_{i + 1}_{j + 1}")
-        writer.writerow(header)
-        for idx, w in enumerate(self.omegas):
-            row = [repr(float(w)), str(int(self.gaps[idx]))]
-            if self.gaps[idx]:
-                row += [""] * (3 * n * n)
-            else:
-                for i in range(n):
-                    for j in range(n):
-                        lam = self.lambdas[idx, i, j]
-                        row += [repr(float(lam.real)), repr(float(lam.imag))]
-                for i in range(n):
-                    for j in range(n):
-                        row.append(repr(float(self.mags_db[idx, i, j])))
-            writer.writerow(row)
+        buf = io.StringIO()
+        buf.write(",".join(header) + "\n")
+        gap_tail = ",1" + "," * (3 * n * n) + "\n"
+        for start in range(0, len(self.omegas), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            lam = self.lambdas[block].reshape(-1, n * n)
+            values = np.concatenate(
+                [
+                    np.stack([lam.real, lam.imag], axis=-1).reshape(len(lam), -1),
+                    self.mags_db[block].reshape(len(lam), -1),
+                ],
+                axis=1,
+            )
+            buf.write(
+                "".join(
+                    repr(w) + gap_tail if gap else f"{w!r},0,{','.join(map(repr, row))}\n"
+                    for w, gap, row in zip(
+                        self.omegas[block].tolist(), self.gaps[block].tolist(), values.tolist()
+                    )
+                )
+            )
         return buf.getvalue()
 
 
@@ -293,14 +318,11 @@ def rga_sweep(
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     omegas = np.logspace(math.log10(w_min), math.log10(w_max), n_points)
-    n = tfm.n
-    lambdas = np.full((n_points, n, n), np.nan, dtype=complex)
-    gaps = np.zeros(n_points, dtype=bool)
-    for idx, w in enumerate(omegas):
-        try:
-            lambdas[idx] = rga_of_matrix(tfm.response(float(w)), cond_limit)
-        except SingularMatrixError:
-            gaps[idx] = True
+    p = tfm.response(omegas)
+    # gap rows are left out first: one singular member fails a batched inverse
+    gaps = _ill_conditioned(np.linalg.cond(p), cond_limit)
+    lambdas = np.full(p.shape, np.nan, dtype=complex)
+    lambdas[~gaps] = rga_of_matrix(p[~gaps], cond_limit)
     return RGAResult(omegas=omegas, lambdas=lambdas, gaps=gaps)
 
 

@@ -245,6 +245,44 @@ def test_rga_malformed_model_names_the_cell(tmp_path, capsys):
     assert "channel (1,1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("model.json", '{"n": 1, "entries": [[{"tau": NaN, "k": 1.0}]]}', "tau must be finite"),
+        (
+            "model.json",
+            '{"n": 2, "entries": [[{"tau": 1.0, "k": 1.0}, null],'
+            ' [null, {"tau": 1.0, "k": Infinity}]]}',
+            "channel (2,2): k must be finite",
+        ),
+        ("model.csv", "row,tau_1,k_1\n1,nan,1.0\n", "tau must be finite"),
+        ("model.csv", "row,tau_1,k_1\n1,0.5,-inf\n", "k must be finite"),
+    ],
+)
+def test_rga_non_finite_channel_parameters_exit_2(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: channel (" in err and message in err
+    assert not (out / "rga.csv").exists()
+
+
+# sha256 of rga.csv for default_coupling_matrix() at 2000 points, recorded with
+# the per-frequency sweep before it was evaluated over the whole grid at once
+DEFAULT_MODEL_RGA_CSV_SHA256 = "18a76a6b23b075bfa240ddc62060395f0dbaf1fd3950a733a237f74ab9cde617"
+
+
+def test_rga_csv_bytes_match_the_per_frequency_digest(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(rga.default_coupling_matrix().to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--points", "2000", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "rga.csv").read_bytes()).hexdigest()
+    assert digest == DEFAULT_MODEL_RGA_CSV_SHA256
+
+
 # ---------------------------------------------------------------------------
 # identify
 
@@ -435,6 +473,20 @@ def test_sweep_overflowing_cell_fails_alone(tmp_path):
     assert len(rows) == 3
     assert rows[1][-1] == ""
     assert "overflow" in rows[2][-1] and "step" in rows[2][-1]
+
+
+def test_sweep_zero_plant_constant_cell_fails_alone(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"constants": [{}, {"J": 0}]}))
+    out = tmp_path / "out"
+    code = main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)])
+    assert code == 4
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 3
+    assert rows[1][-1] == ""
+    assert rows[2][-1] == "constants.J must be positive, got 0.0"
 
 
 def test_sweep_single_cell_matches_simulate(tmp_path, capsys):

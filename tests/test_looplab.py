@@ -1,6 +1,7 @@
 """Execution-lab checks: quantizer contract, stepping oracle, configs, runs, metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,14 @@ def test_config_rejects_bad_numbers_with_the_field_path(path, value):
     target[last] = value
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("name", looplab.POSITIVE_CONSTANTS)
+@pytest.mark.parametrize("value", [0, -0.5])
+def test_config_rejects_non_positive_plant_constants(name, value):
+    message = f"constants.{name} must be positive, got {float(value)!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(constants={name: value})
 
 
 def test_config_partial_sections_merge_with_defaults():

@@ -17,7 +17,6 @@ from coldstart.rga import (
     identify_first_order,
     identify_mimo,
     open_loop_matrix,
-    rga_at,
     rga_of_matrix,
     rga_sweep,
     simulate_first_order,
@@ -33,6 +32,34 @@ def random_well_conditioned(n, rng, tries=50):
     raise AssertionError("could not draw a well-conditioned matrix")
 
 
+def random_tf_matrix(n, rng):
+    """Random first-order channels, some static; about a third of the
+    off-diagonal entries are explicit zero coupling (None)."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i != j and rng.random() < 0.3:
+                row.append(None)
+            else:
+                tau = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.01, 2.0))
+                row.append(FirstOrderTF(tau, float(rng.uniform(0.1, 3.0))))
+        rows.append(row)
+    return open_loop_matrix(rows)
+
+
+def per_frequency_sweep(tfm, omegas):
+    """The RGA sweep by its definition: one gain matrix per frequency."""
+    lambdas = np.full((len(omegas), tfm.n, tfm.n), np.nan, dtype=complex)
+    gaps = np.zeros(len(omegas), dtype=bool)
+    for idx, w in enumerate(omegas):
+        try:
+            lambdas[idx] = rga_of_matrix(tfm.response(float(w)))
+        except SingularMatrixError:
+            gaps[idx] = True
+    return lambdas, gaps
+
+
 # ---------------------------------------------------------------------------
 # first-order channels
 
@@ -40,6 +67,15 @@ def random_well_conditioned(n, rng, tries=50):
 def test_tf_rejects_double_zero():
     with pytest.raises(ValueError):
         FirstOrderTF(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "tau, k, name",
+    [(math.nan, 1.0, "tau"), (math.inf, 1.0, "tau"), (1.0, -math.inf, "k"), (0.0, math.nan, "k")],
+)
+def test_tf_rejects_non_finite_parameters(tau, k, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        FirstOrderTF(tau, k)
 
 
 def test_freq_response_unit_values():
@@ -177,8 +213,30 @@ def test_rga_rejects_singular_matrix():
 def test_rga_at_decoupled_plant():
     g = FirstOrderTF(1.0, 1.0)
     tfm = open_loop_matrix([[g, None], [None, FirstOrderTF(0.3, 2.0)]])
-    lam = rga_at(tfm, 0.5)
+    lam = rga_of_matrix(tfm.response(0.5))
     assert np.allclose(lam, np.eye(2), atol=1e-14)
+
+
+def test_rga_of_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        stack = np.stack([random_well_conditioned(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
+        lam = rga_of_matrix(stack)
+        q = closed_loop_gains(stack)
+        assert lam.shape == q.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(lam[idx], rga_of_matrix(stack[idx]))
+            assert np.array_equal(q[idx], closed_loop_gains(stack[idx]))
+
+
+def test_rga_of_a_stack_with_one_ill_conditioned_member_raises():
+    rng = np.random.default_rng(37)
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    stack = np.stack([random_well_conditioned(2, rng), singular, random_well_conditioned(2, rng)])
+    with pytest.raises(SingularMatrixError):
+        rga_of_matrix(stack)
+    with pytest.raises(SingularMatrixError):
+        closed_loop_gains(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +288,37 @@ def test_sweep_singular_at_dc_leaves_gap_rows():
     # gap rows carry no numbers but the sweep output keeps its shape
     lines = res.to_csv().splitlines()
     assert len(lines) == 61
+
+
+def test_response_over_a_grid_stacks_the_single_frequency_matrices():
+    tfm = random_tf_matrix(3, np.random.default_rng(43))
+    omegas = np.logspace(-2, 2, 50)
+    p = tfm.response(omegas)
+    assert p.shape == (50, 3, 3)
+    for idx, w in enumerate(omegas):
+        assert np.array_equal(p[idx], tfm.response(float(w)))
+    assert tfm.response(0.5).shape == (3, 3)
+
+
+def test_sweep_matches_the_per_frequency_definition():
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        tfm = random_tf_matrix(int(rng.integers(2, 5)), rng)
+        res = rga_sweep(tfm, n_points=300)
+        lambdas, gaps = per_frequency_sweep(tfm, res.omegas)
+        assert np.array_equal(res.gaps, gaps)
+        assert np.array_equal(res.lambdas, lambdas, equal_nan=True)
+
+
+def test_sweep_near_singular_gaps_match_the_per_frequency_definition():
+    # proportional rows at DC: ill conditioned below about 1e-12 rad/s
+    g = FirstOrderTF(1.0, 1.0)
+    tfm = open_loop_matrix([[g, g], [g, FirstOrderTF(2.0, 1.0)]])
+    res = rga_sweep(tfm, w_min=1e-16, w_max=1.0, n_points=300)
+    lambdas, gaps = per_frequency_sweep(tfm, res.omegas)
+    assert 0 < gaps.sum() < len(gaps)
+    assert np.array_equal(res.gaps, gaps)
+    assert np.array_equal(res.lambdas, lambdas, equal_nan=True)
 
 
 def test_sweep_validates_grid():
