@@ -90,6 +90,13 @@ class ActuatorBounds:
 
 
 def saturate(value: float, bound: tuple[float, float]) -> tuple[float, bool]:
+    """``value`` clamped to ``bound``, and whether it was clamped.
+
+    NaN is refused: it compares false with both bounds, so it would pass
+    as an unsaturated command.
+    """
+    if math.isnan(value):
+        raise DegenerateInputError(f"command is NaN; cannot saturate to {bound!r}")
     lo, hi = bound
     if value < lo:
         return lo, True

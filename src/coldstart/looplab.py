@@ -17,6 +17,7 @@ import io
 import json
 import math
 import numbers
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -26,6 +27,7 @@ import numpy as np
 from . import dsmc, plant
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
 from .plant import PhiTrue
+from .rga import CSV_BLOCK_ROWS
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
@@ -50,11 +52,16 @@ DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
 
 
 def quantize(value: float, bits: int, lo: float, hi: float) -> float:
-    """Uniform mid-tread quantizer over [lo, hi]; out-of-range values clamp."""
+    """Uniform mid-tread quantizer over [lo, hi]; out-of-range values clamp.
+
+    NaN has no code and raises DegenerateInputError.
+    """
     if bits < 1:
         raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
     if not lo < hi:
         raise ConfigError(f"quantizer range must satisfy lo < hi, got ({lo!r}, {hi!r})")
+    if math.isnan(value):
+        raise DegenerateInputError(f"cannot quantize NaN over ({lo!r}, {hi!r})")
     clamped = min(max(value, lo), hi)
     levels = (1 << bits) - 1
     code = round((clamped - lo) / (hi - lo) * levels)
@@ -422,8 +429,9 @@ def apply_overrides(data: dict[str, Any], overrides: list[str]) -> dict[str, Any
 # run records
 
 
-# fixed column order of the serialized record
-RECORD_COLUMNS = (
+# fixed column order of the serialized record: the float columns, the three
+# saturation flags (written as 0/1), then the free-text events column
+_FLOAT_COLUMNS = (
     "time",
     "m_a", "omega_e", "mdot_f", "t_cat", "t_exh",
     "mdot_ai", "mdot_fc", "delta",
@@ -434,10 +442,20 @@ RECORD_COLUMNS = (
     "f_fuel", "f_speed", "f_exh", "f_air",
     "afr", "afr_d", "omega_d", "t_exh_d", "afr_error",
     "hc_eng", "hc_tp", "hc_cum", "eta_cat",
-    "sat_air", "sat_fuel", "sat_delta",
-    "events",
 )
 _FLAG_COLUMNS = ("sat_air", "sat_fuel", "sat_delta")
+RECORD_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS + ("events",)
+# characters that can make csv.writer quote a field
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted the way csv.writer quotes it."""
+    if not _CSV_SPECIAL.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 @dataclass
@@ -464,20 +482,29 @@ class RunRecord:
         return self.series["time"]
 
     def to_csv(self) -> str:
+        """One row per sample in ``RECORD_COLUMNS`` order: float reprs, 0/1
+        flags, then the events text, quoted only where CSV needs it.
+
+        Rows are converted a block at a time, so the writer does no
+        per-element numpy indexing and builds no full-size table of strings.
+        """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        flags = set(_FLAG_COLUMNS)
-        for i in range(len(self)):
-            row = []
-            for name in RECORD_COLUMNS:
-                if name == "events":
-                    row.append(self.events[i])
-                elif name in flags:
-                    row.append(str(int(self.series[name][i])))
-                else:
-                    row.append(repr(float(self.series[name][i])))
-            writer.writerow(row)
+        buf.write(",".join(RECORD_COLUMNS) + "\n")
+        for start in range(0, len(self), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            values = np.stack(
+                [self.series[name][block] for name in _FLOAT_COLUMNS], axis=1, dtype=float
+            ).tolist()
+            flags = zip(*(self.series[name][block].tolist() for name in _FLAG_COLUMNS))
+            buf.write(
+                "".join(
+                    f"{','.join(map(repr, row))},{int(sat_air)},{int(sat_fuel)},"
+                    f"{int(sat_delta)},{_csv_field(event)}\n"
+                    for row, (sat_air, sat_fuel, sat_delta), event in zip(
+                        values, flags, self.events[block]
+                    )
+                )
+            )
         return buf.getvalue()
 
     @classmethod
@@ -546,7 +573,7 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
             delta=quantize(u.delta, bits, *ranges["delta"]),
         )
 
-    columns: dict[str, list[float]] = {c: [] for c in RECORD_COLUMNS if c != "events"}
+    rows: list[tuple] = []  # one tuple per sample in _FLOAT_COLUMNS + _FLAG_COLUMNS order
     events: list[str] = []
 
     def check_state(state: plant.EngineState, step: int) -> None:
@@ -557,66 +584,6 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
             raise SimulationAbort(
                 f"engine stalled: speed {state.omega_e!r} rad/s", step=step
             )
-
-    def append_row(
-        t: float,
-        state: plant.EngineState,
-        applied: plant.ControlInput,
-        emission: plant.EmissionOutputs,
-        out: dsmc.ControllerOutput | None,
-        targets,
-    ) -> None:
-        row = {
-            "time": t,
-            "m_a": state.m_a,
-            "omega_e": state.omega_e,
-            "mdot_f": state.mdot_f,
-            "t_cat": state.T_cat,
-            "t_exh": state.T_exh,
-            "mdot_ai": applied.mdot_ai,
-            "mdot_fc": applied.mdot_fc,
-            "delta": applied.delta,
-            "afr": emission.afr,
-            "afr_d": targets[0],
-            "omega_d": targets[1],
-            "t_exh_d": targets[2],
-            "hc_eng": emission.hc_eng,
-            "hc_tp": emission.hc_tp,
-            "hc_cum": 0.0,  # filled after the loop
-            "eta_cat": emission.eta_cat,
-        }
-        if out is None:
-            # grid points with no controller pass (final row, zero-length runs)
-            for name in (
-                "m_a_d", "s1", "s2", "s3", "s4", "xi1", "xi2", "xi3", "xi4",
-                "f_fuel", "f_speed", "f_exh", "f_air", "afr_error",
-            ):
-                row[name] = 0.0
-            row["phi_hat_fuel"] = controller.loop_fuel.phi_hat
-            row["phi_hat_speed"] = controller.loop_speed.phi_hat
-            row["phi_hat_exh"] = controller.loop_exh.phi_hat
-            row["phi_hat_air"] = controller.loop_air.phi_hat
-            row["sat_air"] = row["sat_fuel"] = row["sat_delta"] = 0.0
-            events.append("")
-        else:
-            row.update(
-                m_a_d=out.m_a_d,
-                s1=out.s1, s2=out.s2, s3=out.s3, s4=out.s4,
-                xi1=out.xi1, xi2=out.xi2, xi3=out.xi3, xi4=out.xi4,
-                phi_hat_fuel=out.phi_hat_fuel,
-                phi_hat_speed=out.phi_hat_speed,
-                phi_hat_exh=out.phi_hat_exh,
-                phi_hat_air=out.phi_hat_air,
-                f_fuel=out.f_fuel, f_speed=out.f_speed,
-                f_exh=out.f_exh, f_air=out.f_air,
-                afr_error=out.afr_error,
-                sat_air=float(out.sat_air),
-                sat_fuel=float(out.sat_fuel),
-                sat_delta=float(out.sat_delta),
-            )
-            events.append(";".join(e.replace(",", ";") for e in out.events))
-        for name, value in row.items():
-            columns[name].append(float(value))
 
     state = config.initial_state
     check_state(state, 0)
@@ -640,24 +607,40 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
             )
         except DegenerateInputError as err:
             raise SimulationAbort(f"plant: {err}", step=k) from None
-        append_row(
-            k * T, state, applied, emission, out,
-            (targets.afr_d, targets.omega_d, targets.t_exh_d),
-        )
+        rows.append((
+            k * T, state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh,
+            applied.mdot_ai, applied.mdot_fc, applied.delta,
+            out.m_a_d, out.s1, out.s2, out.s3, out.s4, out.xi1, out.xi2, out.xi3, out.xi4,
+            out.phi_hat_fuel, out.phi_hat_speed, out.phi_hat_exh, out.phi_hat_air,
+            out.f_fuel, out.f_speed, out.f_exh, out.f_air,
+            emission.afr, targets.afr_d, targets.omega_d, targets.t_exh_d, out.afr_error,
+            emission.hc_eng, emission.hc_tp, 0.0, emission.eta_cat,  # hc_cum filled below
+            out.sat_air, out.sat_fuel, out.sat_delta,
+        ))
+        events.append(";".join(e.replace(",", ";") for e in out.events))
         state = next_state
         check_state(state, k + 1)
         fb_queue.append(state)
-    # the final grid point gets no controller pass, so no Euler step either
+    # the final grid point gets no controller pass, so no Euler step either:
+    # the commands show held, the estimates as left, other controller columns 0
     try:
         emission = plant.emissions(state, applied.delta, constants, conventions)
     except DegenerateInputError as err:
         raise SimulationAbort(f"emission chain: {err}", step=n_steps) from None
-    append_row(
-        n_steps * T, state, applied, emission, None,
-        (traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps]),
-    )
+    rows.append((
+        n_steps * T, state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh,
+        applied.mdot_ai, applied.mdot_fc, applied.delta,
+        *(0.0,) * 9,  # m_a_d, s1..s4, xi1..xi4
+        controller.loop_fuel.phi_hat, controller.loop_speed.phi_hat,
+        controller.loop_exh.phi_hat, controller.loop_air.phi_hat,
+        *(0.0,) * 4,  # f_fuel..f_air
+        emission.afr, traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps], 0.0,
+        emission.hc_eng, emission.hc_tp, 0.0, emission.eta_cat,
+        0.0, 0.0, 0.0,
+    ))
+    events.append("")
 
-    series = {name: np.asarray(vals, dtype=float) for name, vals in columns.items()}
+    series = dict(zip(_FLOAT_COLUMNS + _FLAG_COLUMNS, np.array(rows, dtype=float).T))
     hc_tp = series["hc_tp"]
     increments = 0.5 * (hc_tp[1:] + hc_tp[:-1]) * np.diff(series["time"])
     series["hc_cum"] = np.concatenate([[0.0], np.cumsum(increments)])

@@ -7,9 +7,9 @@ burn duration, engine-out HC, catalyst conversion efficiency, catalyst heat
 balance) are exposed as pure functions so they can be checked in isolation.
 
 The four controlled states are control-affine, x' = phi*f(x) + g(x)*u.
-``drift`` is the only place f(x) is written down; ``derivatives`` builds
-every row from it, and the controller reads its drift terms and speed-row
-input gain from the same function.
+f(x) is written down once, in ``_drift_at``: ``derivatives`` builds every
+row from it with the air flow and AFR of the emission chain, and the
+controller reads its drift terms and speed-row input gain from ``drift``.
 
 Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 """
@@ -312,7 +312,13 @@ def drift(state: EngineState, constants: PlantConstants = PlantConstants()) -> D
     controller estimates it against the same values.
     """
     mdot_ao = air_outflow(state.m_a, state.omega_e)
-    afr_value = afr(mdot_ao, state.mdot_f, constants.mdot_f_floor)
+    return _drift_at(state, mdot_ao, afr(mdot_ao, state.mdot_f, constants.mdot_f_floor), constants)
+
+
+def _drift_at(
+    state: EngineState, mdot_ao: float, afr_value: float, constants: PlantConstants
+) -> Drift:
+    """``drift`` given the cylinder air flow and AFR already computed at ``state``."""
     afi_value = afi(afr_value)
     alpha_e = exhaust_time_constant(state.omega_e)
     return Drift(
@@ -340,8 +346,8 @@ def derivatives(
     phi scales only the drift of the four controlled rows; the catalyst row
     carries no uncertainty.  The default phi of 1 is the plain plant.
     """
-    d = drift(state, constants)
     emission = emissions(state, inputs.delta, constants, conventions)
+    d = _drift_at(state, emission.mdot_ao, emission.afr, constants)
     q_in, q_out, q_gen = catalyst_heat_terms(state, emission, constants, conventions)
     q_in_signed = q_in if conventions.qin_direction == "heats_catalyst" else -q_in
     return StateDerivative(

@@ -21,7 +21,7 @@ from .errors import IdentificationError, SingularGainError, SingularMatrixError
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
-_CSV_BLOCK_ROWS = 256  # rga.csv rows converted to text at a time
+CSV_BLOCK_ROWS = 256  # rows of a CSV table converted to text at a time
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,9 @@ def _ill_conditioned(cond: np.ndarray, cond_limit: float) -> np.ndarray:
     return ~np.isfinite(cond) | (cond > cond_limit)
 
 
-def _transposed_inverse(p: np.ndarray, cond_limit: float) -> np.ndarray:
-    """inv(P).T of a square complex matrix, or of each matrix in a (..., n, n) stack.
-
-    Raises SingularMatrixError if any member is too ill-conditioned to invert.
-    """
+def _check_invertible(p: np.ndarray, cond_limit: float) -> None:
+    """SingularMatrixError if a square matrix, or any member of a (..., n, n)
+    stack, is too ill-conditioned to invert."""
     if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError(f"gain matrix must be square, got shape {p.shape}")
     cond = np.linalg.cond(p)
@@ -217,14 +215,24 @@ def _transposed_inverse(p: np.ndarray, cond_limit: float) -> np.ndarray:
     if bad.any():
         worst = np.max(cond[bad])
         raise SingularMatrixError(f"condition number {worst:.3e} above limit {cond_limit:.3e}")
+
+
+def _transposed_inverse(p: np.ndarray) -> np.ndarray:
+    """inv(P).T of each matrix, with no conditioning check."""
     return np.swapaxes(np.linalg.inv(p), -1, -2)
+
+
+def _rga(p: np.ndarray) -> np.ndarray:
+    """P .* inv(P).T of each matrix, with no conditioning check."""
+    return p * _transposed_inverse(p)
 
 
 def rga_of_matrix(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
     """Relative gain array P .* inv(P).T of a complex gain matrix, or of each
     matrix in a (..., n, n) stack."""
     p = np.asarray(p, dtype=complex)
-    return p * _transposed_inverse(p, cond_limit)
+    _check_invertible(p, cond_limit)
+    return _rga(p)
 
 
 def closed_loop_gains(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
@@ -233,7 +241,9 @@ def closed_loop_gains(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> 
     Accepts one matrix or a (..., n, n) stack.  Entries where inv(P).T
     vanishes (no closed-loop path) come out infinite.
     """
-    c = _transposed_inverse(np.asarray(p, dtype=complex), cond_limit)
+    p = np.asarray(p, dtype=complex)
+    _check_invertible(p, cond_limit)
+    c = _transposed_inverse(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(c == 0, np.inf + 0j, 1.0 / c)
 
@@ -284,8 +294,8 @@ class RGAResult:
         buf = io.StringIO()
         buf.write(",".join(header) + "\n")
         gap_tail = ",1" + "," * (3 * n * n) + "\n"
-        for start in range(0, len(self.omegas), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
+        for start in range(0, len(self.omegas), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
             lam = self.lambdas[block].reshape(-1, n * n)
             values = np.concatenate(
                 [
@@ -319,10 +329,11 @@ def rga_sweep(
         raise ValueError("n_points must be at least 1")
     omegas = np.logspace(math.log10(w_min), math.log10(w_max), n_points)
     p = tfm.response(omegas)
-    # gap rows are left out first: one singular member fails a batched inverse
+    # gap rows are left out first: one singular member fails a batched
+    # inverse, and the mask is the conditioning check of the rows kept
     gaps = _ill_conditioned(np.linalg.cond(p), cond_limit)
     lambdas = np.full(p.shape, np.nan, dtype=complex)
-    lambdas[~gaps] = rga_of_matrix(p[~gaps], cond_limit)
+    lambdas[~gaps] = _rga(p[~gaps])
     return RGAResult(omegas=omegas, lambdas=lambdas, gaps=gaps)
 
 

@@ -211,6 +211,11 @@ def test_saturate_passes_and_clamps():
     assert dsmc.saturate(1.7, (0.0, 1.0)) == (1.0, True)
 
 
+def test_saturate_refuses_nan():
+    with pytest.raises(DegenerateInputError, match="NaN"):
+        dsmc.saturate(math.nan, (0.0, 1.0))
+
+
 def test_bounds_reject_inverted_range():
     with pytest.raises(ValueError):
         dsmc.ActuatorBounds(delta=(45.0, -10.0))

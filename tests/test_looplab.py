@@ -1,13 +1,18 @@
 """Execution-lab checks: quantizer contract, stepping oracle, configs, runs, metrics."""
 
+import csv
+import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldstart import dsmc, looplab, plant
-from coldstart.errors import ConfigError, SimulationAbort
+from coldstart.errors import ConfigError, DegenerateInputError, SimulationAbort
 from coldstart.looplab import (
     LOOPS,
     MetricsSummary,
@@ -67,6 +72,11 @@ def test_quantize_validates_arguments():
         quantize(0.5, 0, 0.0, 1.0)
     with pytest.raises(ConfigError):
         quantize(0.5, 8, 1.0, 1.0)
+
+
+def test_quantize_refuses_nan():
+    with pytest.raises(DegenerateInputError, match="NaN"):
+        quantize(math.nan, 16, 0.0, 1.0)
 
 
 def test_quantize_one_bit_is_a_comparator():
@@ -364,6 +374,23 @@ def test_run_feedback_delay_shifts_the_loop():
     )
 
 
+@pytest.mark.parametrize("quantization_enabled", [True, False])
+@pytest.mark.parametrize("law", ["control_fuel", "control_airflow", "control_spark"])
+def test_run_nan_control_law_aborts_at_its_step(monkeypatch, law, quantization_enabled):
+    real = getattr(dsmc, law)
+    calls = []
+
+    def nan_from_step_7(*args, **kwargs):
+        calls.append(None)
+        value = real(*args, **kwargs)
+        return math.nan if len(calls) > 7 else value
+
+    monkeypatch.setattr(dsmc, law, nan_from_step_7)
+    with pytest.raises(SimulationAbort, match="NaN") as err:
+        run_scenario(short_config(quantization_enabled=quantization_enabled))
+    assert err.value.step == 7
+
+
 def test_record_csv_round_trip_exact():
     rec = run_scenario(short_config(duration=1.0))
     text = rec.to_csv()
@@ -372,6 +399,94 @@ def test_record_csv_round_trip_exact():
         np.testing.assert_array_equal(rec.series[name], back.series[name], err_msg=name)
     assert back.events == rec.events
     assert back.to_csv() == text
+
+
+def reference_csv(rec):
+    """The record written cell by cell through csv.writer: float reprs,
+    integer flags, events as text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(looplab.RECORD_COLUMNS)
+    for i in range(len(rec)):
+        row = []
+        for name in looplab.RECORD_COLUMNS:
+            if name == "events":
+                row.append(rec.events[i])
+            elif name.startswith("sat_"):
+                row.append(str(int(rec.series[name][i])))
+            else:
+                row.append(repr(float(rec.series[name][i])))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def columns_record(values, flags, events):
+    """A record from per-row float values, 0/1 flags and event strings."""
+    n = len(events)
+    float_names = [c for c in looplab.RECORD_COLUMNS if c != "events" and not c.startswith("sat_")]
+    table = np.asarray(values, dtype=float).reshape(n, len(float_names))
+    series = {name: table[:, i] for i, name in enumerate(float_names)}
+    flag_table = np.asarray(flags, dtype=float).reshape(n, 3)
+    for i, name in enumerate(("sat_air", "sat_fuel", "sat_delta")):
+        series[name] = flag_table[:, i]
+    return RunRecord(series=series, events=list(events))
+
+
+N_FLOAT_COLUMNS = len(looplab.RECORD_COLUMNS) - 4
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf,
+                  math.nan, 1.7976931348623157e308, 1e-300, 0.1]
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(0, 7))
+    # a short pool of values cycled over the cells keeps each example cheap
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), min_size=1))
+    values = [pool[i % len(pool)] for i in range(n * N_FLOAT_COLUMNS)]
+    flags = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=3 * n, max_size=3 * n))
+    event_text = st.text(st.one_of(st.sampled_from(',"\r\n; '), st.characters()), max_size=8)
+    events = draw(st.lists(event_text, min_size=n, max_size=n))
+    return columns_record(values, flags, events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rec=records(), block_rows=st.integers(1, 4))
+def test_record_csv_matches_a_csv_writer_reference(rec, block_rows):
+    # small blocks so a handful of rows spans several of them
+    with mock.patch.object(looplab, "CSV_BLOCK_ROWS", block_rows):
+        assert rec.to_csv() == reference_csv(rec)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_record_csv_across_the_block_boundary(offset):
+    n = looplab.CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    cells = n * N_FLOAT_COLUMNS
+    values = rng.standard_normal(cells) * 10.0 ** rng.integers(-300, 300, cells)
+    values[::97] = math.nan
+    values[1::89] = -0.0
+    flags = rng.integers(0, 2, 3 * n)
+    events = ["" if i % 5 else f"kind {i}, detail \"{i}\"" for i in range(n)]
+    rec = columns_record(values, flags, events)
+    text = rec.to_csv()
+    assert text == reference_csv(rec)
+    assert text.count("\n") == n + 1
+
+
+def test_record_csv_round_trips_events_that_need_quoting():
+    events = ["a,b", 'say "hi"', "two\nlines", "", 'all, "three"\n', ";plain;"]
+    n = len(events)
+    rec = columns_record(np.arange(n * N_FLOAT_COLUMNS) / 7.0, [0.0, 1.0, 0.0] * n, events)
+    back = RunRecord.from_csv(rec.to_csv())
+    assert back.events == events
+    for name in rec.series:
+        np.testing.assert_array_equal(rec.series[name], back.series[name], err_msg=name)
+
+
+def test_record_csv_nan_flag_raises():
+    rec = columns_record([0.0] * N_FLOAT_COLUMNS, [math.nan, 0.0, 0.0], [""])
+    with pytest.raises(ValueError):
+        rec.to_csv()
 
 
 def test_record_csv_rejects_foreign_tables():
