@@ -58,7 +58,10 @@ def _configure_logging() -> None:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # newline="" hands line endings to the CSV and JSON parsers as written,
+    # so a CR inside a quoted CSV field is read back as a CR
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
 
 
 def _out_dir(path: str) -> Path:

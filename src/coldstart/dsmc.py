@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import plant
 from .errors import DegenerateInputError, SingularGainError
@@ -194,15 +195,13 @@ def control_spark(
 # cascade orchestration
 
 
-@dataclass(frozen=True)
-class ControllerOutput:
+class ControllerOutput(NamedTuple):
     """Saturated commands plus per-step telemetry."""
 
     mdot_ai: float
     mdot_fc: float
     delta: float
     m_a_d: float        # synthetic target tracked this step
-    m_a_d_next: float   # target issued for the next step
     s1: float
     s2: float
     s3: float
@@ -264,7 +263,8 @@ class CascadeController:
         # air actuator because a saturated inner loop cannot realize the
         # synthetic target, and the exhaust loop holds when the spark law was
         # singular (no control authority, so s3 is open-loop drift).
-        self._adapt_hold = {"fuel": True, "speed": True, "exh": True, "air": True}
+        # The flags are kept in loop order: fuel, speed, exh, air.
+        self._adapt_hold = (True, True, True, True)
 
     @classmethod
     def with_default_gains(cls, T: float = 0.02, **kwargs) -> "CascadeController":
@@ -281,7 +281,7 @@ class CascadeController:
         """One full cascade pass: surfaces -> estimates -> commands."""
         c = self.constants
         T = self.T
-        events: list[str] = []
+        hold_fuel, hold_speed, hold_exh, hold_air = self._adapt_hold
 
         # drift terms of the four controlled states at the current sample
         (
@@ -302,11 +302,11 @@ class CascadeController:
         xi2 = s2 + self.loop_speed.beta * self.loop_speed.s_prev
         xi3 = s3 + self.loop_exh.beta * self.loop_exh.s_prev
 
-        if not self._adapt_hold["fuel"]:
+        if not hold_fuel:
             adapt(self.loop_fuel, s1, f_fuel, T)
-        if not self._adapt_hold["speed"]:
+        if not hold_speed:
             adapt(self.loop_speed, s2, f_speed, T)
-        if not self._adapt_hold["exh"]:
+        if not hold_exh:
             adapt(self.loop_exh, s3, f_exh, T)
 
         # synthetic target for the NEXT step, from the one-step speed
@@ -329,7 +329,7 @@ class CascadeController:
 
         s4 = feedback.m_a - m_a_d_now
         xi4 = s4 + self.loop_air.beta * self.loop_air.s_prev
-        if not self._adapt_hold["air"]:
+        if not hold_air:
             adapt(self.loop_air, s4, f_air, T)
 
         u_air = control_airflow(mdot_ao, s4, m_a_d_now, m_a_d_next, self.loop_air, T)
@@ -360,9 +360,10 @@ class CascadeController:
         except SingularGainError:
             u_delta = self._delta_held
             spark_singular = True
-            events.append("spark gain below AFI floor; holding previous command")
+            events = ("spark gain below AFI floor; holding previous command",)
         else:
             spark_singular = False
+            events = ()
         delta, sat_delta = saturate(u_delta, self.bounds.delta)
 
         self.loop_fuel.s_prev = s1
@@ -371,38 +372,15 @@ class CascadeController:
         self.loop_air.s_prev = s4
         self._delta_held = delta
         self._m_a_target = m_a_d_next
-        self._adapt_hold = {
-            "fuel": sat_fuel,
-            "speed": sat_air,
-            "exh": sat_delta or spark_singular,
-            "air": sat_air,
-        }
+        self._adapt_hold = (sat_fuel, sat_air, sat_delta or spark_singular, sat_air)
 
         return ControllerOutput(
-            mdot_ai=mdot_ai,
-            mdot_fc=mdot_fc,
-            delta=delta,
-            m_a_d=m_a_d_now,
-            m_a_d_next=m_a_d_next,
-            s1=s1,
-            s2=s2,
-            s3=s3,
-            s4=s4,
-            xi1=xi1,
-            xi2=xi2,
-            xi3=xi3,
-            xi4=xi4,
-            phi_hat_fuel=self.loop_fuel.phi_hat,
-            phi_hat_speed=self.loop_speed.phi_hat,
-            phi_hat_exh=self.loop_exh.phi_hat,
-            phi_hat_air=self.loop_air.phi_hat,
-            f_fuel=f_fuel,
-            f_speed=f_speed,
-            f_exh=f_exh,
-            f_air=f_air,
-            afr_error=afr_value - targets.afr_d,
-            sat_air=sat_air,
-            sat_fuel=sat_fuel,
-            sat_delta=sat_delta,
-            events=tuple(events),
+            mdot_ai, mdot_fc, delta, m_a_d_now,
+            s1, s2, s3, s4, xi1, xi2, xi3, xi4,
+            self.loop_fuel.phi_hat, self.loop_speed.phi_hat,
+            self.loop_exh.phi_hat, self.loop_air.phi_hat,
+            f_fuel, f_speed, f_exh, f_air,
+            afr_value - targets.afr_d,
+            sat_air, sat_fuel, sat_delta,
+            events,
         )

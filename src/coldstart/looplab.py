@@ -94,11 +94,11 @@ def euler_step(
         if i == 0:
             start_emission = emission
         state = plant.EngineState(
-            m_a=state.m_a + h * d.m_a,
-            omega_e=state.omega_e + h * d.omega_e,
-            mdot_f=state.mdot_f + h * d.mdot_f,
-            T_cat=state.T_cat + h * d.T_cat,
-            T_exh=state.T_exh + h * d.T_exh,
+            state.m_a + h * d.m_a,
+            state.omega_e + h * d.omega_e,
+            state.mdot_f + h * d.mdot_f,
+            state.T_cat + h * d.T_cat,
+            state.T_exh + h * d.T_exh,
         )
     return state, start_emission
 
@@ -180,6 +180,10 @@ class ScenarioConfig:
             "metrics_window_start",
         ):
             _real(getattr(self, name), name)
+        for name in ("quantization_enabled", "adaptation_enabled"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         for dict_name in ("beta", "rho", "constants"):
             values = getattr(self, dict_name)
             if not isinstance(values, dict):
@@ -445,17 +449,17 @@ _FLOAT_COLUMNS = (
 )
 _FLAG_COLUMNS = ("sat_air", "sat_fuel", "sat_delta")
 RECORD_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS + ("events",)
-# characters that can make csv.writer quote a field
+# characters that make a field need quoting
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted the way csv.writer quotes it."""
+    """``text`` as one CSV field: quoted, with quotes doubled, when it holds
+    a comma, a quote, CR or LF.  This is csv.writer's quoting, except that a
+    bare CR is quoted too, so the csv reader can read the field back."""
     if not _CSV_SPECIAL.search(text):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    return '"' + text.replace('"', '""') + '"'
 
 
 @dataclass
@@ -510,27 +514,29 @@ class RunRecord:
     @classmethod
     def from_csv(cls, text: str, meta: dict[str, Any] | None = None) -> "RunRecord":
         reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("run record CSV is empty") from None
-        if tuple(header) != RECORD_COLUMNS:
-            raise ConfigError("run record CSV does not have the expected columns")
         columns: dict[str, list[float]] = {c: [] for c in RECORD_COLUMNS if c != "events"}
         events: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(RECORD_COLUMNS):
-                raise ConfigError(f"run record line {line_no} has {len(row)} fields")
-            for name, cell in zip(RECORD_COLUMNS, row):
-                if name == "events":
-                    events.append(cell)
-                else:
-                    try:
-                        columns[name].append(float(cell))
-                    except ValueError:
-                        raise ConfigError(
-                            f"run record line {line_no}: column {name!r} is not a number"
-                        ) from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError("run record CSV is empty")
+            if tuple(header) != RECORD_COLUMNS:
+                raise ConfigError("run record CSV does not have the expected columns")
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(RECORD_COLUMNS):
+                    raise ConfigError(f"run record line {line_no} has {len(row)} fields")
+                for name, cell in zip(RECORD_COLUMNS, row):
+                    if name == "events":
+                        events.append(cell)
+                    else:
+                        try:
+                            columns[name].append(float(cell))
+                        except ValueError:
+                            raise ConfigError(
+                                f"run record line {line_no}: column {name!r} is not a number"
+                            ) from None
+        except csv.Error as err:
+            raise ConfigError(f"run record line {reader.line_num}: {err}") from None
         series = {name: np.asarray(vals, dtype=float) for name, vals in columns.items()}
         return cls(series=series, events=events, meta=dict(meta or {}))
 
@@ -550,40 +556,27 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     traj = config.sampled_trajectory()
     n_steps = traj.n_steps
     T = config.T
+    quantized = config.quantization_enabled
     bits = config.quant_bits
-    ranges = config.signal_ranges
-
-    def q_state(s: plant.EngineState) -> plant.EngineState:
-        if not config.quantization_enabled:
-            return s
-        return plant.EngineState(
-            m_a=quantize(s.m_a, bits, *ranges["m_a"]),
-            omega_e=quantize(s.omega_e, bits, *ranges["omega_e"]),
-            mdot_f=quantize(s.mdot_f, bits, *ranges["mdot_f"]),
-            T_cat=quantize(s.T_cat, bits, *ranges["t_cat"]),
-            T_exh=quantize(s.T_exh, bits, *ranges["t_exh"]),
-        )
-
-    def q_input(u: plant.ControlInput) -> plant.ControlInput:
-        if not config.quantization_enabled:
-            return u
-        return plant.ControlInput(
-            mdot_ai=quantize(u.mdot_ai, bits, *ranges["mdot_ai"]),
-            mdot_fc=quantize(u.mdot_fc, bits, *ranges["mdot_fc"]),
-            delta=quantize(u.delta, bits, *ranges["delta"]),
-        )
+    # ADC spans in DEFAULT_SIGNAL_RANGES order, looked up once per run
+    (
+        span_m_a, span_omega_e, span_mdot_f, span_t_cat, span_t_exh,
+        span_mdot_ai, span_mdot_fc, span_delta,
+    ) = (config.signal_ranges[name] for name in DEFAULT_SIGNAL_RANGES)
+    isfinite = math.isfinite
 
     rows: list[tuple] = []  # one tuple per sample in _FLOAT_COLUMNS + _FLAG_COLUMNS order
     events: list[str] = []
 
     def check_state(state: plant.EngineState, step: int) -> None:
-        values = (state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh)
-        if not all(math.isfinite(v) for v in values):
-            raise SimulationAbort(f"non-finite state {values!r}", step=step)
-        if state.omega_e <= 0.0:
-            raise SimulationAbort(
-                f"engine stalled: speed {state.omega_e!r} rad/s", step=step
-            )
+        m_a, omega_e, mdot_f, t_cat, t_exh = state
+        if not (
+            isfinite(m_a) and isfinite(omega_e) and isfinite(mdot_f)
+            and isfinite(t_cat) and isfinite(t_exh)
+        ):
+            raise SimulationAbort(f"non-finite state {tuple(state)!r}", step=step)
+        if omega_e <= 0.0:
+            raise SimulationAbort(f"engine stalled: speed {omega_e!r} rad/s", step=step)
 
     state = config.initial_state
     check_state(state, 0)
@@ -595,12 +588,27 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
 
     for k in range(n_steps):
         targets = traj.window(k)
-        feedback = q_state(fb_queue[0])
+        feedback = fb_queue[0]
+        if quantized:
+            feedback = plant.EngineState(
+                quantize(feedback.m_a, bits, *span_m_a),
+                quantize(feedback.omega_e, bits, *span_omega_e),
+                quantize(feedback.mdot_f, bits, *span_mdot_f),
+                quantize(feedback.T_cat, bits, *span_t_cat),
+                quantize(feedback.T_exh, bits, *span_t_exh),
+            )
         try:
             out = controller.step(feedback, targets)
         except DegenerateInputError as err:
             raise SimulationAbort(f"controller: {err}", step=k) from None
-        applied = q_input(plant.ControlInput(out.mdot_ai, out.mdot_fc, out.delta))
+        if quantized:
+            applied = plant.ControlInput(
+                quantize(out.mdot_ai, bits, *span_mdot_ai),
+                quantize(out.mdot_fc, bits, *span_mdot_fc),
+                quantize(out.delta, bits, *span_delta),
+            )
+        else:
+            applied = plant.ControlInput(out.mdot_ai, out.mdot_fc, out.delta)
         try:
             next_state, emission = euler_step(
                 state, applied, config.phi_true, T, constants, conventions, config.substeps
@@ -617,7 +625,7 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
             emission.hc_eng, emission.hc_tp, 0.0, emission.eta_cat,  # hc_cum filled below
             out.sat_air, out.sat_fuel, out.sat_delta,
         ))
-        events.append(";".join(e.replace(",", ";") for e in out.events))
+        events.append(";".join(e.replace(",", ";") for e in out.events) if out.events else "")
         state = next_state
         check_state(state, k + 1)
         fb_queue.append(state)

@@ -88,8 +88,7 @@ class PlantConventions:
             raise ValueError(f"qin_direction must be one of {QIN_MODES}, got {self.qin_direction!r}")
 
 
-@dataclass(frozen=True)
-class EngineState:
+class EngineState(NamedTuple):
     m_a: float      # intake manifold air mass [kg]
     omega_e: float  # crankshaft speed [rad/s]
     mdot_f: float   # in-cylinder fuel flow [kg/s]
@@ -97,8 +96,7 @@ class EngineState:
     T_exh: float    # exhaust gas temperature [degC]
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     mdot_ai: float  # throttle air inflow command [kg/s]
     mdot_fc: float  # injected fuel flow command [kg/s]
     delta: float    # spark retard from nominal timing [deg]

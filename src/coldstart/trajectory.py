@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .errors import ConfigError
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
 
 
-@dataclass(frozen=True)
-class TargetWindow:
+class TargetWindow(NamedTuple):
     """Desired values one controller step consumes.
 
     The speed target is needed two steps ahead: the synthetic air-mass target
@@ -115,22 +115,30 @@ class TrajectoryTable:
             )
         grid = np.arange(n_steps + 2, dtype=float) * T
         t = np.asarray(self.time, dtype=float)
+
+        def column(values: tuple[float, ...]) -> tuple[float, ...]:
+            return tuple(np.interp(grid, t, np.asarray(values, dtype=float)).tolist())
+
         return SampledTrajectory(
             T=T,
-            afr_d=np.interp(grid, t, np.asarray(self.afr_d, dtype=float)),
-            omega_d=np.interp(grid, t, np.asarray(self.omega_d, dtype=float)),
-            t_exh_d=np.interp(grid, t, np.asarray(self.t_exh_d, dtype=float)),
+            afr_d=column(self.afr_d),
+            omega_d=column(self.omega_d),
+            t_exh_d=column(self.t_exh_d),
         )
 
 
 @dataclass(frozen=True)
 class SampledTrajectory:
-    """Targets on the controller grid; arrays cover indices 0 .. n_steps + 1."""
+    """Targets on the controller grid; columns cover indices 0 .. n_steps + 1.
+
+    Columns are tuples of Python floats, so a step's window reads plain
+    floats with no numpy scalar indexing.
+    """
 
     T: float
-    afr_d: np.ndarray
-    omega_d: np.ndarray
-    t_exh_d: np.ndarray
+    afr_d: tuple[float, ...]
+    omega_d: tuple[float, ...]
+    t_exh_d: tuple[float, ...]
 
     @property
     def n_steps(self) -> int:
@@ -139,14 +147,10 @@ class SampledTrajectory:
     def window(self, k: int) -> TargetWindow:
         if not 0 <= k < self.n_steps:
             raise IndexError(f"step {k} outside trajectory horizon 0..{self.n_steps - 1}")
+        afr_d, omega_d, t_exh_d = self.afr_d, self.omega_d, self.t_exh_d
         return TargetWindow(
-            afr_d=float(self.afr_d[k]),
-            afr_d_next=float(self.afr_d[k + 1]),
-            omega_d=float(self.omega_d[k]),
-            omega_d_next=float(self.omega_d[k + 1]),
-            omega_d_next2=float(self.omega_d[k + 2]),
-            t_exh_d=float(self.t_exh_d[k]),
-            t_exh_d_next=float(self.t_exh_d[k + 1]),
+            afr_d[k], afr_d[k + 1], omega_d[k], omega_d[k + 1], omega_d[k + 2],
+            t_exh_d[k], t_exh_d[k + 1],
         )
 
 

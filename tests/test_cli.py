@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import coldstart
-from coldstart import rga
+from coldstart import looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
 
@@ -126,6 +126,15 @@ def test_simulate_validation_failures_exit_2(tmp_path, capsys):
     assert "no match" in capsys.readouterr().err
     assert main(["simulate", "--out", str(out), "--override", "T=-1"]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("value", ["False", "off", "0", "null"])
+def test_simulate_non_boolean_switch_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    argv = ["simulate", "--out", str(out), "--override", f"adaptation_enabled={value}"]
+    assert main(argv) == 2
+    assert "adaptation_enabled must be true or false" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
 
 
 def test_simulate_runtime_abort_exits_3(tmp_path, capsys):
@@ -410,6 +419,28 @@ def test_metrics_command_reuses_the_config_echo(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["metrics", "--run", str(out / "run.csv")]) == 0
+    assert capsys.readouterr().out == (out / "metrics.txt").read_text(encoding="utf-8")
+
+
+def test_metrics_bare_carriage_return_in_an_events_cell_exits_2(tmp_path, capsys):
+    header = ",".join(looplab.RECORD_COLUMNS)
+    n_numeric = len(looplab.RECORD_COLUMNS) - 1
+    row = ",".join(["0.0"] * n_numeric + ["a\rb"])
+    path = tmp_path / "run.csv"
+    path.write_bytes(f"{header}\n{row}\n".encode("utf-8"))
+    assert main(["metrics", "--run", str(path)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_metrics_reads_a_record_with_crlf_line_endings(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    write_short_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    run = out / "run.csv"
+    run.write_bytes(run.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["metrics", "--run", str(run)]) == 0
     assert capsys.readouterr().out == (out / "metrics.txt").read_text(encoding="utf-8")
 
 

@@ -1,6 +1,7 @@
 """Execution-lab checks: quantizer contract, stepping oracle, configs, runs, metrics."""
 
 import csv
+import hashlib
 import io
 import math
 import re
@@ -231,6 +232,14 @@ def test_config_rejects_non_positive_plant_constants(name, value):
         ScenarioConfig(constants={name: value})
 
 
+@pytest.mark.parametrize("name", ["quantization_enabled", "adaptation_enabled"])
+@pytest.mark.parametrize("value", ["False", "off", 0, None])
+def test_config_boolean_fields_accept_only_booleans(name, value):
+    message = f"{name} must be true or false, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_dict({name: value})
+
+
 def test_config_partial_sections_merge_with_defaults():
     cfg = ScenarioConfig.from_dict(
         {"phi_true": {"fuel": 0.5}, "signal_ranges": {"omega_e": [0, 800]}}
@@ -344,6 +353,57 @@ def test_run_overflow_in_the_emission_chain_aborts_at_its_step():
     assert 1 <= err.value.step < 100
 
 
+def test_run_non_finite_state_abort_names_the_state(monkeypatch):
+    def nan_step(state, *args, **kwargs):
+        nan_state = plant.EngineState(math.nan, 140.0, 8e-4, 25.0, 25.0)
+        return nan_state, plant.emissions(state, 0.0)
+
+    monkeypatch.setattr(looplab, "euler_step", nan_step)
+    message = "step 1: non-finite state (nan, 140.0, 0.0008, 25.0, 25.0)"
+    with pytest.raises(SimulationAbort, match=f"^{re.escape(message)}$") as err:
+        run_scenario(short_config())
+    assert err.value.step == 1
+
+
+# run.csv of variants of the shipped scenario: (overrides, rows with an
+# event, sha256), recorded before the per-step values became tuples
+RUN_CSV_VARIANTS = {
+    "quant_bits_10": (
+        {"quant_bits": 10},
+        0,
+        "9e04f1df2a5ce6f8370e1f25dc653fdd8e9e1a3c6922aaf858151293fdc002b8",
+    ),
+    "unquantized": (
+        {"quantization_enabled": False},
+        0,
+        "19681ab8b21e5ee9bf44ad7ffff9d670dcc5cf8cf2d8e0ac373daf715dd191df",
+    ),
+    "feedback_delay_2": (
+        {"feedback_delay_steps": 2},
+        18,
+        "2262e502f41dfe5fdb691ac6c05121a0d282f623e608eec14485eae1da46c603",
+    ),
+    "substeps_2": (
+        {"substeps": 2},
+        0,
+        "dfa17a3b9496e3246ffda79aed134028fd9055903a064065b89d91814f98dc7f",
+    ),
+    "phi_half_frozen": (
+        {"phi_true": {loop: 0.5 for loop in LOOPS}, "adaptation_enabled": False},
+        0,
+        "ad4e9f033b9d4ac6b1ab5c993df2cd27fa805e553d24223faa567b9c6aec81ed",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(RUN_CSV_VARIANTS))
+def test_run_csv_bytes_match_the_recorded_variant_digests(variant):
+    overrides, event_rows, digest = RUN_CSV_VARIANTS[variant]
+    rec = run_scenario(ScenarioConfig.from_dict(overrides))
+    assert sum(1 for e in rec.events if e) == event_rows
+    assert hashlib.sha256(rec.to_csv().encode("utf-8")).hexdigest() == digest
+
+
 def test_run_cumulative_hc_matches_trapezoid_and_is_nondecreasing():
     rec = run_scenario(short_config(duration=3.0))
     t, hc_tp, hc_cum = (rec.series[k] for k in ("time", "hc_tp", "hc_cum"))
@@ -403,10 +463,15 @@ def test_record_csv_round_trip_exact():
 
 def reference_csv(rec):
     """The record written cell by cell through csv.writer: float reprs,
-    integer flags, events as text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(looplab.RECORD_COLUMNS)
+    integer flags, events as text.  Each row is quoted as csv.writer quotes
+    it under a CRLF terminator, which quotes a bare CR too, and ends in LF."""
+
+    def line(cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(cells)
+        return buf.getvalue()[:-2] + "\n"
+
+    lines = [line(looplab.RECORD_COLUMNS)]
     for i in range(len(rec)):
         row = []
         for name in looplab.RECORD_COLUMNS:
@@ -416,8 +481,8 @@ def reference_csv(rec):
                 row.append(str(int(rec.series[name][i])))
             else:
                 row.append(repr(float(rec.series[name][i])))
-        writer.writerow(row)
-    return buf.getvalue()
+        lines.append(line(row))
+    return "".join(lines)
 
 
 def columns_record(values, flags, events):
@@ -454,7 +519,12 @@ def records(draw):
 def test_record_csv_matches_a_csv_writer_reference(rec, block_rows):
     # small blocks so a handful of rows spans several of them
     with mock.patch.object(looplab, "CSV_BLOCK_ROWS", block_rows):
-        assert rec.to_csv() == reference_csv(rec)
+        text = rec.to_csv()
+    assert text == reference_csv(rec)
+    back = RunRecord.from_csv(text)
+    assert back.events == rec.events
+    for name in rec.series:
+        np.testing.assert_array_equal(rec.series[name], back.series[name], err_msg=name)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -474,7 +544,7 @@ def test_record_csv_across_the_block_boundary(offset):
 
 
 def test_record_csv_round_trips_events_that_need_quoting():
-    events = ["a,b", 'say "hi"', "two\nlines", "", 'all, "three"\n', ";plain;"]
+    events = ["a,b", 'say "hi"', "two\nlines", "", 'all, "three"\n', ";plain;", "bare\rcr"]
     n = len(events)
     rec = columns_record(np.arange(n * N_FLOAT_COLUMNS) / 7.0, [0.0, 1.0, 0.0] * n, events)
     back = RunRecord.from_csv(rec.to_csv())
