@@ -252,6 +252,7 @@ class CascadeController:
         self.loop_air = loop_air
         self.T = T
         self.constants = constants if constants is not None else plant.PlantConstants()
+        self._plant = plant.PlantModel(self.constants)  # the drift the laws read
         self.bounds = bounds if bounds is not None else ActuatorBounds()
         self.afi_floor = afi_floor
         self._m_a_target: float | None = None  # target the air loop tracks next step
@@ -279,14 +280,17 @@ class CascadeController:
 
     def step(self, feedback: plant.EngineState, targets) -> ControllerOutput:
         """One full cascade pass: surfaces -> estimates -> commands."""
-        c = self.constants
+        model = self._plant
         T = self.T
         hold_fuel, hold_speed, hold_exh, hold_air = self._adapt_hold
+        m_a, omega_e, mdot_f, _, T_exh = feedback
 
         # drift terms of the four controlled states at the current sample
-        (
-            mdot_ao, afr_value, afi_value, _, f_fuel, f_speed, f_exh, f_air, speed_gain
-        ) = plant.drift(feedback, c)
+        mdot_ao = plant.air_outflow(m_a, omega_e)
+        afr_value = plant.afr(mdot_ao, mdot_f, model.mdot_f_floor)
+        afi_value, _, f_fuel, f_speed, f_exh, f_air = model.drift(
+            omega_e, mdot_f, T_exh, mdot_ao, afr_value
+        )
 
         # output-loop surfaces; the air surface needs the delay-line target
         if targets.afr_d <= 0.0 or targets.afr_d_next <= 0.0:
@@ -294,9 +298,9 @@ class CascadeController:
                 f"desired AFR must be positive, got {targets.afr_d!r}/{targets.afr_d_next!r}"
             )
         mdot_fd_now = mdot_ao / targets.afr_d
-        s1 = feedback.mdot_f - mdot_fd_now
-        s2 = feedback.omega_e - targets.omega_d
-        s3 = feedback.T_exh - targets.t_exh_d
+        s1 = mdot_f - mdot_fd_now
+        s2 = omega_e - targets.omega_d
+        s3 = T_exh - targets.t_exh_d
 
         xi1 = s1 + self.loop_fuel.beta * self.loop_fuel.s_prev
         xi2 = s2 + self.loop_speed.beta * self.loop_speed.s_prev
@@ -311,9 +315,7 @@ class CascadeController:
 
         # synthetic target for the NEXT step, from the one-step speed
         # prediction with the freshly updated drag estimate
-        omega_pred = feedback.omega_e + T * (
-            self.loop_speed.phi_hat * f_speed + speed_gain * feedback.m_a
-        )
+        omega_pred = omega_e + T * (self.loop_speed.phi_hat * f_speed + model.speed_gain * m_a)
         m_a_d_next = synthetic_air_mass(
             omega_pred,
             omega_pred - targets.omega_d_next,
@@ -321,13 +323,13 @@ class CascadeController:
             targets.omega_d_next2,
             self.loop_speed,
             T,
-            c.J,
+            model.J,
         )
         if self._m_a_target is None:
             self._m_a_target = m_a_d_next  # first step: duplicate the first target
         m_a_d_now = self._m_a_target
 
-        s4 = feedback.m_a - m_a_d_now
+        s4 = m_a - m_a_d_now
         xi4 = s4 + self.loop_air.beta * self.loop_air.s_prev
         if not hold_air:
             adapt(self.loop_air, s4, f_air, T)
@@ -337,19 +339,19 @@ class CascadeController:
 
         # fuel-flow target lookahead: propagate air mass and speed one step
         # with the current estimates and the command the plant will receive
-        m_a_pred = feedback.m_a + T * (self.loop_air.phi_hat * f_air + mdot_ai)
+        m_a_pred = m_a + T * (self.loop_air.phi_hat * f_air + mdot_ai)
         mdot_ao_pred = plant.air_outflow(m_a_pred, omega_pred)
         mdot_fd_next = mdot_ao_pred / targets.afr_d_next
         u_fuel = control_fuel(
-            feedback.mdot_f, s1, mdot_fd_now, mdot_fd_next, self.loop_fuel, T, c.alpha_f
+            mdot_f, s1, mdot_fd_now, mdot_fd_next, self.loop_fuel, T, model.alpha_f
         )
         mdot_fc, sat_fuel = saturate(u_fuel, self.bounds.mdot_fc)
 
         try:
             u_delta = control_spark(
-                feedback.T_exh,
+                T_exh,
                 afi_value,
-                feedback.omega_e,
+                omega_e,
                 s3,
                 targets.t_exh_d,
                 targets.t_exh_d_next,

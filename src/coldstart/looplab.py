@@ -68,39 +68,46 @@ def quantize(value: float, bits: int, lo: float, hi: float) -> float:
     return lo + code * (hi - lo) / levels
 
 
+def adc_channel(bits: int, lo: float, hi: float):
+    """``quantize`` bound to one word length and span, checked once: the same
+    expression order gives the same float for every input, and NaN raises."""
+    if bits < 1:
+        raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
+    if not lo < hi:
+        raise ConfigError(f"quantizer range must satisfy lo < hi, got ({lo!r}, {hi!r})")
+    width = hi - lo
+    levels = (1 << bits) - 1
+
+    def channel(value: float) -> float:
+        if value != value:
+            raise DegenerateInputError(f"cannot quantize NaN over ({lo!r}, {hi!r})")
+        clamped = lo if value < lo else hi if value > hi else value
+        return lo + round((clamped - lo) / width * levels) * width / levels
+
+    return channel
+
+
 def euler_step(
     state: plant.EngineState,
     inputs: plant.ControlInput,
-    phi: PhiTrue,
+    model: plant.PlantModel,
     T: float,
-    constants: plant.PlantConstants | None = None,
-    conventions: plant.PlantConventions | None = None,
     substeps: int = 1,
 ) -> tuple[plant.EngineState, plant.EmissionOutputs]:
-    """One fixed-step Euler advance x + h*derivatives(x, u, phi).
+    """One fixed-step Euler advance of ``model`` over ``T`` with ``inputs`` held.
 
     Returns the next state and the emission chain evaluated at the start
     state, which is the record row of this step.  ``substeps > 1``
-    subdivides the interval with held inputs (stiffness check only; the
-    shipped scenarios use a single step).
+    subdivides the interval (stiffness check only; the shipped scenarios
+    use a single step).
     """
-    c = constants if constants is not None else plant.PlantConstants()
-    conv = conventions if conventions is not None else plant.PlantConventions()
     if substeps < 1:
         raise ConfigError(f"substeps must be a positive integer, got {substeps!r}")
     h = T / substeps
-    for i in range(substeps):
-        d, emission = plant.derivatives(state, inputs, c, conv, phi)
-        if i == 0:
-            start_emission = emission
-        state = plant.EngineState(
-            state.m_a + h * d.m_a,
-            state.omega_e + h * d.omega_e,
-            state.mdot_f + h * d.mdot_f,
-            state.T_cat + h * d.T_cat,
-            state.T_exh + h * d.T_exh,
-        )
-    return state, start_emission
+    state, emission = model.step(state, inputs, h)
+    for _ in range(substeps - 1):
+        state, _ = model.step(state, inputs, h)
+    return plant.EngineState(*state), plant.EmissionOutputs(*emission)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +137,33 @@ def _pair(value, name: str) -> tuple[float, float]:
     if not lo < hi:
         raise ConfigError(f"{name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
     return lo, hi
+
+
+# initial_state fields under their JSON names, in EngineState order
+STATE_KEYS = ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
+
+
+def _engine_state(value) -> plant.EngineState:
+    """An EngineState, 5 numbers or a ``STATE_KEYS`` object, as an EngineState of floats."""
+    if isinstance(value, dict):
+        if set(value) != set(STATE_KEYS):
+            raise ConfigError(f"initial_state must be an object with fields {sorted(STATE_KEYS)}")
+        value = [value[k] for k in STATE_KEYS]
+    if not isinstance(value, (tuple, list)) or len(value) != len(STATE_KEYS):
+        raise ConfigError(f"initial_state must be 5 numbers or an object, got {value!r}")
+    return plant.EngineState(*(_real(v, f"initial_state.{k}") for k, v in zip(STATE_KEYS, value)))
+
+
+def _phi_true(value) -> PhiTrue:
+    """``value`` (a PhiTrue, or an object keyed by loop names) as a PhiTrue."""
+    if isinstance(value, PhiTrue):
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError("phi_true must be an object with the four loop names")
+    unknown = sorted(set(value) - set(LOOPS))
+    if unknown:
+        raise ConfigError(f"phi_true has unknown loop(s) {unknown}")
+    return PhiTrue(**{k: _real(v, f"phi_true.{k}") for k, v in value.items()})
 
 
 @dataclass
@@ -225,6 +259,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"metrics_window_start must be nonnegative, got {self.metrics_window_start!r}"
             )
+        self.initial_state = _engine_state(self.initial_state)
+        self.phi_true = _phi_true(self.phi_true)
+        if not isinstance(self.bounds, dsmc.ActuatorBounds):
+            raise ConfigError(f"bounds must be ActuatorBounds, got {self.bounds!r}")
+        if self.trajectory is not None and not isinstance(self.trajectory, TrajectoryTable):
+            raise ConfigError(f"trajectory must be a TrajectoryTable, got {self.trajectory!r}")
         # constructing the conventions validates the three mode strings
         self.build_conventions()
 
@@ -280,7 +320,6 @@ class ScenarioConfig:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        state = self.initial_state
         return {
             "T": self.T,
             "duration": self.duration,
@@ -299,13 +338,7 @@ class ScenarioConfig:
                 "delta": list(self.bounds.delta),
             },
             "afi_floor": self.afi_floor,
-            "initial_state": {
-                "m_a": state.m_a,
-                "omega_e": state.omega_e,
-                "mdot_f": state.mdot_f,
-                "t_cat": state.T_cat,
-                "t_exh": state.T_exh,
-            },
+            "initial_state": dict(zip(STATE_KEYS, self.initial_state)),
             "delta_initial": self.delta_initial,
             "substeps": self.substeps,
             "feedback_delay_steps": self.feedback_delay_steps,
@@ -345,13 +378,6 @@ class ScenarioConfig:
             if not isinstance(kwargs["signal_ranges"], dict):
                 raise ConfigError("signal_ranges must be an object")
             kwargs["signal_ranges"] = {**DEFAULT_SIGNAL_RANGES, **kwargs["signal_ranges"]}
-        if "phi_true" in kwargs:
-            if not isinstance(kwargs["phi_true"], dict):
-                raise ConfigError("phi_true must be an object with the four loop names")
-            unknown = sorted(set(kwargs["phi_true"]) - set(LOOPS))
-            if unknown:
-                raise ConfigError(f"phi_true has unknown loop(s) {unknown}")
-            kwargs["phi_true"] = PhiTrue(**kwargs["phi_true"])
         if "bounds" in kwargs:
             b = kwargs["bounds"]
             if not isinstance(b, dict) or set(b) - {"mdot_ai", "mdot_fc", "delta"}:
@@ -362,17 +388,6 @@ class ScenarioConfig:
                 )
             except ValueError as err:
                 raise ConfigError(str(err)) from None
-        if "initial_state" in kwargs:
-            s = kwargs["initial_state"]
-            names = {"m_a", "omega_e", "mdot_f", "t_cat", "t_exh"}
-            if not isinstance(s, dict) or set(s) != names:
-                raise ConfigError(f"initial_state must be an object with fields {sorted(names)}")
-            kwargs["initial_state"] = plant.EngineState(
-                *(
-                    _real(s[k], f"initial_state.{k}")
-                    for k in ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
-                )
-            )
         if kwargs.get("trajectory") is not None:
             t = kwargs["trajectory"]
             names = {"time", "afr_d", "omega_d", "t_exh_d"}
@@ -550,19 +565,20 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     chain runs once per step.  The record gets one row per grid instant
     including the final state, where the last issued commands are shown held.
     """
-    constants = config.build_constants()
-    conventions = config.build_conventions()
+    model = plant.PlantModel(config.build_constants(), config.build_conventions(), config.phi_true)
     controller = config.build_controller()
     traj = config.sampled_trajectory()
     n_steps = traj.n_steps
     T = config.T
     quantized = config.quantization_enabled
-    bits = config.quant_bits
-    # ADC spans in DEFAULT_SIGNAL_RANGES order, looked up once per run
+    # one ADC channel per signal, in DEFAULT_SIGNAL_RANGES order
     (
-        span_m_a, span_omega_e, span_mdot_f, span_t_cat, span_t_exh,
-        span_mdot_ai, span_mdot_fc, span_delta,
-    ) = (config.signal_ranges[name] for name in DEFAULT_SIGNAL_RANGES)
+        adc_m_a, adc_omega_e, adc_mdot_f, adc_t_cat, adc_t_exh,
+        adc_mdot_ai, adc_mdot_fc, adc_delta,
+    ) = (
+        adc_channel(config.quant_bits, *config.signal_ranges[name])
+        for name in DEFAULT_SIGNAL_RANGES
+    )
     isfinite = math.isfinite
 
     rows: list[tuple] = []  # one tuple per sample in _FLOAT_COLUMNS + _FLAG_COLUMNS order
@@ -580,7 +596,7 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
 
     state = config.initial_state
     check_state(state, 0)
-    applied = plant.ControlInput(0.0, 0.0, config.delta_initial)
+    applied = (0.0, 0.0, config.delta_initial)  # commands in ControlInput order
     # optional sensor transport delay: the controller sees an older sample
     fb_queue: deque[plant.EngineState] = deque(
         [state] * (config.feedback_delay_steps + 1), maxlen=config.feedback_delay_steps + 1
@@ -590,39 +606,31 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
         targets = traj.window(k)
         feedback = fb_queue[0]
         if quantized:
-            feedback = plant.EngineState(
-                quantize(feedback.m_a, bits, *span_m_a),
-                quantize(feedback.omega_e, bits, *span_omega_e),
-                quantize(feedback.mdot_f, bits, *span_mdot_f),
-                quantize(feedback.T_cat, bits, *span_t_cat),
-                quantize(feedback.T_exh, bits, *span_t_exh),
+            m_a, omega_e, mdot_f, t_cat, t_exh = feedback
+            feedback = (
+                adc_m_a(m_a), adc_omega_e(omega_e), adc_mdot_f(mdot_f), adc_t_cat(t_cat),
+                adc_t_exh(t_exh),
             )
         try:
             out = controller.step(feedback, targets)
         except DegenerateInputError as err:
             raise SimulationAbort(f"controller: {err}", step=k) from None
         if quantized:
-            applied = plant.ControlInput(
-                quantize(out.mdot_ai, bits, *span_mdot_ai),
-                quantize(out.mdot_fc, bits, *span_mdot_fc),
-                quantize(out.delta, bits, *span_delta),
-            )
+            applied = (adc_mdot_ai(out.mdot_ai), adc_mdot_fc(out.mdot_fc), adc_delta(out.delta))
         else:
-            applied = plant.ControlInput(out.mdot_ai, out.mdot_fc, out.delta)
+            applied = (out.mdot_ai, out.mdot_fc, out.delta)
         try:
-            next_state, emission = euler_step(
-                state, applied, config.phi_true, T, constants, conventions, config.substeps
-            )
+            next_state, emission = euler_step(state, applied, model, T, config.substeps)
         except DegenerateInputError as err:
             raise SimulationAbort(f"plant: {err}", step=k) from None
+        _, afr_value, hc_eng, eta_cat, hc_tp = emission
         rows.append((
-            k * T, state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh,
-            applied.mdot_ai, applied.mdot_fc, applied.delta,
+            k * T, *state, *applied,
             out.m_a_d, out.s1, out.s2, out.s3, out.s4, out.xi1, out.xi2, out.xi3, out.xi4,
             out.phi_hat_fuel, out.phi_hat_speed, out.phi_hat_exh, out.phi_hat_air,
             out.f_fuel, out.f_speed, out.f_exh, out.f_air,
-            emission.afr, targets.afr_d, targets.omega_d, targets.t_exh_d, out.afr_error,
-            emission.hc_eng, emission.hc_tp, 0.0, emission.eta_cat,  # hc_cum filled below
+            afr_value, targets.afr_d, targets.omega_d, targets.t_exh_d, out.afr_error,
+            hc_eng, hc_tp, 0.0, eta_cat,  # hc_cum filled below
             out.sat_air, out.sat_fuel, out.sat_delta,
         ))
         events.append(";".join(e.replace(",", ";") for e in out.events) if out.events else "")
@@ -632,18 +640,17 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     # the final grid point gets no controller pass, so no Euler step either:
     # the commands show held, the estimates as left, other controller columns 0
     try:
-        emission = plant.emissions(state, applied.delta, constants, conventions)
+        _, afr_value, hc_eng, eta_cat, hc_tp = model.emissions(*state[:4], applied[2])
     except DegenerateInputError as err:
         raise SimulationAbort(f"emission chain: {err}", step=n_steps) from None
     rows.append((
-        n_steps * T, state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh,
-        applied.mdot_ai, applied.mdot_fc, applied.delta,
+        n_steps * T, *state, *applied,
         *(0.0,) * 9,  # m_a_d, s1..s4, xi1..xi4
         controller.loop_fuel.phi_hat, controller.loop_speed.phi_hat,
         controller.loop_exh.phi_hat, controller.loop_air.phi_hat,
         *(0.0,) * 4,  # f_fuel..f_air
-        emission.afr, traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps], 0.0,
-        emission.hc_eng, emission.hc_tp, 0.0, emission.eta_cat,
+        afr_value, traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps], 0.0,
+        hc_eng, hc_tp, 0.0, eta_cat,
         0.0, 0.0, 0.0,
     ))
     events.append("")

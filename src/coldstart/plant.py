@@ -3,13 +3,14 @@
 Five lumped states: intake-manifold air mass, crankshaft speed, in-cylinder
 fuel flow, catalyst brick temperature and exhaust gas temperature.  All
 closed-form pieces (volumetric efficiency, torque, spark-timing influence,
-burn duration, engine-out HC, catalyst conversion efficiency, catalyst heat
-balance) are exposed as pure functions so they can be checked in isolation.
+burn duration, engine-out HC, catalyst conversion efficiency) are exposed
+as pure functions so they can be checked in isolation.
 
 The four controlled states are control-affine, x' = phi*f(x) + g(x)*u.
-f(x) is written down once, in ``_drift_at``: ``derivatives`` builds every
-row from it with the air flow and AFR of the emission chain, and the
-controller reads its drift terms and speed-row input gain from ``drift``.
+f(x) lives in ``PlantModel``, built once per run: its Euler step runs the
+emission chain once, then the drift, the brick heat balance and the update.
+``emissions``, ``drift`` and ``derivatives`` are faces over it, and the
+controller reads the drift and speed-row input gain from its own model.
 
 Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 """
@@ -252,83 +253,124 @@ def tailpipe_hc(hc_eng: float, eta_cat: float) -> float:
     return hc_eng * (1.0 - eta_cat)
 
 
+class PlantModel:
+    """The plant of one run: f(x), the emission chain and the Euler step.
+
+    The constants are read and the convention branches resolved once, here;
+    the per-step methods take and give plain floats and tuples, in
+    ``EngineState``, ``ControlInput`` and ``EmissionOutputs`` order."""
+
+    def __init__(
+        self,
+        constants: PlantConstants = PlantConstants(),
+        conventions: PlantConventions = PlantConventions(),
+        phi: PhiTrue = PhiTrue(),
+    ):
+        self.constants = constants
+        for name in ("J", "alpha_f", "mcp", "t_atm", "afr_cat", "mdot_f_floor"):
+            setattr(self, name, getattr(constants, name))
+        self.speed_gain = TORQUE_AIR_GAIN / constants.J  # speed-row input gain on manifold air
+        phi_rows = phi.fuel, phi.speed, phi.exh, phi.air
+        self.phi_fuel, self.phi_speed, self.phi_exh, self.phi_air = phi_rows
+        self.hc_mode = conventions.hc_mode
+        self.flow_times_temp = conventions.qgen_grouping == "flow_times_temp"
+        # the exhaust-to-brick heat enters the brick balance with this sign
+        self.qin_sign = 1.0 if conventions.qin_direction == "heats_catalyst" else -1.0
+
+    def emissions(self, m_a: float, omega_e: float, mdot_f: float, T_cat: float, delta: float):
+        """The engine-out -> catalyst -> tailpipe HC chain at one state.
+
+        An AFR or temperature so far out of range that a fit overflows is
+        reported as a degenerate input, like a fuel flow at the floor.
+        """
+        mdot_ao = air_outflow(m_a, omega_e)
+        afr_value = afr(mdot_ao, mdot_f, self.mdot_f_floor)
+        try:
+            hc_eng = engine_out_hc(mdot_f, delta, afr_value, self.constants, self.hc_mode)
+            eta = catalyst_efficiency(afr_value, T_cat, self.afr_cat)
+        except OverflowError:
+            raise DegenerateInputError(
+                f"emission chain overflows at AFR {afr_value!r}, T_cat {T_cat!r}"
+            ) from None
+        return mdot_ao, afr_value, hc_eng, eta, tailpipe_hc(hc_eng, eta)
+
+    def drift(self, omega_e: float, mdot_f: float, T_exh: float, mdot_ao: float, afr_value: float):
+        """(afi, alpha_e, f_fuel, f_speed, f_exh, f_air) given the air flow and
+        AFR at the state: phi scales exactly the four f terms."""
+        afi_value = afi(afr_value)
+        alpha_e = exhaust_time_constant(omega_e)
+        return (
+            afi_value,
+            alpha_e,
+            -mdot_f / self.alpha_f,
+            -load_torque(omega_e) / self.J,
+            (SPARK_TEMP_BASE * afi_value - T_exh) / alpha_e,
+            -mdot_ao,
+        )
+
+    def heat_terms(self, T_cat, T_exh, mdot_f, mdot_ao, eta_cat, hc_eng):
+        """Brick heat flows [W]: exhaust feed q_in, convection to ambient q_out
+        and exothermic HC conversion q_gen."""
+        if self.flow_times_temp:
+            flow_term = (mdot_ao + mdot_f) * T_exh
+        else:
+            flow_term = mdot_ao + mdot_f * T_exh
+        q_gen = 22.53 * flow_term * eta_cat * hc_eng
+        return 16.0 * (T_exh - T_cat), 0.642 * (T_cat - self.t_atm), q_gen
+
+    def rates(self, state: tuple, inputs: tuple) -> tuple[tuple, tuple]:
+        """x' = phi*f(x) + g(x)*u at ``state``, and the emission chain there.
+        The catalyst row carries no uncertainty."""
+        m_a, omega_e, mdot_f, T_cat, T_exh = state
+        mdot_ai, mdot_fc, delta = inputs
+        chain = mdot_ao, afr_value, hc_eng, eta, _ = self.emissions(
+            m_a, omega_e, mdot_f, T_cat, delta
+        )
+        afi_value, alpha_e, f_fuel, f_speed, f_exh, f_air = self.drift(
+            omega_e, mdot_f, T_exh, mdot_ao, afr_value
+        )
+        q_in, q_out, q_gen = self.heat_terms(T_cat, T_exh, mdot_f, mdot_ao, eta, hc_eng)
+        return (
+            self.phi_air * f_air + mdot_ai,
+            self.phi_speed * f_speed + self.speed_gain * m_a,
+            self.phi_fuel * f_fuel + mdot_fc / self.alpha_f,
+            (q_gen + self.qin_sign * q_in - q_out) / self.mcp,
+            self.phi_exh * f_exh + (SPARK_TEMP_GAIN * afi_value / alpha_e) * delta,
+        ), chain
+
+    def step(self, state: tuple, inputs: tuple, h: float) -> tuple[tuple, tuple]:
+        """One Euler substep x + h*x' with ``inputs`` held, and the chain at ``state``."""
+        (d_m_a, d_omega_e, d_mdot_f, d_T_cat, d_T_exh), chain = self.rates(state, inputs)
+        m_a, omega_e, mdot_f, T_cat, T_exh = state
+        return (
+            m_a + h * d_m_a,
+            omega_e + h * d_omega_e,
+            mdot_f + h * d_mdot_f,
+            T_cat + h * d_T_cat,
+            T_exh + h * d_T_exh,
+        ), chain
+
+
 def emissions(
     state: EngineState,
     delta: float,
     constants: PlantConstants = PlantConstants(),
     conventions: PlantConventions = PlantConventions(),
 ) -> EmissionOutputs:
-    """Evaluate the engine-out -> catalyst -> tailpipe HC chain at one state.
-
-    An AFR or temperature so far out of range that a fit overflows is
-    reported as a degenerate input, like a fuel flow at the floor.
-    """
-    mdot_ao = air_outflow(state.m_a, state.omega_e)
-    afr_value = afr(mdot_ao, state.mdot_f, constants.mdot_f_floor)
-    try:
-        hc_eng = engine_out_hc(state.mdot_f, delta, afr_value, constants, conventions.hc_mode)
-        eta = catalyst_efficiency(afr_value, state.T_cat, constants.afr_cat)
-    except OverflowError:
-        raise DegenerateInputError(
-            f"emission chain overflows at AFR {afr_value!r}, T_cat {state.T_cat!r}"
-        ) from None
-    return EmissionOutputs(
-        mdot_ao=mdot_ao,
-        afr=afr_value,
-        hc_eng=hc_eng,
-        eta_cat=eta,
-        hc_tp=tailpipe_hc(hc_eng, eta),
-    )
-
-
-def catalyst_heat_terms(
-    state: EngineState,
-    emission: EmissionOutputs,
-    constants: PlantConstants = PlantConstants(),
-    conventions: PlantConventions = PlantConventions(),
-) -> tuple[float, float, float]:
-    """Heat flows of the catalyst brick balance: (q_in, q_out, q_gen) [W].
-
-    q_in is exhaust-to-brick feed heat, q_out convection to ambient, q_gen
-    exothermic HC conversion on the brick.
-    """
-    mdot_ao = emission.mdot_ao
-    q_in = 16.0 * (state.T_exh - state.T_cat)
-    q_out = 0.642 * (state.T_cat - constants.t_atm)
-    if conventions.qgen_grouping == "as_printed":
-        flow_term = mdot_ao + state.mdot_f * state.T_exh
-    else:
-        flow_term = (mdot_ao + state.mdot_f) * state.T_exh
-    q_gen = 22.53 * flow_term * emission.eta_cat * emission.hc_eng
-    return q_in, q_out, q_gen
+    """Evaluate the engine-out -> catalyst -> tailpipe HC chain at one state."""
+    chain = PlantModel(constants, conventions).emissions(*state[:4], delta)
+    return EmissionOutputs(*chain)
 
 
 def drift(state: EngineState, constants: PlantConstants = PlantConstants()) -> Drift:
-    """Drift terms f(x) of the fuel, speed, exhaust and air rows at ``state``.
-
-    The multiplicative uncertainty phi scales exactly these terms; the
-    controller estimates it against the same values.
-    """
-    mdot_ao = air_outflow(state.m_a, state.omega_e)
-    return _drift_at(state, mdot_ao, afr(mdot_ao, state.mdot_f, constants.mdot_f_floor), constants)
-
-
-def _drift_at(
-    state: EngineState, mdot_ao: float, afr_value: float, constants: PlantConstants
-) -> Drift:
-    """``drift`` given the cylinder air flow and AFR already computed at ``state``."""
-    afi_value = afi(afr_value)
-    alpha_e = exhaust_time_constant(state.omega_e)
+    """Drift terms f(x) of the fuel, speed, exhaust and air rows at ``state``."""
+    m_a, omega_e, mdot_f, _, T_exh = state
+    model = PlantModel(constants)
+    mdot_ao = air_outflow(m_a, omega_e)
+    afr_value = afr(mdot_ao, mdot_f, model.mdot_f_floor)
     return Drift(
-        mdot_ao,
-        afr_value,
-        afi_value,
-        alpha_e,
-        -state.mdot_f / constants.alpha_f,
-        -load_torque(state.omega_e) / constants.J,
-        (SPARK_TEMP_BASE * afi_value - state.T_exh) / alpha_e,
-        -mdot_ao,
-        TORQUE_AIR_GAIN / constants.J,
+        mdot_ao, afr_value, *model.drift(omega_e, mdot_f, T_exh, mdot_ao, afr_value),
+        model.speed_gain,
     )
 
 
@@ -341,17 +383,7 @@ def derivatives(
 ) -> tuple[StateDerivative, EmissionOutputs]:
     """State derivative x' = phi*f(x) + g(x)*u, and the emission chain at ``state``.
 
-    phi scales only the drift of the four controlled rows; the catalyst row
-    carries no uncertainty.  The default phi of 1 is the plain plant.
+    The default phi of 1 is the plain plant.
     """
-    emission = emissions(state, inputs.delta, constants, conventions)
-    d = _drift_at(state, emission.mdot_ao, emission.afr, constants)
-    q_in, q_out, q_gen = catalyst_heat_terms(state, emission, constants, conventions)
-    q_in_signed = q_in if conventions.qin_direction == "heats_catalyst" else -q_in
-    return StateDerivative(
-        m_a=phi.air * d.f_air + inputs.mdot_ai,
-        omega_e=phi.speed * d.f_speed + d.speed_gain * state.m_a,
-        mdot_f=phi.fuel * d.f_fuel + inputs.mdot_fc / constants.alpha_f,
-        T_cat=(q_gen + q_in_signed - q_out) / constants.mcp,
-        T_exh=phi.exh * d.f_exh + (SPARK_TEMP_GAIN * d.afi / d.alpha_e) * inputs.delta,
-    ), emission
+    rates, chain = PlantModel(constants, conventions, phi).rates(state, inputs)
+    return StateDerivative(*rates), EmissionOutputs(*chain)

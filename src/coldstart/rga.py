@@ -38,11 +38,6 @@ class FirstOrderTF:
         if self.tau == 0.0 and self.k == 0.0:
             raise ValueError("tau and k cannot both be zero")
 
-    def dc_gain(self) -> float:
-        if self.k == 0.0:
-            raise SingularGainError("k = 0 has no finite DC gain")
-        return 1.0 / self.k
-
 
 def freq_response(tf: FirstOrderTF, omega):
     """Evaluate 1/(j*omega*tau + k); omega may be a scalar or an array."""

@@ -85,6 +85,41 @@ def test_quantize_one_bit_is_a_comparator():
     assert quantize(0.51, 1, 0.0, 1.0) == 1.0
 
 
+@pytest.mark.parametrize("name", list(looplab.DEFAULT_SIGNAL_RANGES))
+def test_adc_channel_matches_quantize_bit_for_bit(name):
+    lo, hi = looplab.DEFAULT_SIGNAL_RANGES[name]
+    width = hi - lo
+    edges = (lo, hi, 0.0, -0.0, lo - width, hi + width, math.inf, -math.inf)
+
+    def check(value, bits):
+        got = looplab.adc_channel(bits, lo, hi)(value)
+        assert got.hex() == quantize(value, bits, lo, hi).hex(), (value, bits)
+
+    for value in edges:
+        for bits in (8, 32):
+            check(value, bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        value=st.floats(lo - width, hi + width) | st.floats(allow_nan=False),
+        bits=st.sampled_from((8, 16, 32)),
+    )
+    def around_the_span(value, bits):
+        check(value, bits)
+
+    around_the_span()
+    for bits in (8, 32):
+        with pytest.raises(DegenerateInputError, match="NaN"):
+            looplab.adc_channel(bits, lo, hi)(math.nan)
+
+
+def test_adc_channel_validates_its_arguments_once():
+    with pytest.raises(ConfigError):
+        looplab.adc_channel(0, 0.0, 1.0)
+    with pytest.raises(ConfigError):
+        looplab.adc_channel(8, 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Euler stepping
 
@@ -110,7 +145,7 @@ def test_euler_step_matches_plain_derivative_at_unit_phi():
         T_cat=state.T_cat + T * d.T_cat,
         T_exh=state.T_exh + T * d.T_exh,
     )
-    got, _ = euler_step(state, inputs, PhiTrue(), T, c, conv)
+    got, _ = euler_step(state, inputs, plant.PlantModel(c, conv), T)
     for name in ("m_a", "omega_e", "mdot_f", "T_cat", "T_exh"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a == pytest.approx(b, rel=1e-15), name
@@ -120,12 +155,12 @@ def test_euler_step_scales_only_the_drift():
     # fuel row: mdot_f' = mdot_f + T*(phi*(-mdot_f/alpha_f) + u/alpha_f)
     state, inputs = nominal_state(), nominal_inputs()
     T = 0.02
-    got, _ = euler_step(state, inputs, PhiTrue(fuel=0.5), T)
+    got, _ = euler_step(state, inputs, plant.PlantModel(phi=PhiTrue(fuel=0.5)), T)
     expect = state.mdot_f + T * (0.5 * (-state.mdot_f / 0.06) + inputs.mdot_fc / 0.06)
     assert got.mdot_f == pytest.approx(expect, rel=1e-15)
     # air row with phi_air=2: m_a' = m_a + T*(2*(-mdot_ao) + mdot_ai)
     mdot_ao = plant.air_outflow(state.m_a, state.omega_e)
-    got2, _ = euler_step(state, inputs, PhiTrue(air=2.0), T)
+    got2, _ = euler_step(state, inputs, plant.PlantModel(phi=PhiTrue(air=2.0)), T)
     assert got2.m_a == pytest.approx(state.m_a + T * (2.0 * -mdot_ao + inputs.mdot_ai), rel=1e-15)
     # the uncertainty multiplies the drift only, never the input path
     assert got.m_a == pytest.approx(state.m_a + T * (-mdot_ao + inputs.mdot_ai), rel=1e-15)
@@ -133,21 +168,21 @@ def test_euler_step_scales_only_the_drift():
 
 def test_euler_step_zero_interval_is_identity():
     state, inputs = nominal_state(), nominal_inputs()
-    got, _ = euler_step(state, inputs, PhiTrue(), 0.0)
+    got, _ = euler_step(state, inputs, plant.PlantModel(), 0.0)
     assert got == state
 
 
 def test_euler_step_substeps_refine_toward_smaller_steps():
     state, inputs = nominal_state(), nominal_inputs()
-    one, _ = euler_step(state, inputs, PhiTrue(), 0.02, substeps=1)
-    two, _ = euler_step(state, inputs, PhiTrue(), 0.02, substeps=2)
-    four, _ = euler_step(state, inputs, PhiTrue(), 0.02, substeps=4)
+    one, _ = euler_step(state, inputs, plant.PlantModel(), 0.02, substeps=1)
+    two, _ = euler_step(state, inputs, plant.PlantModel(), 0.02, substeps=2)
+    four, _ = euler_step(state, inputs, plant.PlantModel(), 0.02, substeps=4)
     # fixed-step refinement halves the local defect on a smooth field
     d12 = abs(one.T_exh - two.T_exh)
     d24 = abs(two.T_exh - four.T_exh)
     assert 0.0 < d24 < d12
     with pytest.raises(ConfigError):
-        euler_step(state, inputs, PhiTrue(), 0.02, substeps=0)
+        euler_step(state, inputs, plant.PlantModel(), 0.02, substeps=0)
 
 
 def test_phi_true_validation():
@@ -248,6 +283,56 @@ def test_config_partial_sections_merge_with_defaults():
     assert cfg.phi_true.speed == 1.0
     assert cfg.signal_ranges["omega_e"] == (0.0, 800.0)
     assert cfg.signal_ranges["m_a"] == looplab.DEFAULT_SIGNAL_RANGES["m_a"]
+
+
+def test_config_accepts_a_sequence_or_object_for_the_initial_state():
+    values = (0.004, 125.0, 7.7e-4, 25.0, 25.0)
+    expected = plant.EngineState(*values)
+    keys = ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
+    for given_state in (expected, values, list(values), dict(zip(keys, values))):
+        cfg = ScenarioConfig(duration=1.0, initial_state=given_state)
+        assert cfg.initial_state == expected
+        assert isinstance(cfg.initial_state, plant.EngineState)
+    default = run_scenario(ScenarioConfig(duration=1.0)).to_csv()
+    assert run_scenario(ScenarioConfig(duration=1.0, initial_state=values)).to_csv() == default
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ((0.004, 125.0, 7.7e-4, 25.0), "initial_state must be 5 numbers"),
+        (3.0, "initial_state must be 5 numbers"),
+        ((0.004, 125.0, "x", 25.0, 25.0), r"initial_state\.mdot_f"),
+        ((0.004, math.nan, 7.7e-4, 25.0, 25.0), r"initial_state\.omega_e"),
+        ({"m_a": 0.004}, "initial_state must be an object"),
+    ],
+)
+def test_config_rejects_a_bad_initial_state(value, message):
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(initial_state=value)
+
+
+def test_config_accepts_an_object_for_phi_true():
+    cfg = ScenarioConfig(duration=1.0, phi_true={"fuel": 0.5})
+    assert cfg.phi_true == PhiTrue(fuel=0.5)
+    assert run_scenario(cfg).to_csv() == run_scenario(
+        ScenarioConfig(duration=1.0, phi_true=PhiTrue(fuel=0.5))
+    ).to_csv()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"phi_true": {"boost": 0.5}}, "phi_true has unknown loop"),
+        ({"phi_true": {"fuel": "x"}}, r"phi_true\.fuel"),
+        ({"phi_true": 0.5}, "phi_true must be an object"),
+        ({"bounds": {"mdot_ai": (0.0, 0.1)}}, "bounds must be"),
+        ({"trajectory": "x"}, "trajectory must be"),
+    ],
+)
+def test_config_rejects_wrong_types_naming_the_field(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**kwargs)
 
 
 def test_config_unknown_plant_constant_is_rejected():
@@ -392,6 +477,33 @@ RUN_CSV_VARIANTS = {
         {"phi_true": {loop: 0.5 for loop in LOOPS}, "adaptation_enabled": False},
         0,
         "ad4e9f033b9d4ac6b1ab5c993df2cd27fa805e553d24223faa567b9c6aec81ed",
+    ),
+    # the non-default plant conventions, recorded before the plant model
+    # resolved them once per run
+    "hc_as_printed": (
+        {"hc_mode": "as_printed"},
+        0,
+        "56ce528602d4e6dec2ad7fd9a268df8bdcaff8dc66b6810c5d6427f7113f3b07",
+    ),
+    "qgen_flow_times_temp": (
+        {"qgen_grouping": "flow_times_temp"},
+        0,
+        "bf50669d8885f7b1028f4430ec471a5685b6213c5dc60267d2948e4ece14f032",
+    ),
+    "qin_as_printed": (
+        {"qin_direction": "as_printed"},
+        0,
+        "0a7afdea6867afa7f8289dd3c1c9837feb2c8b60b3aa421412157eacf3a319fc",
+    ),
+    "alternate_conventions_substeps_2": (
+        {
+            "hc_mode": "as_printed",
+            "qgen_grouping": "flow_times_temp",
+            "qin_direction": "as_printed",
+            "substeps": 2,
+        },
+        0,
+        "8fec8588d14ae5f77dd5b7a808b3b92a464d2df19b54816972e4aed35f8e392f",
     ),
 }
 

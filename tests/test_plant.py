@@ -1,5 +1,6 @@
 """Closed-form engine model checks against hand values and a flat re-transcription."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 
 from coldstart import plant
 from coldstart.errors import DegenerateInputError
+from coldstart.looplab import euler_step
 from coldstart.plant import (
     ControlInput,
     EngineState,
     PhiTrue,
     PlantConstants,
     PlantConventions,
+    PlantModel,
 )
 
 
@@ -25,9 +28,12 @@ def rel_diff(a, b):
 # re-typed flat here, no calls into the package under test.
 
 
-def oracle_derivatives(state, inputs, c, hc_mode, qgen_grouping, qin_direction):
+def oracle_derivatives(
+    state, inputs, c, hc_mode, qgen_grouping, qin_direction, phi=(1.0, 1.0, 1.0, 1.0)
+):
     m_a, omega_e, mdot_f, t_cat, t_exh = state
     mdot_ai, mdot_fc, delta = inputs
+    phi_fuel, phi_speed, phi_exh, phi_air = phi
 
     w2 = omega_e * omega_e
     eta_vol = (
@@ -38,7 +44,6 @@ def oracle_derivatives(state, inputs, c, hc_mode, qgen_grouping, qin_direction):
     mdot_ao = 0.0254 * eta_vol * m_a * omega_e
     afr = mdot_ao / mdot_f
     alpha_e = 2.0 * math.pi / omega_e
-    st = 7.5 * delta + 600.0
     afi = math.cos(0.13 * (afr - 13.5))
 
     theta_0 = delta + 10.0
@@ -63,11 +68,11 @@ def oracle_derivatives(state, inputs, c, hc_mode, qgen_grouping, qin_direction):
     q_in_signed = q_in if qin_direction == "heats_catalyst" else -q_in
 
     return (
-        mdot_ai - mdot_ao,
-        (30000.0 * m_a - 0.4 * omega_e - 100.0) / c["J"],
-        (mdot_fc - mdot_f) / c["alpha_f"],
+        mdot_ai - phi_air * mdot_ao,
+        (30000.0 * m_a - phi_speed * (0.4 * omega_e + 100.0)) / c["J"],
+        (mdot_fc - phi_fuel * mdot_f) / c["alpha_f"],
         (q_gen + q_in_signed - q_out) / c["mcp"],
-        (st * afi - t_exh) / alpha_e,
+        (phi_exh * (600.0 * afi - t_exh) + 7.5 * delta * afi) / alpha_e,
     )
 
 
@@ -289,16 +294,24 @@ def test_tailpipe_hc_fraction_passes_through():
         assert 0.0 <= tp <= hc
 
 
+def catalyst_heat_terms(state, emission, constants, conventions=PlantConventions()):
+    """(q_in, q_out, q_gen) of the brick balance at ``state``, from the model."""
+    return PlantModel(constants, conventions).heat_terms(
+        state.T_cat, state.T_exh, state.mdot_f, emission.mdot_ao, emission.eta_cat,
+        emission.hc_eng,
+    )
+
+
 def test_catalyst_heat_terms_signs_and_zeros():
     c = PlantConstants()
     state = EngineState(m_a=0.004, omega_e=125.0, mdot_f=4e-4, T_cat=25.0, T_exh=25.0)
     em = plant.emissions(state, 0.0, c)
-    q_in, q_out, q_gen = plant.catalyst_heat_terms(state, em, c)
+    q_in, q_out, q_gen = catalyst_heat_terms(state, em, c)
     assert q_in == 0.0  # equal gas and brick temperatures
     assert q_out == 0.0  # brick at ambient
     state_hot = EngineState(m_a=0.004, omega_e=125.0, mdot_f=4e-4, T_cat=25.0, T_exh=650.0)
     em_cold_brick = plant.emissions(state_hot, 0.0, c)
-    q_in, q_out, q_gen = plant.catalyst_heat_terms(state_hot, em_cold_brick, c)
+    q_in, q_out, q_gen = catalyst_heat_terms(state_hot, em_cold_brick, c)
     assert q_in == pytest.approx(16.0 * 625.0, rel=1e-14)
     assert em_cold_brick.eta_cat == 0.0  # cold brick converts nothing
     assert q_gen == 0.0
@@ -310,8 +323,8 @@ def test_catalyst_heat_generated_grouping_switch():
     em = plant.emissions(state, 10.0, c)
     assert em.eta_cat > 0.0
     mdot_ao = plant.air_outflow(state.m_a, state.omega_e)
-    _, _, q_printed = plant.catalyst_heat_terms(state, em, c, PlantConventions())
-    _, _, q_grouped = plant.catalyst_heat_terms(
+    _, _, q_printed = catalyst_heat_terms(state, em, c, PlantConventions())
+    _, _, q_grouped = catalyst_heat_terms(
         state, em, c, PlantConventions(qgen_grouping="flow_times_temp")
     )
     assert q_printed == pytest.approx(
@@ -340,32 +353,84 @@ CONST_DICT = {
 }
 
 
-@pytest.mark.parametrize(
-    "conventions",
-    [
-        PlantConventions(),
-        PlantConventions(qin_direction="heats_catalyst"),
-        PlantConventions(hc_mode="as_printed", qgen_grouping="flow_times_temp"),
-    ],
-)
+# every combination of the three convention switches
+ALL_CONVENTIONS = [
+    PlantConventions(),
+    PlantConventions(qin_direction="heats_catalyst"),
+    PlantConventions(hc_mode="as_printed", qgen_grouping="flow_times_temp"),
+    PlantConventions(hc_mode="as_printed"),
+    PlantConventions(qgen_grouping="flow_times_temp"),
+    PlantConventions(hc_mode="as_printed", qin_direction="heats_catalyst"),
+    PlantConventions(qgen_grouping="flow_times_temp", qin_direction="heats_catalyst"),
+    PlantConventions(
+        hc_mode="as_printed", qgen_grouping="flow_times_temp", qin_direction="heats_catalyst"
+    ),
+]
+# a non-unit true uncertainty, different on every row
+PHI = PhiTrue(fuel=0.5, speed=1.5, exh=0.75, air=1.25)
+
+
+def oracle_call(state, inputs, conventions, phi):
+    return oracle_derivatives(
+        tuple(state),
+        tuple(inputs),
+        CONST_DICT,
+        conventions.hc_mode,
+        conventions.qgen_grouping,
+        conventions.qin_direction,
+        (phi.fuel, phi.speed, phi.exh, phi.air),
+    )
+
+
+@pytest.mark.parametrize("conventions", ALL_CONVENTIONS)
 def test_derivatives_match_flat_transcription(conventions):
     constants = PlantConstants()
-    for state, inputs in random_states_and_inputs(1000):
-        got, _ = plant.derivatives(state, inputs, constants, conventions)
-        want = oracle_derivatives(
-            (state.m_a, state.omega_e, state.mdot_f, state.T_cat, state.T_exh),
-            (inputs.mdot_ai, inputs.mdot_fc, inputs.delta),
-            CONST_DICT,
-            conventions.hc_mode,
-            conventions.qgen_grouping,
-            conventions.qin_direction,
-        )
-        for name, a, b in zip(
-            ("m_a", "omega_e", "mdot_f", "T_cat", "T_exh"),
-            (got.m_a, got.omega_e, got.mdot_f, got.T_cat, got.T_exh),
-            want,
-        ):
+    for phi in (PhiTrue(), PHI):
+        for state, inputs in random_states_and_inputs(1000):
+            got, _ = plant.derivatives(state, inputs, constants, conventions, phi)
+            want = oracle_call(state, inputs, conventions, phi)
+            for name, a, b in zip(
+                ("m_a", "omega_e", "mdot_f", "T_cat", "T_exh"),
+                (got.m_a, got.omega_e, got.mdot_f, got.T_cat, got.T_exh),
+                want,
+            ):
+                assert rel_diff(a, b) <= 1e-12, f"{name}: {a} vs {b}"
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("conventions", ALL_CONVENTIONS)
+def test_euler_step_matches_flat_transcription(conventions, substeps):
+    T = 0.02
+    h = T / substeps
+    model = PlantModel(PlantConstants(), conventions, PHI)
+    for state, inputs in random_states_and_inputs(300, seed=2024):
+        got, emission = euler_step(state, inputs, model, T, substeps)
+        want = tuple(state)
+        for _ in range(substeps):
+            rates = oracle_call(want, inputs, conventions, PHI)
+            want = tuple(x + h * d for x, d in zip(want, rates))
+        for name, a, b in zip(EngineState._fields, got, want):
             assert rel_diff(a, b) <= 1e-12, f"{name}: {a} vs {b}"
+        assert emission == plant.emissions(state, inputs.delta, PlantConstants(), conventions)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        # in-cylinder fuel flow at the floor: the AFR is undefined
+        EngineState(m_a=0.004, omega_e=125.0, mdot_f=1e-9, T_cat=25.0, T_exh=25.0),
+        # a stalled engine has no exhaust time constant
+        EngineState(m_a=0.004, omega_e=0.0, mdot_f=7.7e-4, T_cat=25.0, T_exh=25.0),
+        EngineState(m_a=0.004, omega_e=-5.0, mdot_f=7.7e-4, T_cat=25.0, T_exh=25.0),
+        # a brick temperature far out of range overflows the conversion fit
+        EngineState(m_a=0.004, omega_e=125.0, mdot_f=7.7e-4, T_cat=1e70, T_exh=25.0),
+    ],
+    ids=["fuel_floor", "zero_speed", "negative_speed", "emission_overflow"],
+)
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_euler_step_refuses_degenerate_states(state, substeps):
+    with pytest.raises(DegenerateInputError):
+        euler_step(state, ControlInput(0.01, 0.001, 0.0), PlantModel(), 0.02, substeps)
 
 
 def test_phi_scales_only_the_drift_of_each_controlled_row():
