@@ -163,7 +163,7 @@ def control_airflow(
 def control_spark(
     t_exh: float,
     afi_value: float,
-    omega_e: float,
+    alpha_e: float,
     s3: float,
     t_exh_d_now: float,
     t_exh_d_next: float,
@@ -182,7 +182,6 @@ def control_spark(
             f"AFR influence factor {afi_value!r} below floor {afi_floor!r}; "
             "spark input gain is singular"
         )
-    alpha_e = plant.exhaust_time_constant(omega_e)
     return (alpha_e / (plant.SPARK_TEMP_GAIN * afi_value * T)) * (
         -loop.phi_hat * (T / alpha_e) * (plant.SPARK_TEMP_BASE * afi_value - t_exh)
         - (loop.beta + 1.0) * s3
@@ -288,7 +287,7 @@ class CascadeController:
         # drift terms of the four controlled states at the current sample
         mdot_ao = plant.air_outflow(m_a, omega_e)
         afr_value = plant.afr(mdot_ao, mdot_f, model.mdot_f_floor)
-        afi_value, _, f_fuel, f_speed, f_exh, f_air = model.drift(
+        afi_value, alpha_e, f_fuel, f_speed, f_exh, f_air = model.drift(
             omega_e, mdot_f, T_exh, mdot_ao, afr_value
         )
 
@@ -351,7 +350,7 @@ class CascadeController:
             u_delta = control_spark(
                 T_exh,
                 afi_value,
-                omega_e,
+                alpha_e,
                 s3,
                 targets.t_exh_d,
                 targets.t_exh_d_next,

@@ -20,7 +20,7 @@ import numbers
 import re
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -468,6 +468,28 @@ RECORD_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS + ("events",)
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
+# any character other than a line end
+_NON_BLANK = re.compile(r"[^\r\n]")
+
+
+def read_csv_body(text: str, converters=None) -> np.ndarray | None:
+    """The rows after the header line of ``text`` as one (rows, columns)
+    float table, read by numpy's C reader, or None when no row holds data.
+
+    Cells are converted by the routine ``float()`` uses, quoted fields may
+    hold commas, quotes, CR and LF, and blank lines are skipped. Every row
+    must have the same number of fields. Raises ValueError where numpy
+    refuses the text; the caller re-reads it to name the line and column.
+    """
+    header_end = text.find("\n")
+    if header_end < 0 or _NON_BLANK.search(text, header_end + 1) is None:
+        return None  # checked first: numpy warns on a body with no data
+    return np.loadtxt(
+        io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
+        skiprows=1, ndmin=2, encoding=None, converters=converters,
+    )
+
+
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted, with quotes doubled, when it holds
     a comma, a quote, CR or LF.  This is csv.writer's quoting, except that a
@@ -528,32 +550,59 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, text: str, meta: dict[str, Any] | None = None) -> "RunRecord":
-        reader = csv.reader(io.StringIO(text))
-        columns: dict[str, list[float]] = {c: [] for c in RECORD_COLUMNS if c != "events"}
-        events: list[str] = []
+        """Read a record written by ``to_csv``. The header is checked with the
+        csv module and the body is read in one pass by ``read_csv_body``, so
+        blank lines are skipped. Any fault is a ConfigError naming its line."""
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ConfigError("run record CSV is empty")
-            if tuple(header) != RECORD_COLUMNS:
-                raise ConfigError("run record CSV does not have the expected columns")
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(RECORD_COLUMNS):
-                    raise ConfigError(f"run record line {line_no} has {len(row)} fields")
-                for name, cell in zip(RECORD_COLUMNS, row):
-                    if name == "events":
-                        events.append(cell)
-                    else:
-                        try:
-                            columns[name].append(float(cell))
-                        except ValueError:
-                            raise ConfigError(
-                                f"run record line {line_no}: column {name!r} is not a number"
-                            ) from None
+            header = next(csv.reader(io.StringIO(text)), None)
         except csv.Error as err:
-            raise ConfigError(f"run record line {reader.line_num}: {err}") from None
-        series = {name: np.asarray(vals, dtype=float) for name, vals in columns.items()}
+            raise ConfigError(f"run record line 1: {err}") from None
+        if header is None:
+            raise ConfigError("run record CSV is empty")
+        if tuple(header) != RECORD_COLUMNS:
+            raise ConfigError("run record CSV does not have the expected columns")
+        events: list[str] = []
+
+        def event(cell: str) -> float:
+            events.append(cell)
+            return 0.0
+
+        try:
+            table = read_csv_body(text, converters={len(RECORD_COLUMNS) - 1: event})
+        except ValueError as err:
+            _refuse_record(text, str(err))
+        if table is None:
+            table = np.empty((0, len(RECORD_COLUMNS)))
+        elif table.shape[1] != len(RECORD_COLUMNS):
+            _refuse_record(text, f"rows have {table.shape[1]} fields")
+        columns = table.T.copy()  # one contiguous row per column
+        series = dict(zip(RECORD_COLUMNS[:-1], columns))
         return cls(series=series, events=events, meta=dict(meta or {}))
+
+
+def _refuse_record(text: str, reason: str) -> NoReturn:
+    """Raise the ConfigError for a run record body the C reader refused,
+    naming the first faulty line found by re-reading ``text`` row by row,
+    or carrying ``reason`` when that finds none (as for ``1_0``, which
+    ``float()`` takes and numpy does not)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        next(reader)
+        for row in reader:
+            if not row:
+                continue  # skipped by the C reader too
+            if len(row) != len(RECORD_COLUMNS):
+                raise ConfigError(f"run record line {reader.line_num} has {len(row)} fields")
+            for name, cell in zip(RECORD_COLUMNS[:-1], row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ConfigError(
+                        f"run record line {reader.line_num}: column {name!r} is not a number"
+                    ) from None
+    except csv.Error as err:
+        raise ConfigError(f"run record line {reader.line_num}: {err}") from None
+    raise ConfigError(f"run record: {reason}")
 
 
 def run_scenario(config: ScenarioConfig) -> RunRecord:

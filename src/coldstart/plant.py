@@ -18,6 +18,7 @@ Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -115,7 +116,10 @@ class PhiTrue:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0.0):
+            # the rule of looplab._real: booleans and non-numbers are refused
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+                math.isfinite(v) and v > 0.0
+            ):
                 raise ConfigError(f"phi_true.{f.name} must be a positive number, got {v!r}")
 
 

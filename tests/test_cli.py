@@ -408,6 +408,55 @@ def test_identify_bad_pairing_spec_exits_2(tmp_path, capsys):
     assert "experiments" in capsys.readouterr().err
 
 
+def rewrite_data_lines(data, edit):
+    """Apply ``edit`` to the data CSV's list of lines."""
+    lines = data.read_text(encoding="utf-8").splitlines()
+    data.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+
+def identify_error(data, pairs, tmp_path, capsys) -> str:
+    assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err
+    return err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_identify_non_finite_cell_names_its_line_and_column(tmp_path, capsys, cell):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+
+    def put(lines):
+        cells = lines[5].split(",")
+        cells[2] = cell  # column y1_1
+        lines[5] = ",".join(cells)
+        return lines
+
+    rewrite_data_lines(data, put)
+    err = identify_error(data, pairs, tmp_path, capsys)
+    assert f"line 6: column 'y1_1' is not finite: '{cell}'" in err
+
+
+def test_identify_row_with_an_extra_cell_exits_2(tmp_path, capsys):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+    rewrite_data_lines(data, lambda lines: lines[:3] + [lines[3] + ",1.0"] + lines[4:])
+    err = identify_error(data, pairs, tmp_path, capsys)
+    assert "line 4: cell 7 is past the 6 named columns" in err
+
+
+def test_identify_header_only_data_exits_2(tmp_path, capsys):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+    rewrite_data_lines(data, lambda lines: lines[:1])
+    err = identify_error(data, pairs, tmp_path, capsys)
+    assert "data CSV has no data rows" in err
+
+
+def test_identify_repeated_column_name_exits_2(tmp_path, capsys):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+    rewrite_data_lines(data, lambda lines: [lines[0].replace("u2", "u1")] + lines[1:])
+    err = identify_error(data, pairs, tmp_path, capsys)
+    assert "data CSV repeats column 'u1'" in err
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -174,14 +174,14 @@ def test_airflow_law_hand_value():
 def test_spark_law_zero_at_consistent_exhaust_temp():
     loop = make_loop()
     afi_v = 0.9
-    got = dsmc.control_spark(600.0 * afi_v, afi_v, 140.0, 0.0, 540.0, 540.0, loop, 0.02)
+    got = dsmc.control_spark(600.0 * afi_v, afi_v, plant.exhaust_time_constant(140.0), 0.0, 540.0, 540.0, loop, 0.02)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spark_law_static_inverse():
     loop = make_loop()
     afi_v, t_exh = 0.95, 640.0
-    got = dsmc.control_spark(t_exh, afi_v, 140.0, 0.0, t_exh, t_exh, loop, 0.02)
+    got = dsmc.control_spark(t_exh, afi_v, plant.exhaust_time_constant(140.0), 0.0, t_exh, t_exh, loop, 0.02)
     assert got == pytest.approx((t_exh - 600.0 * afi_v) / (7.5 * afi_v), rel=1e-12)
 
 
@@ -189,8 +189,12 @@ def test_spark_law_beta_two_point_difference():
     # with s3 = 10 the beta term contributes (beta+1)*10 inside the bracket
     afi_v, omega, t_exh, s3, T = 0.9, 140.0, 620.0, 10.0, 0.02
     alpha_e = 2.0 * math.pi / omega
-    lo = dsmc.control_spark(t_exh, afi_v, omega, s3, 650.0, 650.0, make_loop(beta=0.05), T)
-    hi = dsmc.control_spark(t_exh, afi_v, omega, s3, 650.0, 650.0, make_loop(beta=0.9), T)
+    lo = dsmc.control_spark(
+        t_exh, afi_v, plant.exhaust_time_constant(omega), s3, 650.0, 650.0, make_loop(beta=0.05), T
+    )
+    hi = dsmc.control_spark(
+        t_exh, afi_v, plant.exhaust_time_constant(omega), s3, 650.0, 650.0, make_loop(beta=0.9), T
+    )
     want = alpha_e / (7.5 * afi_v * T) * (0.9 - 0.05) * s3
     assert lo - hi == pytest.approx(want, rel=1e-12)
 
@@ -198,7 +202,7 @@ def test_spark_law_beta_two_point_difference():
 def test_spark_law_raises_below_afi_floor():
     loop = make_loop()
     with pytest.raises(SingularGainError):
-        dsmc.control_spark(650.0, 0.01, 140.0, 0.0, 650.0, 650.0, loop, 0.02)
+        dsmc.control_spark(650.0, 0.01, plant.exhaust_time_constant(140.0), 0.0, 650.0, 650.0, loop, 0.02)
 
 
 # ---------------------------------------------------------------------------

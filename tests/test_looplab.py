@@ -194,6 +194,13 @@ def test_phi_true_validation():
         PhiTrue(air=float("nan"))
 
 
+@pytest.mark.parametrize("value", ["x", None, True, False, 1j, [0.5]])
+@pytest.mark.parametrize("loop", LOOPS)
+def test_phi_true_refuses_non_numbers_and_booleans(loop, value):
+    with pytest.raises(ConfigError, match=rf"phi_true\.{loop}"):
+        PhiTrue(**{loop: value})
+
+
 # ---------------------------------------------------------------------------
 # scenario config
 
