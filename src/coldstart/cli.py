@@ -35,6 +35,7 @@ from .looplab import (
     ScenarioConfig,
     apply_overrides,
     compute_metrics,
+    csv_float,
     read_csv_body,
     run_scenario,
 )
@@ -318,8 +319,7 @@ def _read_data_table(path: str) -> dict[str, np.ndarray]:
 def _refuse_data_table(path: str, text: str, header: list[str], reason: str) -> NoReturn:
     """Raise the ConfigError for a data table that ``_read_data_table``
     refused, naming the first faulty line and column found by re-reading
-    ``text`` row by row, or carrying ``reason`` when that finds none (as for
-    ``1_0``, which ``float()`` takes and numpy does not)."""
+    ``text`` row by row, or carrying ``reason`` when that finds none."""
     reader = csv.reader(io.StringIO(text))
     try:
         next(reader)
@@ -335,7 +335,7 @@ def _refuse_data_table(path: str, text: str, header: list[str], reason: str) -> 
                 if cell == "":
                     raise ConfigError(f"{where}: column {name!r} is empty")
                 try:
-                    value = float(cell)
+                    value = csv_float(cell)
                 except ValueError:
                     raise ConfigError(f"{where}: column {name!r} is not a number: {cell!r}") from None
                 if not math.isfinite(value):
@@ -428,6 +428,96 @@ def cmd_identify(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_cells(count: int, run_cell) -> dict:
+    """``run_cell(i)`` for the cells ``0 <= i < count``, shared between this
+    process and ``min(count, usable CPUs) - 1`` forked helpers: each takes
+    the next unclaimed cell until none is left.
+
+    Returns the results by cell.  A cell is missing when its run raised, in
+    this process or in a helper, or when its helper died; the caller runs it
+    again.  After an exception here, a failed fork included, no further cell
+    is claimed and the helpers are stopped.  Helpers never outlive the call.
+    """
+    n_helpers = min(count, _usable_cpus()) - 1
+    if n_helpers > 0:
+        # imported here, not at module level: it would add 6-9 ms to the
+        # import of the package, and a one-cell sweep never needs it
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            n_helpers = 0
+    done: dict = {}
+    claim = itertools.count().__next__
+    helpers = []  # (process, reading end of its pipe)
+    open_readers = []
+
+    def receive(timeout: float | None) -> None:
+        for reader in wait(open_readers, timeout):
+            try:
+                idx, result = reader.recv()
+            except EOFError:
+                open_readers.remove(reader)
+            else:
+                done[idx] = result
+
+    ok = False
+    try:
+        if n_helpers > 0:
+            # forked, not spawned: a helper starts with this process's
+            # imports, monkeypatches and tracer, at no import cost.  Pipe,
+            # not Queue: a Queue starts a feeder thread, and forking a
+            # process that has threads is unsafe
+            ctx = multiprocessing.get_context("fork")
+            counter = ctx.Value("i", 0)
+
+            def claim() -> int:
+                with counter.get_lock():
+                    idx = counter.value
+                    counter.value = idx + 1
+                return idx
+
+            def helper(writer) -> None:
+                try:
+                    while (idx := claim()) < count:
+                        writer.send((idx, run_cell(idx)))
+                finally:
+                    # no traceback, no atexit hook, no second flush of the
+                    # parent's stdio buffers: the caller reruns a lost cell
+                    os._exit(0)
+
+            for _ in range(n_helpers):
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=helper, args=(writer,), daemon=True)
+                helpers.append((proc, reader))
+                proc.start()
+                writer.close()  # so that the reader sees EOF once the helper exits
+                open_readers.append(reader)
+        while (idx := claim()) < count:
+            done[idx] = run_cell(idx)
+            if open_readers:
+                receive(0)  # keep the pipes from filling up
+        while open_readers:
+            receive(None)
+        ok = True
+    except Exception:  # noqa: BLE001 - the caller reruns the cell in order and raises it there
+        pass
+    finally:
+        for proc, reader in helpers:
+            if proc.pid is not None:  # started
+                if not ok:
+                    proc.terminate()
+                proc.join()
+            reader.close()
+    return done
+
+
 def cmd_sweep(args) -> int:
     try:
         template = json.loads(_read_text(args.template))
@@ -449,19 +539,31 @@ def cmd_sweep(args) -> int:
     writer.writerow(header)
 
     cells = list(itertools.product(*(grid[a] for a in axes))) if axes else []
-    n_failed = 0
     n_metrics = len(MetricsSummary.csv_header())
-    for idx, combo in enumerate(cells):
-        overrides = [f"{a}={json.dumps(v)}" for a, v in zip(axes, combo)]
-        log.info("cell %d/%d: %s", idx + 1, len(cells), ", ".join(overrides) or "-")
+
+    def overrides(idx: int) -> list[str]:
+        return [f"{a}={json.dumps(v)}" for a, v in zip(axes, cells[idx])]
+
+    def run_cell(idx: int) -> tuple[list[str], str | None]:
+        """The sweep.csv row of cell ``idx`` and, when the cell failed, its error."""
+        values = [json.dumps(v) for v in cells[idx]]
         try:
-            cfg = ScenarioConfig.from_dict(apply_overrides(template, overrides))
+            cfg = ScenarioConfig.from_dict(apply_overrides(template, overrides(idx)))
             metrics = compute_metrics(run_scenario(cfg))
-            row = [str(idx), *(json.dumps(v) for v in combo), *metrics.to_csv_row(), ""]
         except (ConfigError, SimulationAbort) as err:
+            return [str(idx), *values, *[""] * n_metrics, str(err)], str(err)
+        return [str(idx), *values, *metrics.to_csv_row(), ""], None
+
+    # rows, log lines and the first escaping exception are those of a serial
+    # loop: a cell the shared run left without a result is run here, in order
+    done = _share_cells(len(cells), run_cell)
+    n_failed = 0
+    for idx in range(len(cells)):
+        log.info("cell %d/%d: %s", idx + 1, len(cells), ", ".join(overrides(idx)) or "-")
+        row, error = done.pop(idx) if idx in done else run_cell(idx)
+        if error is not None:
             n_failed += 1
-            log.warning("cell %d failed: %s", idx, err)
-            row = [str(idx), *(json.dumps(v) for v in combo), *[""] * n_metrics, str(err)]
+            log.warning("cell %d failed: %s", idx, error)
         writer.writerow(row)
 
     out = _out_dir(args.out)

@@ -266,17 +266,6 @@ class CascadeController:
         # The flags are kept in loop order: fuel, speed, exh, air.
         self._adapt_hold = (True, True, True, True)
 
-    @classmethod
-    def with_default_gains(cls, T: float = 0.02, **kwargs) -> "CascadeController":
-        return cls(
-            AdaptiveLoop(BETA_DEFAULT, RHO_DEFAULTS["fuel"]),
-            AdaptiveLoop(BETA_DEFAULT, RHO_DEFAULTS["speed"]),
-            AdaptiveLoop(BETA_DEFAULT, RHO_DEFAULTS["exh"]),
-            AdaptiveLoop(BETA_DEFAULT, RHO_DEFAULTS["air"]),
-            T=T,
-            **kwargs,
-        )
-
     def step(self, feedback: plant.EngineState, targets) -> ControllerOutput:
         """One full cascade pass: surfaces -> estimates -> commands."""
         model = self._plant

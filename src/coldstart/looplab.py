@@ -490,6 +490,16 @@ def read_csv_body(text: str, converters=None) -> np.ndarray | None:
     )
 
 
+def csv_float(cell: str) -> float:
+    """The number in one CSV cell, refusing what numpy's C reader refuses
+    and ``float()`` takes: underscores and non-ASCII digits.  Both skip
+    whitespace, Unicode or not, around the number."""
+    number = cell.strip()
+    if "_" in number or not number.isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(number)
+
+
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted, with quotes doubled, when it holds
     a comma, a quote, CR or LF.  This is csv.writer's quoting, except that a
@@ -583,8 +593,7 @@ class RunRecord:
 def _refuse_record(text: str, reason: str) -> NoReturn:
     """Raise the ConfigError for a run record body the C reader refused,
     naming the first faulty line found by re-reading ``text`` row by row,
-    or carrying ``reason`` when that finds none (as for ``1_0``, which
-    ``float()`` takes and numpy does not)."""
+    or carrying ``reason`` when that finds none."""
     reader = csv.reader(io.StringIO(text))
     try:
         next(reader)
@@ -595,7 +604,7 @@ def _refuse_record(text: str, reason: str) -> NoReturn:
                 raise ConfigError(f"run record line {reader.line_num} has {len(row)} fields")
             for name, cell in zip(RECORD_COLUMNS[:-1], row):
                 try:
-                    float(cell)
+                    csv_float(cell)
                 except ValueError:
                     raise ConfigError(
                         f"run record line {reader.line_num}: column {name!r} is not a number"

@@ -144,7 +144,10 @@ class TFMatrix:
     @classmethod
     def from_csv(cls, text: str) -> "TFMatrix":
         reader = csv.reader(io.StringIO(text))
-        rows = [r for r in reader if r]
+        try:
+            rows = [r for r in reader if r]
+        except csv.Error as err:
+            raise ValueError(f"line {reader.line_num}: {err}") from None
         if len(rows) < 2:
             raise ValueError("transfer matrix CSV needs a header and at least one row")
         n = (len(rows[0]) - 1) // 2
@@ -177,22 +180,6 @@ def open_loop_matrix(tf_entries) -> TFMatrix:
     if not tf_entries:
         raise ValueError("empty transfer matrix")
     return TFMatrix(tuple(tuple(row) for row in tf_entries))
-
-
-def default_coupling_matrix() -> TFMatrix:
-    """Illustrative 3x3 loop-coupling model (fuel, air, spark channels).
-
-    The numbers are synthetic placeholders for exercising the analysis
-    tooling; they are not identified from the engine model.
-    """
-    k = from_gain_time_constant
-    return open_loop_matrix(
-        [
-            [k(1.0, 0.3), k(0.4, 0.5), None],
-            [k(0.25, 0.6), k(2.0, 0.8), None],
-            [k(0.3, 0.2), k(0.5, 0.4), k(1.5, 0.05)],
-        ]
-    )
 
 
 def _ill_conditioned(cond: np.ndarray, cond_limit: float) -> np.ndarray:
@@ -460,22 +447,3 @@ def identify_mimo(u_series, y_series, T: float, on_error: str = "raise") -> Mimo
             fits[(i + 1, j + 1)] = fit
             entries[i][j] = fit.tf
     return MimoIdentification(tfm=open_loop_matrix(entries), fits=fits, holes=holes)
-
-
-def simulate_first_order(tf: FirstOrderTF, u, T: float, y0: float = 0.0) -> np.ndarray:
-    """Exact sampled response of 1/(tau*s + k) to a piecewise-constant input.
-
-    Used to generate round-trip test data; the input is held over each step.
-    """
-    if tf.tau <= 0.0 or tf.k <= 0.0:
-        raise ValueError("simulation needs tau > 0 and k > 0")
-    u = np.asarray(u, dtype=float).ravel()
-    pole = tf.k / tf.tau
-    a = math.exp(-pole * T)
-    b = (1.0 - a) / tf.k
-    y = np.empty(len(u))
-    cur = y0
-    for idx, uk in enumerate(u):
-        y[idx] = cur
-        cur = a * cur + b * uk
-    return y

@@ -76,19 +76,22 @@ class TrajectoryTable:
     @classmethod
     def from_csv(cls, text: str) -> "TrajectoryTable":
         reader = csv.DictReader(io.StringIO(text))
-        header = reader.fieldnames or []
-        missing = [c for c in COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"trajectory file is missing column(s) {missing}")
         cols: dict[str, list[float]] = {c: [] for c in COLUMNS}
-        for line_no, row in enumerate(reader, start=2):
-            for c in COLUMNS:
-                try:
-                    cols[c].append(float(row[c]))
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"trajectory line {line_no}: column {c!r} is not a number: {row[c]!r}"
-                    ) from None
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in COLUMNS if c not in header]
+            if missing:
+                raise ConfigError(f"trajectory file is missing column(s) {missing}")
+            for line_no, row in enumerate(reader, start=2):
+                for c in COLUMNS:
+                    try:
+                        cols[c].append(float(row[c]))
+                    except (TypeError, ValueError):
+                        raise ConfigError(
+                            f"trajectory line {line_no}: column {c!r} is not a number: {row[c]!r}"
+                        ) from None
+        except csv.Error as err:
+            raise ConfigError(f"trajectory line {reader.reader.line_num}: {err}") from None
         return cls(
             time=tuple(cols["time"]),
             afr_d=tuple(cols["afr_d"]),

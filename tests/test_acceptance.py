@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from coldstart import dsmc, looplab, plant, rga
+from lab_helpers import simulate_first_order
 
 LOOPS = ("fuel", "speed", "exh", "air")
 
@@ -303,7 +304,7 @@ def test_criterion_8_identification_accuracy(report):
     for j in range(n):  # experiment j excites input j only
         for i in range(n):
             tf = rga.from_gain_time_constant(gains[i][j], taus[i][j])
-            y_clean[i, j] = rga.simulate_first_order(tf, u_series[j], T)
+            y_clean[i, j] = simulate_first_order(tf, u_series[j], T)
 
     def worst_error(y_series) -> float:
         ident = rga.identify_mimo(u_series, y_series, T)

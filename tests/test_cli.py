@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 
 import coldstart
-from coldstart import looplab, rga
+from coldstart import cli, looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
+from lab_helpers import default_coupling_matrix, simulate_first_order
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +121,13 @@ def test_simulate_trajectory_file_replaces_the_table(tmp_path):
     assert code == 0
     echoed = json.loads((out / "config.json").read_text(encoding="utf-8"))
     assert echoed["trajectory"]["omega_d"] == [125.0, 110.0]
+
+
+def test_simulate_trajectory_with_bare_cr_line_ends_exits_2(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_bytes(b"time,afr_d,omega_d,t_exh_d\r0.0,12.5,125.0,650.0\r30.0,14.0,110.0,650.0\r")
+    assert main(["simulate", "--out", str(tmp_path / "out"), "--trajectory", str(traj)]) == 2
+    assert "error: trajectory line 1: new-line character" in capsys.readouterr().err
 
 
 def test_simulate_validation_failures_exit_2(tmp_path, capsys):
@@ -254,6 +264,13 @@ def test_rga_malformed_model_names_the_cell(tmp_path, capsys):
     assert "channel (1,1)" in capsys.readouterr().err
 
 
+def test_rga_model_csv_with_a_bare_cr_in_a_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.csv"
+    path.write_bytes(b"row,tau_1,k_1\n1,0.5\r,1.0\n")
+    assert main(["rga", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: line 2: new-line character" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [
@@ -285,7 +302,7 @@ DEFAULT_MODEL_RGA_CSV_SHA256 = "18a76a6b23b075bfa240ddc62060395f0dbaf1fd3950a733
 
 def test_rga_csv_bytes_match_the_per_frequency_digest(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(rga.default_coupling_matrix().to_json(), encoding="utf-8")
+    path.write_text(default_coupling_matrix().to_json(), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["rga", "--model", str(path), "--points", "2000", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "rga.csv").read_bytes()).hexdigest()
@@ -309,10 +326,10 @@ def write_ident_fixture(tmp_path, n_samples=1200, break_pair=None):
     u1, u2 = rng.standard_normal(n_samples), rng.standard_normal(n_samples)
     cols = {
         "u1": u1, "u2": u2,
-        "y1_1": rga.simulate_first_order(tf[(1, 1)], u1, T),
-        "y2_1": rga.simulate_first_order(tf[(2, 1)], u1, T),
-        "y1_2": rga.simulate_first_order(tf[(1, 2)], u2, T),
-        "y2_2": rga.simulate_first_order(tf[(2, 2)], u2, T),
+        "y1_1": simulate_first_order(tf[(1, 1)], u1, T),
+        "y2_1": simulate_first_order(tf[(2, 1)], u1, T),
+        "y1_2": simulate_first_order(tf[(1, 2)], u2, T),
+        "y2_2": simulate_first_order(tf[(2, 2)], u2, T),
     }
     if break_pair is not None:
         # alternating-sign series has a negative discrete pole: not a lag
@@ -436,6 +453,22 @@ def test_identify_non_finite_cell_names_its_line_and_column(tmp_path, capsys, ce
     assert f"line 6: column 'y1_1' is not finite: '{cell}'" in err
 
 
+# float() takes these and numpy's reader does not
+@pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "\uff11"])
+def test_identify_cell_numpy_refuses_names_its_line_and_column(tmp_path, capsys, cell):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+
+    def put(lines):
+        cells = lines[5].split(",")
+        cells[2] = cell  # column y1_1
+        lines[5] = ",".join(cells)
+        return lines
+
+    rewrite_data_lines(data, put)
+    err = identify_error(data, pairs, tmp_path, capsys)
+    assert f"line 6: column 'y1_1' is not a number: {cell!r}" in err
+
+
 def test_identify_row_with_an_extra_cell_exits_2(tmp_path, capsys):
     data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
     rewrite_data_lines(data, lambda lines: lines[:3] + [lines[3] + ",1.0"] + lines[4:])
@@ -479,6 +512,19 @@ def test_metrics_bare_carriage_return_in_an_events_cell_exits_2(tmp_path, capsys
     path.write_bytes(f"{header}\n{row}\n".encode("utf-8"))
     assert main(["metrics", "--run", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["2_5e-3", "\u0661\u0662", "\uff11"])
+def test_metrics_cell_numpy_refuses_names_its_line_and_column(tmp_path, capsys, cell):
+    header = ",".join(looplab.RECORD_COLUMNS)
+    cells = ["0.0"] * (len(looplab.RECORD_COLUMNS) - 1) + [""]
+    bad = list(cells)
+    bad[3] = cell
+    path = tmp_path / "run.csv"
+    path.write_text(f"{header}\n{','.join(cells)}\n{','.join(bad)}\n", encoding="utf-8")
+    assert main(["metrics", "--run", str(path)]) == 2
+    column = looplab.RECORD_COLUMNS[3]
+    assert f"error: run record line 3: column {column!r} is not a number\n" in capsys.readouterr().err
 
 
 def test_metrics_reads_a_record_with_crlf_line_endings(tmp_path, capsys):
@@ -608,3 +654,199 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys):
     grid.write_text(json.dumps({"phi_true.fuel": 0.5}))  # not a list
     assert main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(tmp_path / "o")]) == 2
     assert "value arrays" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# sweep cells shared with forked helpers
+
+# 12 cells: 3 healthy, 3 SimulationAbort (delay 3 overflows), 6 ConfigError (J = 0)
+MIXED_GRID = {
+    "constants": [{}, {"J": 0}],
+    "feedback_delay_steps": [0, 3],
+    "phi_true.fuel": [0.5, 0.75, 1.0],
+}
+
+
+def write_mixed_sweep(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(MIXED_GRID), encoding="utf-8")
+    return template, grid
+
+
+def sweep_argv(template, grid, out):
+    return ["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)]
+
+
+def wait_for(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.005)
+
+
+def record_pids(monkeypatch, path, before=None):
+    """Wrap the sweep's run_scenario to append the pid of every process that
+    runs a cell to ``path``, after calling ``before(cfg, pid)`` if given."""
+    inner = cli.run_scenario
+
+    def run(cfg):
+        if before is not None:
+            before(cfg, os.getpid())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return inner(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+
+
+def test_sweep_with_helpers_is_byte_identical_to_the_serial_loop(tmp_path, monkeypatch):
+    template, grid = write_mixed_sweep(tmp_path)
+    results = {}
+    for name, cpus in (("serial", 1), ("default", None), ("helpers", 4)):
+        pids = tmp_path / f"{name}.pids"
+        with monkeypatch.context() as patch:
+            if cpus is not None:
+                patch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            record_pids(patch, pids)
+            out = tmp_path / name
+            code = main(sweep_argv(template, grid, out))
+        results[name] = code, (out / "sweep.csv").read_bytes()
+        runs = pids.read_text(encoding="utf-8").split()
+        assert len(runs) == 6  # each cell past validation runs once, wherever it runs
+        if name == "serial":
+            assert set(runs) == {str(os.getpid())}
+        if name == "helpers":
+            assert len(set(runs)) > 1 and str(os.getpid()) in runs
+    assert results["serial"][0] == 4
+    assert results["default"] == results["serial"]
+    assert results["helpers"] == results["serial"]
+    rows = list(csv.reader(results["serial"][1].decode("utf-8").splitlines()))
+    errors = [row[-1] for row in rows[1:]]
+    assert sum(e == "" for e in errors) == 3
+    assert sum("must be positive" in e for e in errors) == 6
+    assert sum("overflow" in e for e in errors) == 3
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("claimant", ["caller", "helper"])
+def test_sweep_cell_raising_outside_the_contract_escapes_main(tmp_path, monkeypatch, claimant):
+    template, grid = write_mixed_sweep(tmp_path)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    caller = os.getpid()
+    raised = tmp_path / "raised"
+
+    def before(cfg, pid):
+        role = "caller" if pid == caller else "helper"
+        if not cfg.constants and cfg.feedback_delay_steps == 3 and cfg.phi_true.fuel == 1.0:
+            # the last cell, which only a run of the chosen role reaches first
+            with open(raised, "a", encoding="utf-8") as fh:
+                fh.write(f"{role}\n")
+            raise RuntimeError("cell outside the contract")
+        if role == "helper" != claimant:
+            wait_for(tmp_path / "never")  # until terminated
+        if role == "caller" != claimant:
+            wait_for(raised)
+
+    record_pids(monkeypatch, tmp_path / "pids", before)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="cell outside the contract"):
+        main(sweep_argv(template, grid, tmp_path / "out"))
+    assert time.monotonic() - start < 15.0  # the waiting helpers were not waited for
+    roles = raised.read_text(encoding="utf-8").split()
+    assert roles[0] == claimant and roles[-1] == "caller"
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_survives_a_helper_that_dies_mid_cell(tmp_path, monkeypatch):
+    template, grid = write_mixed_sweep(tmp_path)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(sweep_argv(template, grid, tmp_path / "serial")) == 4
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    caller = os.getpid()
+    died = tmp_path / "died"
+
+    def before(cfg, pid):
+        if pid == caller:
+            wait_for(died)
+            return
+        try:
+            fd = os.open(died, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return  # one helper dies; the others go on claiming cells
+        os.close(fd)
+        os._exit(1)
+
+    record_pids(monkeypatch, tmp_path / "pids", before)
+    code = main(sweep_argv(template, grid, tmp_path / "out"))
+    assert code == 4
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_runs_alone_when_a_fork_fails(tmp_path, monkeypatch):
+    template, grid = write_mixed_sweep(tmp_path)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(sweep_argv(template, grid, tmp_path / "serial")) == 4
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    from multiprocessing.context import ForkProcess
+
+    forks = []
+    fork = ForkProcess._Popen
+
+    def second_fork_fails(process_obj):
+        forks.append(process_obj)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork(process_obj)
+
+    monkeypatch.setattr(ForkProcess, "_Popen", staticmethod(second_fork_fails))
+    assert main(sweep_argv(template, grid, tmp_path / "out")) == 4
+    assert len(forks) == 2
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
+    assert not multiprocessing.active_children()
+
+
+_FORCED_CPUS = (
+    "import sys\n"
+    "from coldstart import cli\n"
+    "cli._usable_cpus = lambda: int(sys.argv[1])\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+
+def test_sweep_info_log_lists_cells_in_order(tmp_path):
+    # fresh processes, because logging is configured once per process
+    template, grid = write_mixed_sweep(tmp_path)
+    env = dict(os.environ, COLDSTART_LOG="info")
+    src = str(Path(coldstart.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    runs = []
+    for cpus in ("1", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FORCED_CPUS, cpus, *sweep_argv(template, grid, out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        runs.append((proc.stderr, (out / "sweep.csv").read_bytes()))
+    assert runs[1] == runs[0]
+    cells = [line for line in runs[0][0].splitlines() if " cell " in line]
+    assert [line.split(":")[1] for line in cells if line.startswith("INFO")] == [
+        f" cell {i}/12" for i in range(1, 13)
+    ]
+    failed = [int(line.split()[3]) for line in cells if line.startswith("WARNING")]
+    assert failed == [3, 4, 5, 6, 7, 8, 9, 10, 11]
+
+
+def test_import_does_not_load_multiprocessing():
+    src = str(Path(coldstart.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coldstart; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from coldstart import dsmc, plant
 from coldstart.errors import DegenerateInputError, SingularGainError
 from coldstart.trajectory import TargetWindow
+from lab_helpers import with_default_gains
 
 
 def make_loop(beta=0.5, rho=1.0, phi_hat=1.0, **kw):
@@ -94,7 +95,7 @@ def state_on_afr(afr_d, m_a=0.004, omega=140.0, t_exh=650.0, mdot_f_offset=0.0):
 
 def test_surfaces_zero_when_feedback_matches_targets():
     state = state_on_afr(13.0)
-    out = dsmc.CascadeController.with_default_gains().step(state, constant_targets(13.0))
+    out = with_default_gains().step(state, constant_targets(13.0))
     assert (out.s1, out.s2, out.s3) == (0.0, 0.0, 0.0)
     # the air surface tracks the synthetic target the speed loop issued
     assert out.s4 == state.m_a - out.m_a_d
@@ -102,21 +103,21 @@ def test_surfaces_zero_when_feedback_matches_targets():
 
 def test_surface_speed_is_plain_error():
     state = state_on_afr(13.0, omega=110.0)
-    out = dsmc.CascadeController.with_default_gains().step(state, constant_targets(omega_d=100.0))
+    out = with_default_gains().step(state, constant_targets(omega_d=100.0))
     assert out.s2 == 10.0
 
 
 def test_surface_fuel_flow_domain():
     # the AFR target becomes a fuel-flow target through the cylinder air flow
     state = state_on_afr(14.7, mdot_f_offset=2e-4)
-    out = dsmc.CascadeController.with_default_gains().step(state, constant_targets(14.7))
+    out = with_default_gains().step(state, constant_targets(14.7))
     assert out.s1 == pytest.approx(2e-4, rel=1e-12)
 
 
 def test_surfaces_reject_degenerate_afr_target():
     state = state_on_afr(13.0)
     with pytest.raises(DegenerateInputError):
-        dsmc.CascadeController.with_default_gains().step(state, constant_targets(0.0))
+        with_default_gains().step(state, constant_targets(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_controller_step_equilibrium_feedforward():
     mdot_ao = plant.air_outflow(state.m_a, state.omega_e)
     afr_value = mdot_ao / state.mdot_f
     afi_v = plant.afi(afr_value)
-    ctl = dsmc.CascadeController.with_default_gains()
+    ctl = with_default_gains()
     out = ctl.step(state, constant_targets(afr_d=afr_value, omega_d=140.0, t_exh_d=650.0))
     # at the cascade's fixed point the commands are the plant's equilibrium
     # feedforward: hold air mass, hold fuel flow, spark solving the static
@@ -258,7 +259,7 @@ def test_controller_step_equilibrium_feedforward():
 
 def test_controller_step_telemetry_consistency():
     state = equilibrium_state(omega=150.0)
-    ctl = dsmc.CascadeController.with_default_gains()
+    ctl = with_default_gains()
     targets = constant_targets(afr_d=13.5, omega_d=149.8, t_exh_d=640.0)
     out = ctl.step(state, targets)
     assert out.s2 == pytest.approx(0.2)
@@ -283,7 +284,7 @@ def test_controller_step_afi_floor_holds_previous_delta():
     mdot_ao = plant.air_outflow(m_a, omega)
     state = plant.EngineState(m_a, omega, mdot_f=mdot_ao / 25.4, T_cat=25.0, T_exh=650.0)
     assert abs(plant.afi(mdot_ao / state.mdot_f)) < 0.05
-    ctl = dsmc.CascadeController.with_default_gains(delta_initial=7.5)
+    ctl = with_default_gains(delta_initial=7.5)
     out = ctl.step(state, constant_targets(afr_d=14.7))
     assert out.delta == 7.5
     assert any("holding previous" in e for e in out.events)
@@ -293,14 +294,14 @@ def test_controller_step_afi_floor_holds_previous_delta():
 def test_controller_step_saturation_flags():
     # massive speed error drives the air command into its upper bound
     state = equilibrium_state(omega=60.0)
-    ctl = dsmc.CascadeController.with_default_gains()
+    ctl = with_default_gains()
     out = ctl.step(state, constant_targets(omega_d=500.0))
     assert out.sat_air and out.mdot_ai == 0.1
 
 
 def test_controller_step_degenerate_fuel_propagates():
     state = plant.EngineState(0.004, 140.0, 0.0, 25.0, 650.0)
-    ctl = dsmc.CascadeController.with_default_gains()
+    ctl = with_default_gains()
     with pytest.raises(DegenerateInputError):
         ctl.step(state, constant_targets())
 
@@ -311,8 +312,8 @@ def test_speed_loop_only_output_is_the_synthetic_target():
     state = equilibrium_state()
     t1 = constant_targets(omega_d=140.0)
     t2 = constant_targets(omega_d=150.0)
-    ctl1 = dsmc.CascadeController.with_default_gains()
-    ctl2 = dsmc.CascadeController.with_default_gains()
+    ctl1 = with_default_gains()
+    ctl2 = with_default_gains()
     out1 = ctl1.step(state, t1)
     out2 = ctl2.step(state, t2)
     # on a first step the tracked target is the one just issued

@@ -11,7 +11,6 @@ from coldstart.rga import (
     FirstOrderTF,
     TFMatrix,
     closed_loop_gains,
-    default_coupling_matrix,
     freq_response,
     from_gain_time_constant,
     identify_first_order,
@@ -19,9 +18,9 @@ from coldstart.rga import (
     open_loop_matrix,
     rga_of_matrix,
     rga_sweep,
-    simulate_first_order,
     to_gain_time_constant,
 )
+from lab_helpers import default_coupling_matrix, simulate_first_order
 
 
 def random_well_conditioned(n, rng, tries=50):
