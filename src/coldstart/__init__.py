@@ -10,7 +10,9 @@ The submodules are the primary API surface (``coldstart.plant``,
 everyday entry points for scripting a run end to end.
 """
 
-from . import cli, dsmc, looplab, plant, rga, trajectory
+# cli is in __all__ but not imported here: ``python -m coldstart.cli`` would
+# otherwise find it already imported and warn before running it
+from . import dsmc, looplab, plant, rga, trajectory
 from .dsmc import ActuatorBounds, CascadeController
 from .errors import (
     ColdstartError,

@@ -67,6 +67,16 @@ def _read_text(path: str) -> str:
         return f.read()
 
 
+def _read_json(path) -> object:
+    """The JSON value in the file at ``path``; ConfigError naming the file
+    when the text is not JSON."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as err:  # not JSON, or an int of more digits than int() takes
+        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,10 +216,7 @@ def _write_run_plots(out: Path, record: RunRecord) -> None:
 
 def _load_scenario(args) -> ScenarioConfig:
     if args.config is not None:
-        try:
-            data = json.loads(_read_text(args.config))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{args.config}: not valid JSON: {err}") from None
+        data = _read_json(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: config root must be an object")
     else:
@@ -242,10 +249,7 @@ def cmd_metrics(args) -> int:
         meta = {}
         sibling = Path(path).parent / "config.json"
         if sibling.exists():
-            try:
-                meta = {"config": json.loads(sibling.read_text(encoding="utf-8"))}
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{sibling}: not valid JSON: {err}") from None
+            meta = {"config": _read_json(sibling)}
         return RunRecord.from_csv(_read_text(path), meta=meta)
 
     record = load(args.run)
@@ -346,15 +350,12 @@ def _refuse_data_table(path: str, text: str, header: list[str], reason: str) -> 
 
 
 def _read_pairing_spec(path: str) -> tuple[float, list[dict]]:
-    try:
-        spec = json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+    spec = _read_json(path)
     if not isinstance(spec, dict) or set(spec) != {"T", "experiments"}:
         raise ConfigError(f"{path}: pairing spec needs exactly the keys T and experiments")
     try:
         T = float(spec["T"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: T must be a number") from None
     if T <= 0:
         raise ConfigError(f"{path}: T must be positive, got {T!r}")
@@ -519,16 +520,10 @@ def _share_cells(count: int, run_cell) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        template = json.loads(_read_text(args.template))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.template}: not valid JSON: {err}") from None
+    template = _read_json(args.template)
     if not isinstance(template, dict):
         raise ConfigError(f"{args.template}: config root must be an object")
-    try:
-        grid = json.loads(_read_text(args.grid))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.grid}: not valid JSON: {err}") from None
+    grid = _read_json(args.grid)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"{args.grid}: grid must map override paths to value arrays")
 

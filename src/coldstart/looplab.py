@@ -16,10 +16,9 @@ import csv
 import io
 import json
 import math
-import numbers
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, NoReturn
 
 import numpy as np
@@ -28,6 +27,7 @@ from . import dsmc, plant
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
 from .plant import PhiTrue
 from .rga import CSV_BLOCK_ROWS
+from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
@@ -116,9 +116,10 @@ def euler_step(
 
 def _real(value, name: str) -> float:
     """``value`` as a finite float; ConfigError naming the field otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    number = plant.finite_float(value)
+    if number is None:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _count(value, name: str, low: int) -> int:
@@ -320,60 +321,30 @@ class ScenarioConfig:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "T": self.T,
-            "duration": self.duration,
-            "quantization_enabled": self.quantization_enabled,
-            "quant_bits": self.quant_bits,
-            "signal_ranges": {k: list(v) for k, v in self.signal_ranges.items()},
-            "phi_true": {k: getattr(self.phi_true, k) for k in LOOPS},
-            "adaptation_enabled": self.adaptation_enabled,
-            "adapt_sign": self.adapt_sign,
-            "phi_hat_init": self.phi_hat_init,
-            "beta": dict(self.beta),
-            "rho": dict(self.rho),
-            "bounds": {
-                "mdot_ai": list(self.bounds.mdot_ai),
-                "mdot_fc": list(self.bounds.mdot_fc),
-                "delta": list(self.bounds.delta),
-            },
-            "afi_floor": self.afi_floor,
-            "initial_state": dict(zip(STATE_KEYS, self.initial_state)),
-            "delta_initial": self.delta_initial,
-            "substeps": self.substeps,
-            "feedback_delay_steps": self.feedback_delay_steps,
-            "metrics_window_start": self.metrics_window_start,
-            "hc_mode": self.hc_mode,
-            "qgen_grouping": self.qgen_grouping,
-            "qin_direction": self.qin_direction,
-            "constants": dict(self.constants),
-            "trajectory": None
+        """The fields in declaration order, as plain JSON values."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            signal_ranges={k: list(v) for k, v in self.signal_ranges.items()},
+            phi_true={k: getattr(self.phi_true, k) for k in LOOPS},
+            beta=dict(self.beta),
+            rho=dict(self.rho),
+            bounds={f.name: list(getattr(self.bounds, f.name)) for f in fields(self.bounds)},
+            initial_state=dict(zip(STATE_KEYS, self.initial_state)),
+            constants=dict(self.constants),
+            trajectory=None
             if self.trajectory is None
-            else {
-                "time": list(self.trajectory.time),
-                "afr_d": list(self.trajectory.afr_d),
-                "omega_d": list(self.trajectory.omega_d),
-                "t_exh_d": list(self.trajectory.t_exh_d),
-            },
-        }
+            else {k: list(getattr(self.trajectory, k)) for k in TRAJECTORY_COLUMNS},
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        known = {
-            "T", "duration", "quantization_enabled", "quant_bits", "signal_ranges",
-            "phi_true", "adaptation_enabled", "adapt_sign", "phi_hat_init", "beta",
-            "rho", "bounds", "afi_floor", "initial_state", "delta_initial", "substeps",
-            "feedback_delay_steps", "metrics_window_start", "hc_mode", "qgen_grouping",
-            "qin_direction", "constants", "trajectory",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"config has unknown key(s) {unknown}")
-        kwargs: dict[str, Any] = {}
-        for key in known & set(data):
-            kwargs[key] = data[key]
+        kwargs = dict(data)
         if "signal_ranges" in kwargs:
             if not isinstance(kwargs["signal_ranges"], dict):
                 raise ConfigError("signal_ranges must be an object")
@@ -390,15 +361,16 @@ class ScenarioConfig:
                 raise ConfigError(str(err)) from None
         if kwargs.get("trajectory") is not None:
             t = kwargs["trajectory"]
-            names = {"time", "afr_d", "omega_d", "t_exh_d"}
-            if not isinstance(t, dict) or set(t) != names:
-                raise ConfigError(f"trajectory must be an object with columns {sorted(names)}")
-            if not all(isinstance(t[k], (list, tuple)) for k in names):
+            if not isinstance(t, dict) or set(t) != set(TRAJECTORY_COLUMNS):
+                raise ConfigError(
+                    f"trajectory must be an object with columns {sorted(TRAJECTORY_COLUMNS)}"
+                )
+            if not all(isinstance(t[k], (list, tuple)) for k in TRAJECTORY_COLUMNS):
                 raise ConfigError("trajectory columns must be arrays of numbers")
             kwargs["trajectory"] = TrajectoryTable(
                 **{
                     k: tuple(_real(v, f"trajectory.{k}[{i}]") for i, v in enumerate(t[k]))
-                    for k in ("time", "afr_d", "omega_d", "t_exh_d")
+                    for k in TRAJECTORY_COLUMNS
                 }
             )
         return cls(**kwargs)
@@ -410,7 +382,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON, or an int of more digits than int() takes
             raise ConfigError(f"config is not valid JSON: {err}") from None
         return cls.from_dict(data)
 
@@ -438,7 +410,7 @@ def apply_overrides(data: dict[str, Any], overrides: list[str]) -> dict[str, Any
             raise ConfigError(f"override path {path!r} has no match at {last!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int of more digits than int() takes
             value = raw
         target[last] = value
     return out
@@ -729,6 +701,41 @@ def _absent(value) -> str:
     return "absent" if value is None else repr(value)
 
 
+# The one ordered list of summary columns: (column, MetricsSummary field,
+# loop). The lines of metrics.txt and the metric columns of sweep.csv are
+# both read from it; a field with a loop is a per-loop dict, or None.
+_METRIC_COLUMNS: tuple[tuple[str, str, str | None], ...] = (
+    ("duration_s", "duration", None),
+    ("window_start_s", "window_start", None),
+    *(
+        (f"{name}_{loop}", name, loop)
+        for loop in LOOPS
+        for name in ("mean_err", "std_err", "mean_abs_s")
+    ),
+    ("afr_err_mean", "afr_err_mean", None),
+    ("afr_err_std", "afr_err_std", None),
+    *(
+        (f"{name}_{loop}", name, loop)
+        for loop in LOOPS
+        for name in ("phi_convergence_time", "phi_converged")
+    ),
+    ("cumulative_hc_kg", "cumulative_hc_kg", None),
+    ("light_off_time_s", "light_off_time", None),
+    ("final_eta_cat", "final_eta_cat", None),
+    *((f"removal_ratio_{loop}", "removal_ratio", loop) for loop in LOOPS),
+    ("removal_ratio_overall", "removal_ratio_overall", None),
+    *((f"tracking_ratio_{loop}", "tracking_ratio", loop) for loop in ("fuel", "speed", "exh")),
+)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(float(value))
+
+
 @dataclass
 class MetricsSummary:
     """Post-run summary over the configured evaluation window."""
@@ -749,81 +756,23 @@ class MetricsSummary:
     removal_ratio_overall: float | None = None
     tracking_ratio: dict[str, float] | None = None
 
+    def _values(self):
+        """(column, value) in ``_METRIC_COLUMNS`` order; None where absent."""
+        for column, name, loop in _METRIC_COLUMNS:
+            value = getattr(self, name)
+            if loop is not None and value is not None:
+                value = value.get(loop)
+            yield column, value
+
     def to_text(self) -> str:
-        lines = [
-            f"duration_s = {self.duration!r}",
-            f"window_start_s = {self.window_start!r}",
-        ]
-        for loop in LOOPS:
-            lines.append(f"mean_err_{loop} = {self.mean_err[loop]!r}")
-            lines.append(f"std_err_{loop} = {self.std_err[loop]!r}")
-            lines.append(f"mean_abs_s_{loop} = {self.mean_abs_s[loop]!r}")
-        lines.append(f"afr_err_mean = {self.afr_err_mean!r}")
-        lines.append(f"afr_err_std = {self.afr_err_std!r}")
-        for loop in LOOPS:
-            lines.append(
-                f"phi_convergence_time_{loop} = {_absent(self.phi_convergence_time[loop])}"
-            )
-            lines.append(f"phi_converged_{loop} = {self.phi_converged[loop]}")
-        lines.append(f"cumulative_hc_kg = {self.cumulative_hc_kg!r}")
-        lines.append(f"light_off_time_s = {_absent(self.light_off_time)}")
-        lines.append(f"final_eta_cat = {self.final_eta_cat!r}")
-        for loop in LOOPS:
-            ratio = None if self.removal_ratio is None else self.removal_ratio.get(loop)
-            lines.append(f"removal_ratio_{loop} = {_absent(ratio)}")
-        lines.append(f"removal_ratio_overall = {_absent(self.removal_ratio_overall)}")
-        for loop in ("fuel", "speed", "exh"):
-            ratio = None if self.tracking_ratio is None else self.tracking_ratio.get(loop)
-            lines.append(f"tracking_ratio_{loop} = {_absent(ratio)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{column} = {_absent(value)}\n" for column, value in self._values())
 
     @staticmethod
     def csv_header() -> list[str]:
-        cols = ["duration_s", "window_start_s"]
-        for loop in LOOPS:
-            cols += [f"mean_err_{loop}", f"std_err_{loop}", f"mean_abs_s_{loop}"]
-        cols += ["afr_err_mean", "afr_err_std"]
-        for loop in LOOPS:
-            cols += [f"phi_convergence_time_{loop}", f"phi_converged_{loop}"]
-        cols += ["cumulative_hc_kg", "light_off_time_s", "final_eta_cat"]
-        for loop in LOOPS:
-            cols.append(f"removal_ratio_{loop}")
-        cols.append("removal_ratio_overall")
-        for loop in ("fuel", "speed", "exh"):
-            cols.append(f"tracking_ratio_{loop}")
-        return cols
+        return [column for column, _, _ in _METRIC_COLUMNS]
 
     def to_csv_row(self) -> list[str]:
-        def cell(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return str(int(value))
-            return repr(float(value))
-
-        row = [cell(self.duration), cell(self.window_start)]
-        for loop in LOOPS:
-            row += [
-                cell(self.mean_err[loop]),
-                cell(self.std_err[loop]),
-                cell(self.mean_abs_s[loop]),
-            ]
-        row += [cell(self.afr_err_mean), cell(self.afr_err_std)]
-        for loop in LOOPS:
-            row += [cell(self.phi_convergence_time[loop]), cell(self.phi_converged[loop])]
-        row += [
-            cell(self.cumulative_hc_kg),
-            cell(self.light_off_time),
-            cell(self.final_eta_cat),
-        ]
-        for loop in LOOPS:
-            ratio = None if self.removal_ratio is None else self.removal_ratio.get(loop)
-            row.append(cell(ratio))
-        row.append(cell(self.removal_ratio_overall))
-        for loop in ("fuel", "speed", "exh"):
-            ratio = None if self.tracking_ratio is None else self.tracking_ratio.get(loop)
-            row.append(cell(ratio))
-        return row
+        return [_csv_cell(value) for _, value in self._values()]
 
 
 _S_OF_LOOP = {"fuel": "s1", "speed": "s2", "exh": "s3", "air": "s4"}

@@ -104,6 +104,22 @@ class ControlInput(NamedTuple):
     delta: float    # spark retard from nominal timing [deg]
 
 
+def finite_float(value) -> float | None:
+    """``value`` as a float when it is a finite real number, else None.
+
+    Booleans and non-numbers are refused, and so is an int too large for a
+    float: it counts as non-finite, where ``math.isfinite`` would raise
+    OverflowError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 @dataclass(frozen=True)
 class PhiTrue:
     """True multiplicative uncertainty on each controlled state's drift."""
@@ -116,10 +132,8 @@ class PhiTrue:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            # the rule of looplab._real: booleans and non-numbers are refused
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-                math.isfinite(v) and v > 0.0
-            ):
+            number = finite_float(v)
+            if number is None or not number > 0.0:
                 raise ConfigError(f"phi_true.{f.name} must be a positive number, got {v!r}")
 
 

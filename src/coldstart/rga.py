@@ -121,7 +121,7 @@ class TFMatrix:
                     continue
                 try:
                     cells.append(FirstOrderTF(float(c["tau"]), float(c["k"])))
-                except (TypeError, KeyError, ValueError) as err:
+                except (TypeError, KeyError, ValueError, OverflowError) as err:
                     raise ValueError(f"channel ({i},{j}): {err}") from None
             rows.append(tuple(cells))
         return cls(tuple(rows))

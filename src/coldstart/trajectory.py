@@ -55,8 +55,8 @@ class TrajectoryTable:
             raise ConfigError("trajectory columns must all match the time column length")
         if self.time[0] != 0.0:
             raise ConfigError(f"trajectory must start at time 0, got {self.time[0]!r}")
-        diffs = np.diff(np.asarray(self.time, dtype=float))
-        if not np.all(diffs > 0.0):
+        # compared, not subtracted: the step between two huge times overflows
+        if not all(a < b for a, b in zip(self.time, self.time[1:])):
             raise ConfigError("trajectory time must be strictly increasing")
         for name in ("time", "afr_d", "omega_d", "t_exh_d"):
             values = getattr(self, name)

@@ -147,6 +147,35 @@ def test_simulate_non_boolean_switch_exits_2(tmp_path, capsys, value):
     assert not (out / "run.csv").exists()
 
 
+# a JSON integer too large for a float: json reads it exactly, float() overflows
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param("T", HUGE_INT, id="T"),
+        pytest.param("quant_bits", HUGE_INT, id="quant_bits"),
+        pytest.param("phi_true.fuel", HUGE_INT, id="phi_true.fuel"),
+        pytest.param("initial_state.t_cat", HUGE_INT, id="initial_state.t_cat"),
+        # more digits than int() converts: taken as a string, like any non-JSON value
+        pytest.param("T", "1" + "0" * 5000, id="T-past-the-int-digit-limit"),
+    ],
+)
+def test_simulate_int_too_large_for_a_float_exits_2(tmp_path, capsys, path, value):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--override", f"{path}={value}"]) == 2
+    assert f"error: {path} must be a finite number, got " in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
+
+
+def test_simulate_config_file_with_an_int_past_the_digit_limit_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"T": 1' + "0" * 5000 + "}", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {cfg_path}: not valid JSON: Exceeds the limit" in capsys.readouterr().err
+
+
 def test_simulate_runtime_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "stall.json"
     cfg = ScenarioConfig(duration=2.0, metrics_window_start=1.0, quantization_enabled=False)
@@ -188,7 +217,8 @@ def test_log_level_defaults_to_quiet(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "sweep.csv").exists()
-    assert "INFO" not in proc.stderr
+    # no INFO lines, and no runpy warning about an already imported coldstart.cli
+    assert proc.stderr == ""
 
 
 def test_bad_log_level_exits_2(tmp_path, monkeypatch, capsys):
@@ -280,6 +310,12 @@ def test_rga_model_csv_with_a_bare_cr_in_a_cell_exits_2(tmp_path, capsys):
             '{"n": 2, "entries": [[{"tau": 1.0, "k": 1.0}, null],'
             ' [null, {"tau": 1.0, "k": Infinity}]]}',
             "channel (2,2): k must be finite",
+        ),
+        pytest.param(
+            "model.json",
+            '{"n": 1, "entries": [[{"tau": ' + HUGE_INT + ', "k": 1.0}]]}',
+            "channel (1,1): int too large to convert to float",
+            id="model.json-int-too-large-for-a-float",
         ),
         ("model.csv", "row,tau_1,k_1\n1,nan,1.0\n", "tau must be finite"),
         ("model.csv", "row,tau_1,k_1\n1,0.5,-inf\n", "k must be finite"),
@@ -423,6 +459,16 @@ def test_identify_bad_pairing_spec_exits_2(tmp_path, capsys):
     pairs.write_text(json.dumps({"T": 0.02}), encoding="utf-8")
     assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(tmp_path / "o")]) == 2
     assert "experiments" in capsys.readouterr().err
+
+
+def test_identify_pairing_spec_int_too_large_for_a_float_exits_2(tmp_path, capsys):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+    spec = json.loads(pairs.read_text(encoding="utf-8"))
+    pairs.write_text(json.dumps({**spec, "T": int(HUGE_INT)}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 2
+    assert f"error: {pairs}: T must be a number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def rewrite_data_lines(data, edit):
@@ -599,6 +645,20 @@ def test_sweep_overflowing_cell_fails_alone(tmp_path):
     assert len(rows) == 3
     assert rows[1][-1] == ""
     assert "overflow" in rows[2][-1] and "step" in rows[2][-1]
+
+
+def test_sweep_int_too_large_for_a_float_fails_its_cell_alone(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"T": [0.02, ' + HUGE_INT + "]}", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)])
+    assert code == 4
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row[:2] for row in rows[1:]] == [["0", "0.02"], ["1", HUGE_INT]]
+    assert rows[1][-1] == ""
+    assert rows[2][-1] == f"T must be a finite number, got {HUGE_INT}"
 
 
 def test_sweep_zero_plant_constant_cell_fails_alone(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import re
 from unittest import mock
@@ -26,6 +27,8 @@ from coldstart.looplab import (
     quantize,
     run_scenario,
 )
+from coldstart.trajectory import COLUMNS as TRAJECTORY_COLUMNS
+from coldstart.trajectory import TrajectoryTable
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,10 @@ def test_phi_true_validation():
         PhiTrue(air=float("nan"))
 
 
-@pytest.mark.parametrize("value", ["x", None, True, False, 1j, [0.5]])
+@pytest.mark.parametrize(
+    "value",
+    ["x", None, True, False, 1j, [0.5], pytest.param(10**400, id="int-too-large-for-a-float")],
+)
 @pytest.mark.parametrize("loop", LOOPS)
 def test_phi_true_refuses_non_numbers_and_booleans(loop, value):
     with pytest.raises(ConfigError, match=rf"phi_true\.{loop}"):
@@ -216,6 +222,49 @@ def test_config_json_round_trip_is_identity():
     again = ScenarioConfig.from_json(cfg.to_json())
     assert again.to_dict() == cfg.to_dict()
     assert again.to_json() == cfg.to_json()
+
+
+# sha256 of json.dumps(to_dict()), which keeps the key order, and of
+# to_json(), the config.json echo; recorded while to_dict named every key
+CONFIG_ECHO_DIGESTS = {
+    "default": (
+        "70cc317afd1c2ebbfc217522ff3544204ea99b349ab084b870a7930a44d054cd",
+        "dccb315b7b4b058691dd865c6494e7391d02ada318cb5216c6c125e6d607e1b5",
+    ),
+    "custom": (
+        "47244b6af868694f43411e83535a3c04dae5134f2d8be8156fe4e8eafa4bf5e4",
+        "31822a1a6da8703502b22e5fbef5e41b5aa227e14e378dc071804ae7e07eb4cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ECHO_DIGESTS))
+def test_config_echo_bytes_match_the_recorded_digests(case):
+    cfg = ScenarioConfig()
+    if case == "custom":
+        cfg = ScenarioConfig(
+            duration=3.0,
+            phi_true=PhiTrue(fuel=0.5, speed=0.8, exh=1.2, air=0.6),
+            bounds=dsmc.ActuatorBounds(
+                mdot_ai=(0.0, 0.08), mdot_fc=(0.0, 0.02), delta=(-5.0, 40.0)
+            ),
+            trajectory=TrajectoryTable(
+                time=(0.0, 1.0, 3.0), afr_d=(12.0, 13.5, 14.7),
+                omega_d=(125.0, 150.0, 110.0), t_exh_d=(25.0, 400.0, 600.0),
+            ),
+            constants={"J": 0.15},
+            feedback_delay_steps=1,
+        )
+    ordered_digest, json_digest = CONFIG_ECHO_DIGESTS[case]
+    assert hashlib.sha256(json.dumps(cfg.to_dict()).encode("utf-8")).hexdigest() == ordered_digest
+    assert hashlib.sha256(cfg.to_json().encode("utf-8")).hexdigest() == json_digest
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_json_with_an_int_past_the_digit_limit_is_not_valid_json():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    with pytest.raises(ConfigError, match="config is not valid JSON: Exceeds the limit"):
+        ScenarioConfig.from_json('{"T": 1' + "0" * 5000 + "}")
 
 
 def test_config_rejects_unknown_keys():
@@ -379,6 +428,123 @@ def test_apply_overrides_rejects_bad_items():
         apply_overrides(data, ["phi_true.boost=1"])
     with pytest.raises(ConfigError, match="no match"):
         apply_overrides(data, ["nope.fuel=1"])
+
+
+# JSON values as json.loads gives them, with ints too large for a float and
+# the non-finite floats that json reads from NaN and Infinity
+json_scalars = (
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats() | st.integers()
+    | st.sampled_from((2**1024, 10**400, -(10**400)))
+)
+json_containers = st.lists(json_scalars, max_size=3) | st.dictionaries(
+    st.text(max_size=4), json_scalars, max_size=3
+)
+json_values = json_scalars | json_containers | st.lists(json_containers, max_size=2)
+DEFAULT_CONFIG = ScenarioConfig().to_dict()
+# every key of the default config, and every key of its sections, as a dotted path
+CONFIG_PATHS = sorted(
+    [*DEFAULT_CONFIG]
+    + [
+        f"{key}.{sub}"
+        for key, value in DEFAULT_CONFIG.items() if isinstance(value, dict)
+        for sub in value
+    ]
+)
+
+
+@st.composite
+def config_inputs(draw):
+    """A JSON-like config: the default one with a few sections replaced by
+    junk, or by the section with junk in a few of its keys, or now and then
+    a junk root; then ``path=value`` overrides of dotted paths, most of them
+    known."""
+    data = dict(DEFAULT_CONFIG)
+    for key in draw(st.lists(st.sampled_from([*DEFAULT_CONFIG, "junk"]), max_size=3)):
+        section = data.get(key)
+        if isinstance(section, dict) and draw(st.booleans()):
+            subs = st.sampled_from([*section, "junk"])
+            data[key] = {**section, **draw(st.dictionaries(subs, json_values, max_size=2))}
+        else:
+            data[key] = draw(json_values)
+    # now and then: a malformed table stops from_dict before the other checks
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        # columns of one length, time from 0: the checks past the shape run
+        n = draw(st.integers(0, 4))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        column = st.lists(finite, min_size=n, max_size=n)
+        data["trajectory"] = {name: draw(column) for name in TRAJECTORY_COLUMNS}
+        if n and draw(st.booleans()):
+            data["trajectory"]["time"][0] = 0.0
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        data = draw(json_values)
+    path = st.sampled_from([*CONFIG_PATHS, "", "nope", "T.x", "phi_true.boost"])
+    raw = json_values.map(json.dumps) | st.text(max_size=8)
+    overrides = draw(st.lists(st.tuples(path, raw).map("=".join), max_size=2))
+    return data, overrides
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=config_inputs())
+def test_config_from_json_like_input_raises_only_config_errors(inputs):
+    data, overrides = inputs
+    try:
+        cfg = ScenarioConfig.from_dict(apply_overrides(data, overrides))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+
+
+@st.composite
+def short_configs(draw):
+    """Valid configs of at most 0.5 s, over the fields that change a run."""
+    positive = st.floats(0.5, 1.5)
+    kwargs = dict(
+        T=draw(st.sampled_from((0.01, 0.02, 0.05))),
+        duration=draw(st.sampled_from((0.0, 0.1, 0.5))),
+        quantization_enabled=draw(st.booleans()),
+        quant_bits=draw(st.integers(8, 32)),
+        phi_true=PhiTrue(*(draw(positive) for _ in LOOPS)),
+        adaptation_enabled=draw(st.booleans()),
+        phi_hat_init=draw(positive),
+        feedback_delay_steps=draw(st.integers(0, 2)),
+        substeps=draw(st.integers(1, 2)),
+        metrics_window_start=0.0,
+        hc_mode=draw(st.sampled_from(plant.HC_MODES)),
+        qgen_grouping=draw(st.sampled_from(plant.QGEN_MODES)),
+        qin_direction=draw(st.sampled_from(plant.QIN_MODES)),
+        constants=draw(st.fixed_dictionaries({}, optional={"J": st.floats(0.1, 0.2)})),
+    )
+    if draw(st.booleans()):
+        kwargs["bounds"] = dsmc.ActuatorBounds(
+            mdot_ai=(0.0, draw(st.floats(0.05, 0.2))), delta=(-10.0, draw(st.floats(20.0, 45.0)))
+        )
+    if draw(st.booleans()):
+        # ends past the longest run and its lookahead sample
+        kwargs["trajectory"] = TrajectoryTable(
+            time=(0.0, draw(st.floats(0.1, 0.9)), 1.0),
+            afr_d=(draw(st.floats(12.0, 15.0)), 14.7, 14.7),
+            omega_d=(draw(st.floats(100.0, 150.0)), 110.0, 110.0),
+            t_exh_d=(25.0, draw(st.floats(100.0, 600.0)), 600.0),
+        )
+    return ScenarioConfig(**kwargs)
+
+
+def run_outcome(cfg: ScenarioConfig) -> str:
+    """The run.csv of ``cfg``, or the abort that ended its run."""
+    try:
+        return run_scenario(cfg).to_csv()
+    except SimulationAbort as err:
+        return f"abort at step {err.step}: {err}"
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=short_configs())
+def test_config_echo_gives_an_equal_config_and_the_same_run(cfg):
+    again = ScenarioConfig.from_dict(cfg.to_dict())
+    assert again == cfg
+    assert again.to_json() == cfg.to_json()
+    assert ScenarioConfig.from_json(cfg.to_json()) == cfg
+    assert run_outcome(again) == run_outcome(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -823,3 +989,42 @@ def test_metrics_text_and_csv_shapes():
     assert len(header) == len(row)
     assert row[header.index("light_off_time_s")] == ""
     assert row[header.index("phi_converged_fuel")] == "1"
+
+
+# sha256 of metrics.txt and of the sweep.csv header and row (csv.writer) for
+# short runs of the shipped scenario, recorded while each column was still
+# written out by hand in to_text, csv_header and to_csv_row
+METRIC_BYTES = {
+    # phi = 0.5 on every loop, adaptive against frozen: every ratio is defined
+    "paired_phi_half": (
+        "8c03ccc58823e38bfad406c7ece925c4e0de8121e514cc5e8f822b14de80a98e",
+        "aaa9522f1e7c4d6b41e69f5c220471a235348f9af3cd8e5e342d40f5c1c1aa58",
+    ),
+    # nominal plant, adaptive against frozen: the frozen estimate is exact, so
+    # every removal ratio is undefined while the tracking ratios are not
+    "paired_nominal": (
+        "2e2978062f01b50046b1ee69eb41ec1412396a6886cbb7bfe599134e44d1ddb0",
+        "a80d6d95f79abd2b468337536d91b3163a9be855a76c3664901d4716be44e6a7",
+    ),
+    # no baseline: every ratio is absent
+    "unpaired_nominal": (
+        "91723c9f9068ea96108f6957f81c8ffca2f0a1b072c7799751af24437e8a89c9",
+        "2b4e63584b326ee6a32aa850612472c529ba577aed08cb8af7588c345a8a2ba8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METRIC_BYTES))
+def test_metrics_text_and_csv_bytes_match_the_recorded_digests(case):
+    data = {"duration": 2.0, "metrics_window_start": 1.0}
+    if case == "paired_phi_half":
+        data["phi_true"] = {loop: 0.5 for loop in LOOPS}
+    baseline = None
+    if case.startswith("paired"):
+        baseline = run_scenario(ScenarioConfig.from_dict({**data, "adaptation_enabled": False}))
+    m = compute_metrics(run_scenario(ScenarioConfig.from_dict(data)), baseline=baseline)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([MetricsSummary.csv_header(), m.to_csv_row()])
+    text_digest, csv_digest = METRIC_BYTES[case]
+    assert hashlib.sha256(m.to_text().encode("utf-8")).hexdigest() == text_digest
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == csv_digest

@@ -58,6 +58,9 @@ def test_time_must_start_at_zero_and_increase():
         TrajectoryTable((1.0, 2.0), (12.0, 12.0), (160.0, 160.0), (650.0, 650.0))
     with pytest.raises(ConfigError):
         TrajectoryTable((0.0, 0.0), (12.0, 12.0), (160.0, 160.0), (650.0, 650.0))
+    # a step too wide for a float is still a decrease, not a numpy overflow warning
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        TrajectoryTable((0.0, 1e308, -1e308), (12.0,) * 3, (160.0,) * 3, (650.0,) * 3)
 
 
 def test_afr_must_be_positive():
