@@ -356,7 +356,9 @@ def _read_pairing_spec(path: str) -> tuple[float, list[dict]]:
     try:
         T = float(spec["T"])
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: T must be a number") from None
+        T = math.nan
+    if not math.isfinite(T):
+        raise ConfigError(f"{path}: T must be a number")
     if T <= 0:
         raise ConfigError(f"{path}: T must be positive, got {T!r}")
     exps = spec["experiments"]

@@ -215,6 +215,8 @@ class ScenarioConfig:
             "metrics_window_start",
         ):
             _real(getattr(self, name), name)
+        if self.adapt_sign not in (-1.0, 1.0):
+            raise ConfigError(f"adapt_sign must be +1 or -1, got {self.adapt_sign!r}")
         for name in ("quantization_enabled", "adaptation_enabled"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -250,6 +252,9 @@ class ScenarioConfig:
         for loop, r in self.rho.items():
             if not r > 0.0:
                 raise ConfigError(f"rho.{loop} must be positive, got {r!r}")
+        unknown = set(self.constants) - {f.name for f in fields(plant.PlantConstants)}
+        if unknown:
+            raise ConfigError(f"constants has unknown field(s) {sorted(unknown, key=str)}")
         for name in POSITIVE_CONSTANTS:
             value = self.constants.get(name)
             if value is not None and not value > 0.0:
@@ -272,12 +277,7 @@ class ScenarioConfig:
     # -- derived builders ---------------------------------------------------
 
     def build_constants(self) -> plant.PlantConstants:
-        try:
-            return replace(plant.PlantConstants(), **self.constants)
-        except TypeError:
-            known = set(plant.PlantConstants().__dataclass_fields__)
-            bad = sorted(set(self.constants) - known)
-            raise ConfigError(f"constants has unknown field(s) {bad}") from None
+        return replace(plant.PlantConstants(), **self.constants)
 
     def build_conventions(self) -> plant.PlantConventions:
         try:
@@ -291,16 +291,13 @@ class ScenarioConfig:
 
     def build_controller(self) -> dsmc.CascadeController:
         def loop(name: str) -> dsmc.AdaptiveLoop:
-            try:
-                return dsmc.AdaptiveLoop(
-                    beta=self.beta[name],
-                    rho=self.rho[name],
-                    phi_hat=self.phi_hat_init,
-                    adaptation_enabled=self.adaptation_enabled,
-                    adapt_sign=self.adapt_sign,
-                )
-            except ValueError as err:
-                raise ConfigError(f"loop {name}: {err}") from None
+            return dsmc.AdaptiveLoop(
+                beta=self.beta[name],
+                rho=self.rho[name],
+                phi_hat=self.phi_hat_init,
+                adaptation_enabled=self.adaptation_enabled,
+                adapt_sign=self.adapt_sign,
+            )
 
         return dsmc.CascadeController(
             loop("fuel"),
@@ -353,12 +350,9 @@ class ScenarioConfig:
             b = kwargs["bounds"]
             if not isinstance(b, dict) or set(b) - {"mdot_ai", "mdot_fc", "delta"}:
                 raise ConfigError("bounds must be an object with mdot_ai/mdot_fc/delta pairs")
-            try:
-                kwargs["bounds"] = dsmc.ActuatorBounds(
-                    **{k: _pair(v, f"bounds.{k}") for k, v in b.items()}
-                )
-            except ValueError as err:
-                raise ConfigError(str(err)) from None
+            kwargs["bounds"] = dsmc.ActuatorBounds(
+                **{k: _pair(v, f"bounds.{k}") for k, v in b.items()}
+            )
         if kwargs.get("trajectory") is not None:
             t = kwargs["trajectory"]
             if not isinstance(t, dict) or set(t) != set(TRAJECTORY_COLUMNS):
@@ -627,10 +621,11 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     state = config.initial_state
     check_state(state, 0)
     applied = (0.0, 0.0, config.delta_initial)  # commands in ControlInput order
-    # optional sensor transport delay: the controller sees an older sample
-    fb_queue: deque[plant.EngineState] = deque(
-        [state] * (config.feedback_delay_steps + 1), maxlen=config.feedback_delay_steps + 1
-    )
+    # optional sensor transport delay: the controller sees an older sample.
+    # A delay of n_steps or more only ever shows the initial state, so the
+    # line is sized by the run, not by the configured delay.
+    depth = min(config.feedback_delay_steps, n_steps) + 1
+    fb_queue: deque[plant.EngineState] = deque([state] * depth, maxlen=depth)
 
     for k in range(n_steps):
         targets = traj.window(k)

@@ -9,8 +9,9 @@ as pure functions so they can be checked in isolation.
 The four controlled states are control-affine, x' = phi*f(x) + g(x)*u.
 f(x) lives in ``PlantModel``, built once per run: its Euler step runs the
 emission chain once, then the drift, the brick heat balance and the update.
-``emissions``, ``drift`` and ``derivatives`` are faces over it, and the
-controller reads the drift and speed-row input gain from its own model.
+``emissions`` is a face over it for callers that hold the frozen parameter
+objects, and the controller reads the drift and speed-row input gain from
+its own model.
 
 Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 """
@@ -135,28 +136,6 @@ class PhiTrue:
             number = finite_float(v)
             if number is None or not number > 0.0:
                 raise ConfigError(f"phi_true.{f.name} must be a positive number, got {v!r}")
-
-
-class StateDerivative(NamedTuple):
-    m_a: float      # [kg/s]
-    omega_e: float  # [rad/s^2]
-    mdot_f: float   # [kg/s^2]
-    T_cat: float    # [degC/s]
-    T_exh: float    # [degC/s]
-
-
-class Drift(NamedTuple):
-    """Drift f(x) of the four controlled rows, with the intermediates it uses."""
-
-    mdot_ao: float     # cylinder air flow [kg/s]
-    afr: float         # air-fuel ratio [-]
-    afi: float         # AFR influence factor on exhaust temperature [-]
-    alpha_e: float     # exhaust temperature lag [s]
-    f_fuel: float      # fuel-flow drift [kg/s^2]
-    f_speed: float     # speed drift [rad/s^2]
-    f_exh: float       # exhaust-temperature drift [degC/s]
-    f_air: float       # manifold air drift [kg/s]
-    speed_gain: float  # speed-row input gain on manifold air [rad/s^2 per kg]
 
 
 class EmissionOutputs(NamedTuple):
@@ -379,29 +358,3 @@ def emissions(
     chain = PlantModel(constants, conventions).emissions(*state[:4], delta)
     return EmissionOutputs(*chain)
 
-
-def drift(state: EngineState, constants: PlantConstants = PlantConstants()) -> Drift:
-    """Drift terms f(x) of the fuel, speed, exhaust and air rows at ``state``."""
-    m_a, omega_e, mdot_f, _, T_exh = state
-    model = PlantModel(constants)
-    mdot_ao = air_outflow(m_a, omega_e)
-    afr_value = afr(mdot_ao, mdot_f, model.mdot_f_floor)
-    return Drift(
-        mdot_ao, afr_value, *model.drift(omega_e, mdot_f, T_exh, mdot_ao, afr_value),
-        model.speed_gain,
-    )
-
-
-def derivatives(
-    state: EngineState,
-    inputs: ControlInput,
-    constants: PlantConstants = PlantConstants(),
-    conventions: PlantConventions = PlantConventions(),
-    phi: PhiTrue = PhiTrue(),
-) -> tuple[StateDerivative, EmissionOutputs]:
-    """State derivative x' = phi*f(x) + g(x)*u, and the emission chain at ``state``.
-
-    The default phi of 1 is the plain plant.
-    """
-    rates, chain = PlantModel(constants, conventions, phi).rates(state, inputs)
-    return StateDerivative(*rates), EmissionOutputs(*chain)

@@ -114,6 +114,10 @@ class TFMatrix:
             raise ValueError("transfer matrix JSON must be an object with an 'entries' array")
         rows = []
         for i, row in enumerate(data["entries"], start=1):
+            if not isinstance(row, list):
+                raise ValueError(
+                    f"transfer matrix row {i} must be an array, not {type(row).__name__}"
+                )
             cells = []
             for j, c in enumerate(row, start=1):
                 if c is None:
@@ -173,13 +177,6 @@ class TFMatrix:
                     raise ValueError(f"channel ({i},{j + 1}): {err}") from None
             out.append(tuple(row))
         return cls(tuple(out))
-
-
-def open_loop_matrix(tf_entries) -> TFMatrix:
-    """Build a TFMatrix from a square list-of-lists of FirstOrderTF or None."""
-    if not tf_entries:
-        raise ValueError("empty transfer matrix")
-    return TFMatrix(tuple(tuple(row) for row in tf_entries))
 
 
 def _ill_conditioned(cond: np.ndarray, cond_limit: float) -> np.ndarray:
@@ -446,4 +443,4 @@ def identify_mimo(u_series, y_series, T: float, on_error: str = "raise") -> Mimo
                 continue
             fits[(i + 1, j + 1)] = fit
             entries[i][j] = fit.tf
-    return MimoIdentification(tfm=open_loop_matrix(entries), fits=fits, holes=holes)
+    return MimoIdentification(tfm=TFMatrix(entries), fits=fits, holes=holes)

@@ -82,13 +82,14 @@ class TrajectoryTable:
             missing = [c for c in COLUMNS if c not in header]
             if missing:
                 raise ConfigError(f"trajectory file is missing column(s) {missing}")
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 for c in COLUMNS:
                     try:
                         cols[c].append(float(row[c]))
                     except (TypeError, ValueError):
                         raise ConfigError(
-                            f"trajectory line {line_no}: column {c!r} is not a number: {row[c]!r}"
+                            f"trajectory line {reader.reader.line_num}: "
+                            f"column {c!r} is not a number: {row[c]!r}"
                         ) from None
         except csv.Error as err:
             raise ConfigError(f"trajectory line {reader.reader.line_num}: {err}") from None

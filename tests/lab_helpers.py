@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from coldstart.dsmc import BETA_DEFAULT, RHO_DEFAULTS, AdaptiveLoop, CascadeController
-from coldstart.rga import FirstOrderTF, TFMatrix, from_gain_time_constant, open_loop_matrix
+from coldstart.rga import FirstOrderTF, TFMatrix, from_gain_time_constant
 
 
 def with_default_gains(T: float = 0.02, **kwargs) -> CascadeController:
@@ -30,7 +30,7 @@ def default_coupling_matrix() -> TFMatrix:
     tooling; they are not identified from the engine model.
     """
     k = from_gain_time_constant
-    return open_loop_matrix(
+    return TFMatrix(
         [
             [k(1.0, 0.3), k(0.4, 0.5), None],
             [k(0.25, 0.6), k(2.0, 0.8), None],

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -233,7 +234,7 @@ def test_bad_log_level_exits_2(tmp_path, monkeypatch, capsys):
 
 def diag_model(tmp_path):
     k = rga.from_gain_time_constant
-    model = rga.open_loop_matrix(
+    model = rga.TFMatrix(
         [[k(1.0, 0.5), None], [None, k(2.0, 0.3)]]
     )
     path = tmp_path / "model.json"
@@ -258,7 +259,7 @@ def test_rga_decoupled_model_scores_unit_dominance(tmp_path, capsys):
 
 def test_rga_csv_model_and_custom_grid(tmp_path):
     k = rga.from_gain_time_constant
-    model = rga.open_loop_matrix([[k(1.0, 0.3), k(0.4, 0.5)], [k(0.25, 0.6), k(2.0, 0.8)]])
+    model = rga.TFMatrix([[k(1.0, 0.3), k(0.4, 0.5)], [k(0.25, 0.6), k(2.0, 0.8)]])
     path = tmp_path / "model.csv"
     path.write_text(model.to_csv(), encoding="utf-8")
     out = tmp_path / "out"
@@ -275,7 +276,7 @@ def test_rga_csv_model_and_custom_grid(tmp_path):
 def test_rga_singular_frequencies_are_gaps_not_failures(tmp_path, capsys):
     # equal rows at DC: response matrix singular at low frequency
     k = rga.from_gain_time_constant
-    model = rga.open_loop_matrix(
+    model = rga.TFMatrix(
         [[k(1.0, 0.5), k(1.0, 0.9)], [k(1.0, 0.5), k(1.0, 0.9)]]
     )
     path = tmp_path / "model.json"
@@ -329,6 +330,23 @@ def test_rga_non_finite_channel_parameters_exit_2(tmp_path, capsys, name, text, 
     err = capsys.readouterr().err
     assert f"{name}: channel (" in err and message in err
     assert not (out / "rga.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ('{"n": 1, "entries": [5]}', 1),
+        ('{"n": 2, "entries": [[{"tau": 1.0, "k": 1.0}, null], 3]}', 2),
+    ],
+)
+def test_rga_model_json_row_that_is_not_an_array_exits_2(tmp_path, capsys, text, row):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: transfer matrix row {row} must be an array, not int" in err
+    assert not out.exists()
 
 
 # sha256 of rga.csv for default_coupling_matrix() at 2000 points, recorded with
@@ -464,11 +482,13 @@ def test_identify_bad_pairing_spec_exits_2(tmp_path, capsys):
 def test_identify_pairing_spec_int_too_large_for_a_float_exits_2(tmp_path, capsys):
     data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
     spec = json.loads(pairs.read_text(encoding="utf-8"))
-    pairs.write_text(json.dumps({**spec, "T": int(HUGE_INT)}), encoding="utf-8")
     out = tmp_path / "o"
-    assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 2
-    assert f"error: {pairs}: T must be a number" in capsys.readouterr().err
-    assert not out.exists()
+    # json writes the non-finite floats as the NaN and Infinity literals it reads back
+    for T in (int(HUGE_INT), math.nan, math.inf, -math.inf):
+        pairs.write_text(json.dumps({**spec, "T": T}), encoding="utf-8")
+        assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 2
+        assert f"error: {pairs}: T must be a number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def rewrite_data_lines(data, edit):

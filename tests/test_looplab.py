@@ -140,15 +140,10 @@ def test_euler_step_matches_plain_derivative_at_unit_phi():
     c = plant.PlantConstants()
     conv = plant.PlantConventions(qin_direction="heats_catalyst")
     T = 0.02
-    d, _ = plant.derivatives(state, inputs, c, conv)
-    expect = plant.EngineState(
-        m_a=state.m_a + T * d.m_a,
-        omega_e=state.omega_e + T * d.omega_e,
-        mdot_f=state.mdot_f + T * d.mdot_f,
-        T_cat=state.T_cat + T * d.T_cat,
-        T_exh=state.T_exh + T * d.T_exh,
-    )
-    got, _ = euler_step(state, inputs, plant.PlantModel(c, conv), T)
+    model = plant.PlantModel(c, conv)
+    rates, _ = model.rates(state, inputs)
+    expect = plant.EngineState(*(x + T * d for x, d in zip(state, rates)))
+    got, _ = euler_step(state, inputs, model, T)
     for name in ("m_a", "omega_e", "mdot_f", "T_cat", "T_exh"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a == pytest.approx(b, rel=1e-15), name
@@ -384,6 +379,8 @@ def test_config_accepts_an_object_for_phi_true():
         ({"phi_true": 0.5}, "phi_true must be an object"),
         ({"bounds": {"mdot_ai": (0.0, 0.1)}}, "bounds must be"),
         ({"trajectory": "x"}, "trajectory must be"),
+        ({"adapt_sign": 0.5}, "adapt_sign must be"),
+        ({"constants": {"flywheel": 1.0}}, r"constants has unknown field\(s\) \['flywheel'\]"),
     ],
 )
 def test_config_rejects_wrong_types_naming_the_field(kwargs, message):
@@ -609,6 +606,15 @@ def test_run_overflow_in_the_emission_chain_aborts_at_its_step():
     with pytest.raises(SimulationAbort, match="overflow") as err:
         run_scenario(short_config(feedback_delay_steps=3))
     assert 1 <= err.value.step < 100
+
+
+def test_run_feedback_delay_past_the_run_matches_a_delay_of_the_run_length():
+    # every delay of n_steps or more only ever feeds back the initial state
+    n_steps = 5
+    same = run_scenario(short_config(duration=0.1, feedback_delay_steps=n_steps))
+    huge = run_scenario(short_config(duration=0.1, feedback_delay_steps=10**18))
+    assert len(huge) == n_steps + 1
+    assert huge.to_csv() == same.to_csv()
 
 
 def test_run_non_finite_state_abort_names_the_state(monkeypatch):

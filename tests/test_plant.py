@@ -139,10 +139,14 @@ def test_air_outflow_nominal_value():
 def test_speed_row_is_load_drift_plus_air_drive():
     # m_a=0.01, w=150: drift -(100 + 0.4*150) = -160 Nm, drive 30000*0.01 = 300 Nm
     state = EngineState(m_a=0.01, omega_e=150.0, mdot_f=1e-3, T_cat=25.0, T_exh=500.0)
-    d = plant.drift(state)
+    model = PlantModel()
+    mdot_ao, afr_value, *_ = model.emissions(*state[:4], 0.0)
+    _, _, _, f_speed, _, _ = model.drift(
+        state.omega_e, state.mdot_f, state.T_exh, mdot_ao, afr_value
+    )
     J = PlantConstants().J
-    assert d.f_speed * J == pytest.approx(-160.0, rel=1e-14)
-    assert (d.f_speed + d.speed_gain * state.m_a) * J == pytest.approx(140.0, rel=1e-14)
+    assert f_speed * J == pytest.approx(-160.0, rel=1e-14)
+    assert (f_speed + model.speed_gain * state.m_a) * J == pytest.approx(140.0, rel=1e-14)
 
 
 def test_afi_peaks_at_cosine_center():
@@ -386,14 +390,11 @@ def oracle_call(state, inputs, conventions, phi):
 def test_derivatives_match_flat_transcription(conventions):
     constants = PlantConstants()
     for phi in (PhiTrue(), PHI):
+        model = PlantModel(constants, conventions, phi)
         for state, inputs in random_states_and_inputs(1000):
-            got, _ = plant.derivatives(state, inputs, constants, conventions, phi)
+            got, _ = model.rates(state, inputs)
             want = oracle_call(state, inputs, conventions, phi)
-            for name, a, b in zip(
-                ("m_a", "omega_e", "mdot_f", "T_cat", "T_exh"),
-                (got.m_a, got.omega_e, got.mdot_f, got.T_cat, got.T_exh),
-                want,
-            ):
+            for name, a, b in zip(EngineState._fields, got, want):
                 assert rel_diff(a, b) <= 1e-12, f"{name}: {a} vs {b}"
 
 
@@ -435,27 +436,32 @@ def test_euler_step_refuses_degenerate_states(state, substeps):
 
 def test_phi_scales_only_the_drift_of_each_controlled_row():
     phi = PhiTrue(fuel=0.5, speed=1.5, exh=0.75, air=1.25)
+    plain_model, scaled_model = PlantModel(), PlantModel(phi=phi)
     for state, inputs in random_states_and_inputs(200):
-        plain, emission = plant.derivatives(state, inputs)
-        scaled, _ = plant.derivatives(state, inputs, phi=phi)
-        d = plant.drift(state)
+        rates, emission = plain_model.rates(state, inputs)
+        plain = dict(zip(EngineState._fields, rates))
+        scaled = dict(zip(EngineState._fields, scaled_model.rates(state, inputs)[0]))
+        mdot_ao, afr_value = emission[:2]
+        _, _, f_fuel, f_speed, f_exh, f_air = plain_model.drift(
+            state.omega_e, state.mdot_f, state.T_exh, mdot_ao, afr_value
+        )
         for name, f, p in (
-            ("m_a", d.f_air, phi.air),
-            ("omega_e", d.f_speed, phi.speed),
-            ("mdot_f", d.f_fuel, phi.fuel),
-            ("T_exh", d.f_exh, phi.exh),
+            ("m_a", f_air, phi.air),
+            ("omega_e", f_speed, phi.speed),
+            ("mdot_f", f_fuel, phi.fuel),
+            ("T_exh", f_exh, phi.exh),
         ):
-            a, b = getattr(scaled, name), getattr(plain, name)
+            a, b = scaled[name], plain[name]
             scale = max(abs(a), abs(b), abs(f))
             assert a - b == pytest.approx((p - 1.0) * f, abs=1e-12 * scale), name
-        assert scaled.T_cat == plain.T_cat
+        assert scaled["T_cat"] == plain["T_cat"]
         assert emission == plant.emissions(state, inputs.delta)
 
 
 def test_derivatives_propagate_degenerate_fuel():
     state = EngineState(m_a=0.004, omega_e=125.0, mdot_f=0.0, T_cat=25.0, T_exh=25.0)
     with pytest.raises(DegenerateInputError):
-        plant.derivatives(state, ControlInput(0.01, 0.001, 0.0))
+        PlantModel().rates(state, ControlInput(0.01, 0.001, 0.0))
 
 
 def test_conventions_reject_unknown_modes():

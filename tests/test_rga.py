@@ -15,7 +15,6 @@ from coldstart.rga import (
     from_gain_time_constant,
     identify_first_order,
     identify_mimo,
-    open_loop_matrix,
     rga_of_matrix,
     rga_sweep,
     to_gain_time_constant,
@@ -44,7 +43,7 @@ def random_tf_matrix(n, rng):
                 tau = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.01, 2.0))
                 row.append(FirstOrderTF(tau, float(rng.uniform(0.1, 3.0))))
         rows.append(row)
-    return open_loop_matrix(rows)
+    return TFMatrix(rows)
 
 
 def per_frequency_sweep(tfm, omegas):
@@ -117,17 +116,17 @@ def test_gain_time_constant_round_trip():
 # transfer matrix container
 
 
-def test_open_loop_matrix_rejects_ragged_and_empty():
+def test_tf_matrix_rejects_ragged_and_empty():
     g = FirstOrderTF(1.0, 1.0)
     with pytest.raises(ValueError):
-        open_loop_matrix([[g, g], [g]])
+        TFMatrix([[g, g], [g]])
     with pytest.raises(ValueError):
-        open_loop_matrix([])
+        TFMatrix([])
 
 
 def test_response_uses_zero_for_explicit_no_coupling():
     g = FirstOrderTF(1.0, 1.0)
-    tfm = open_loop_matrix([[g, None], [None, g]])
+    tfm = TFMatrix([[g, None], [None, g]])
     p = tfm.response(0.0)
     assert p[0, 1] == 0.0 and p[1, 0] == 0.0
     assert p[0, 0] == pytest.approx(1.0)
@@ -211,7 +210,7 @@ def test_rga_rejects_singular_matrix():
 
 def test_rga_at_decoupled_plant():
     g = FirstOrderTF(1.0, 1.0)
-    tfm = open_loop_matrix([[g, None], [None, FirstOrderTF(0.3, 2.0)]])
+    tfm = TFMatrix([[g, None], [None, FirstOrderTF(0.3, 2.0)]])
     lam = rga_of_matrix(tfm.response(0.5))
     assert np.allclose(lam, np.eye(2), atol=1e-14)
 
@@ -252,7 +251,7 @@ def test_sweep_grid_defaults():
 
 def test_sweep_decoupled_dominance_is_unity():
     g1, g2 = FirstOrderTF(1.0, 1.0), FirstOrderTF(0.2, 0.8)
-    res = rga_sweep(open_loop_matrix([[g1, None], [None, g2]]))
+    res = rga_sweep(TFMatrix([[g1, None], [None, g2]]))
     assert np.allclose(res.dominance, 1.0)
     # off-diagonal magnitudes are exact zeros -> -inf dB
     assert np.all(np.isneginf(res.mags_db[:, 0, 1]))
@@ -261,7 +260,7 @@ def test_sweep_decoupled_dominance_is_unity():
 
 def test_sweep_coupled_static_plant_fails_dominance():
     # static entries chosen so lambda_11 = 2 (about 6 dB) at every frequency
-    tfm = open_loop_matrix(
+    tfm = TFMatrix(
         [
             [FirstOrderTF(0.0, 1.0), FirstOrderTF(0.0, 2.0)],
             [FirstOrderTF(0.0, 1.0), FirstOrderTF(0.0, 1.0)],
@@ -274,7 +273,7 @@ def test_sweep_coupled_static_plant_fails_dominance():
 
 def test_sweep_singular_at_dc_leaves_gap_rows():
     # rows become proportional as omega -> 0; elsewhere well conditioned
-    tfm = open_loop_matrix(
+    tfm = TFMatrix(
         [
             [FirstOrderTF(1.0, 1.0), FirstOrderTF(0.0, 1.0)],
             [FirstOrderTF(0.0, 1.0), FirstOrderTF(2.0, 1.0)],
@@ -312,7 +311,7 @@ def test_sweep_matches_the_per_frequency_definition():
 def test_sweep_near_singular_gaps_match_the_per_frequency_definition():
     # proportional rows at DC: ill conditioned below about 1e-12 rad/s
     g = FirstOrderTF(1.0, 1.0)
-    tfm = open_loop_matrix([[g, g], [g, FirstOrderTF(2.0, 1.0)]])
+    tfm = TFMatrix([[g, g], [g, FirstOrderTF(2.0, 1.0)]])
     res = rga_sweep(tfm, w_min=1e-16, w_max=1.0, n_points=300)
     lambdas, gaps = per_frequency_sweep(tfm, res.omegas)
     assert 0 < gaps.sum() < len(gaps)

@@ -47,10 +47,14 @@ def test_missing_column_is_named():
 
 
 def test_non_numeric_cell_is_located():
-    text = "time,afr_d,omega_d,t_exh_d\n0,12,160,650\n1,oops,160,650\n"
-    with pytest.raises(ConfigError) as err:
-        TrajectoryTable.from_csv(text)
-    assert "line 3" in str(err.value) and "afr_d" in str(err.value)
+    for text, line in (
+        ("time,afr_d,omega_d,t_exh_d\n0,12,160,650\n1,oops,160,650\n", 3),
+        # blank lines are skipped, but the reported line is still the physical one
+        ("time,afr_d,omega_d,t_exh_d\n0,12,160,650\n\n\n1,oops,160,650\n", 5),
+    ):
+        with pytest.raises(ConfigError) as err:
+            TrajectoryTable.from_csv(text)
+        assert f"line {line}:" in str(err.value) and "afr_d" in str(err.value)
 
 
 def test_time_must_start_at_zero_and_increase():
