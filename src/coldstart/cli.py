@@ -28,6 +28,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import fanout
 from .errors import ColdstartError, ConfigError, SimulationAbort
 from .looplab import (
     MetricsSummary,
@@ -259,7 +260,19 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _check_grid_flags(args) -> None:
+    """ConfigError naming the flag unless ``0 < --wmin < --wmax``, both
+    finite, and ``--points >= 1``."""
+    if not (math.isfinite(args.wmin) and args.wmin > 0.0):
+        raise ConfigError(f"--wmin must be a finite positive number, got {args.wmin!r}")
+    if not (math.isfinite(args.wmax) and args.wmax > args.wmin):
+        raise ConfigError(f"--wmax must be finite and above --wmin, got {args.wmax!r}")
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points!r}")
+
+
 def cmd_rga(args) -> int:
+    _check_grid_flags(args)
     text = _read_text(args.model)
     try:
         if text.lstrip().startswith("{"):
@@ -431,96 +444,6 @@ def cmd_identify(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share_cells(count: int, run_cell) -> dict:
-    """``run_cell(i)`` for the cells ``0 <= i < count``, shared between this
-    process and ``min(count, usable CPUs) - 1`` forked helpers: each takes
-    the next unclaimed cell until none is left.
-
-    Returns the results by cell.  A cell is missing when its run raised, in
-    this process or in a helper, or when its helper died; the caller runs it
-    again.  After an exception here, a failed fork included, no further cell
-    is claimed and the helpers are stopped.  Helpers never outlive the call.
-    """
-    n_helpers = min(count, _usable_cpus()) - 1
-    if n_helpers > 0:
-        # imported here, not at module level: it would add 6-9 ms to the
-        # import of the package, and a one-cell sweep never needs it
-        import multiprocessing
-        from multiprocessing.connection import wait
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            n_helpers = 0
-    done: dict = {}
-    claim = itertools.count().__next__
-    helpers = []  # (process, reading end of its pipe)
-    open_readers = []
-
-    def receive(timeout: float | None) -> None:
-        for reader in wait(open_readers, timeout):
-            try:
-                idx, result = reader.recv()
-            except EOFError:
-                open_readers.remove(reader)
-            else:
-                done[idx] = result
-
-    ok = False
-    try:
-        if n_helpers > 0:
-            # forked, not spawned: a helper starts with this process's
-            # imports, monkeypatches and tracer, at no import cost.  Pipe,
-            # not Queue: a Queue starts a feeder thread, and forking a
-            # process that has threads is unsafe
-            ctx = multiprocessing.get_context("fork")
-            counter = ctx.Value("i", 0)
-
-            def claim() -> int:
-                with counter.get_lock():
-                    idx = counter.value
-                    counter.value = idx + 1
-                return idx
-
-            def helper(writer) -> None:
-                try:
-                    while (idx := claim()) < count:
-                        writer.send((idx, run_cell(idx)))
-                finally:
-                    # no traceback, no atexit hook, no second flush of the
-                    # parent's stdio buffers: the caller reruns a lost cell
-                    os._exit(0)
-
-            for _ in range(n_helpers):
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=helper, args=(writer,), daemon=True)
-                helpers.append((proc, reader))
-                proc.start()
-                writer.close()  # so that the reader sees EOF once the helper exits
-                open_readers.append(reader)
-        while (idx := claim()) < count:
-            done[idx] = run_cell(idx)
-            if open_readers:
-                receive(0)  # keep the pipes from filling up
-        while open_readers:
-            receive(None)
-        ok = True
-    except Exception:  # noqa: BLE001 - the caller reruns the cell in order and raises it there
-        pass
-    finally:
-        for proc, reader in helpers:
-            if proc.pid is not None:  # started
-                if not ok:
-                    proc.terminate()
-                proc.join()
-            reader.close()
-    return done
-
-
 def cmd_sweep(args) -> int:
     template = _read_json(args.template)
     if not isinstance(template, dict):
@@ -553,7 +476,7 @@ def cmd_sweep(args) -> int:
 
     # rows, log lines and the first escaping exception are those of a serial
     # loop: a cell the shared run left without a result is run here, in order
-    done = _share_cells(len(cells), run_cell)
+    done = fanout.share_items(len(cells), run_cell)
     n_failed = 0
     for idx in range(len(cells)):
         log.info("cell %d/%d: %s", idx + 1, len(cells), ", ".join(overrides(idx)) or "-")

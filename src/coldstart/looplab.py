@@ -23,7 +23,7 @@ from typing import Any, NoReturn
 
 import numpy as np
 
-from . import dsmc, plant
+from . import dsmc, fanout, plant
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
 from .plant import PhiTrue
 from .rga import CSV_BLOCK_ROWS
@@ -33,6 +33,10 @@ from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 LOOPS = ("fuel", "speed", "exh", "air")
 # plant constants the model divides by; zero or negative values are rejected
 POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat")
+
+# Euler substeps per sample at most: a run's cost is linear in them, and at
+# the shipped T of 20 ms this is a 20 us plant step
+MAX_SUBSTEPS = 1000
 
 # ADC spans per signal; command spans default to the actuator bounds.
 DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
@@ -259,7 +263,10 @@ class ScenarioConfig:
             value = self.constants.get(name)
             if value is not None and not value > 0.0:
                 raise ConfigError(f"constants.{name} must be positive, got {value!r}")
-        self.substeps = _count(self.substeps, "substeps", 1)
+        substeps = _count(self.substeps, "substeps", 1)
+        if substeps > MAX_SUBSTEPS:
+            raise ConfigError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps!r}")
+        self.substeps = substeps
         self.feedback_delay_steps = _count(self.feedback_delay_steps, "feedback_delay_steps", 0)
         if self.metrics_window_start < 0.0:
             raise ConfigError(
@@ -502,27 +509,26 @@ class RunRecord:
         """One row per sample in ``RECORD_COLUMNS`` order: float reprs, 0/1
         flags, then the events text, quoted only where CSV needs it.
 
-        Rows are converted a block at a time, so the writer does no
-        per-element numpy indexing and builds no full-size table of strings.
+        Rows are converted a block of ``CSV_BLOCK_ROWS`` at a time, the
+        blocks shared across CPUs by ``fanout.join_blocks``.
         """
-        buf = io.StringIO()
-        buf.write(",".join(RECORD_COLUMNS) + "\n")
-        for start in range(0, len(self), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            values = np.stack(
-                [self.series[name][block] for name in _FLOAT_COLUMNS], axis=1, dtype=float
-            ).tolist()
-            flags = zip(*(self.series[name][block].tolist() for name in _FLAG_COLUMNS))
-            buf.write(
-                "".join(
-                    f"{','.join(map(repr, row))},{int(sat_air)},{int(sat_fuel)},"
-                    f"{int(sat_delta)},{_csv_field(event)}\n"
-                    for row, (sat_air, sat_fuel, sat_delta), event in zip(
-                        values, flags, self.events[block]
-                    )
-                )
+        header = ",".join(RECORD_COLUMNS) + "\n"
+        return header + fanout.join_blocks(len(self), CSV_BLOCK_ROWS, self._csv_rows)
+
+    def _csv_rows(self, block: slice) -> str:
+        """The CSV lines of the rows in ``block``, with no per-element numpy
+        indexing and no full-size table of strings."""
+        values = np.stack(
+            [self.series[name][block] for name in _FLOAT_COLUMNS], axis=1, dtype=float
+        ).tolist()
+        flags = zip(*(self.series[name][block].tolist() for name in _FLAG_COLUMNS))
+        return "".join(
+            f"{','.join(map(repr, row))},{int(sat_air)},{int(sat_fuel)},"
+            f"{int(sat_delta)},{_csv_field(event)}\n"
+            for row, (sat_air, sat_fuel, sat_delta), event in zip(
+                values, flags, self.events[block]
             )
-        return buf.getvalue()
+        )
 
     @classmethod
     def from_csv(cls, text: str, meta: dict[str, Any] | None = None) -> "RunRecord":

@@ -13,15 +13,17 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fanout
 from .errors import IdentificationError, SingularGainError, SingularMatrixError
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
-CSV_BLOCK_ROWS = 256  # rows of a CSV table converted to text at a time
+CSV_BLOCK_ROWS = 256  # rows of a CSV table that one process converts to text at a time
 
 
 @dataclass(frozen=True)
@@ -112,20 +114,37 @@ class TFMatrix:
             raise ValueError(f"transfer matrix is not valid JSON: {err}") from None
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise ValueError("transfer matrix JSON must be an object with an 'entries' array")
+        n = data.get("n")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"transfer matrix n must be a positive integer, got {n!r}")
+        entries = data["entries"]
+        if len(entries) != n:
+            raise ValueError(f"transfer matrix n is {n}, but entries has length {len(entries)}")
         rows = []
-        for i, row in enumerate(data["entries"], start=1):
+        for i, row in enumerate(entries, start=1):
             if not isinstance(row, list):
                 raise ValueError(
                     f"transfer matrix row {i} must be an array, not {type(row).__name__}"
                 )
+            if len(row) != n:
+                raise ValueError(f"transfer matrix n is {n}, but row {i} has length {len(row)}")
             cells = []
             for j, c in enumerate(row, start=1):
                 if c is None:
                     cells.append(None)
                     continue
+                if not isinstance(c, dict) or set(c) != {"tau", "k"}:
+                    raise ValueError(f"channel ({i},{j}) must be null or an object of tau and k")
+                for name in ("tau", "k"):
+                    # the looplab._real rule: no booleans, no strings
+                    value = c[name]
+                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                        raise ValueError(
+                            f"channel ({i},{j}): {name} must be a number, got {value!r}"
+                        )
                 try:
                     cells.append(FirstOrderTF(float(c["tau"]), float(c["k"])))
-                except (TypeError, KeyError, ValueError, OverflowError) as err:
+                except (ValueError, OverflowError) as err:
                     raise ValueError(f"channel ({i},{j}): {err}") from None
             rows.append(tuple(cells))
         return cls(tuple(rows))
@@ -259,8 +278,8 @@ class RGAResult:
         """One row per frequency: omega, the gap flag, each element's real and
         imaginary part, then each element's dB magnitude; gap rows are blank.
 
-        Every field is a float repr, a flag or blank, none of which needs CSV
-        quoting, so rows are joined directly, a block of rows at a time.
+        Rows are converted a block of ``CSV_BLOCK_ROWS`` at a time, the
+        blocks shared across CPUs by ``fanout.join_blocks``.
         """
         n = self.lambdas.shape[1]
         header = ["omega", "gap"]
@@ -270,28 +289,29 @@ class RGAResult:
         for i in range(n):
             for j in range(n):
                 header.append(f"db_{i + 1}_{j + 1}")
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
+        rows = fanout.join_blocks(len(self.omegas), CSV_BLOCK_ROWS, self._csv_rows)
+        return ",".join(header) + "\n" + rows
+
+    def _csv_rows(self, block: slice) -> str:
+        """The CSV lines of the frequencies in ``block``.  Every field is a
+        float repr, a flag or blank, none of which needs CSV quoting, so the
+        fields are joined directly."""
+        n = self.lambdas.shape[1]
         gap_tail = ",1" + "," * (3 * n * n) + "\n"
-        for start in range(0, len(self.omegas), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            lam = self.lambdas[block].reshape(-1, n * n)
-            values = np.concatenate(
-                [
-                    np.stack([lam.real, lam.imag], axis=-1).reshape(len(lam), -1),
-                    self.mags_db[block].reshape(len(lam), -1),
-                ],
-                axis=1,
+        lam = self.lambdas[block].reshape(-1, n * n)
+        values = np.concatenate(
+            [
+                np.stack([lam.real, lam.imag], axis=-1).reshape(len(lam), -1),
+                self.mags_db[block].reshape(len(lam), -1),
+            ],
+            axis=1,
+        )
+        return "".join(
+            repr(w) + gap_tail if gap else f"{w!r},0,{','.join(map(repr, row))}\n"
+            for w, gap, row in zip(
+                self.omegas[block].tolist(), self.gaps[block].tolist(), values.tolist()
             )
-            buf.write(
-                "".join(
-                    repr(w) + gap_tail if gap else f"{w!r},0,{','.join(map(repr, row))}\n"
-                    for w, gap, row in zip(
-                        self.omegas[block].tolist(), self.gaps[block].tolist(), values.tolist()
-                    )
-                )
-            )
-        return buf.getvalue()
+        )
 
 
 def rga_sweep(

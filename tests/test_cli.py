@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import coldstart
-from coldstart import cli, looplab, rga
+from coldstart import cli, fanout, looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
-from lab_helpers import default_coupling_matrix, simulate_first_order
+from lab_helpers import default_coupling_matrix, log_block_pids, simulate_first_order
 
 
 @pytest.fixture(autouse=True)
@@ -202,6 +202,36 @@ def test_simulate_matches_the_benchmark_reference_digests(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == refs[name], name
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_simulate_digests_hold_on_any_cpu_count(tmp_path, monkeypatch, cpus):
+    refs = json.loads(
+        (Path(__file__).parents[1] / "bench" / "refs" / "references.json").read_text(
+            encoding="utf-8"
+        )
+    )["cold_start"]
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    pids = tmp_path / "pids"
+    log_block_pids(monkeypatch, RunRecord, pids, caller_waits=cpus == 4)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 0
+    for name in ("run.csv", "metrics.txt"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == refs[name], name
+    assert_block_pids(pids, cpus)
+
+
+def assert_block_pids(pids, cpus):
+    """The 2 001-row record or 2 000-row sweep is 8 blocks, each formatted
+    once; only this process formats them on one CPU, and helpers did too
+    on four."""
+    runs = pids.read_text(encoding="utf-8").split()
+    assert len(runs) == 8
+    if cpus == 1:
+        assert set(runs) == {str(os.getpid())}
+    if cpus == 4:
+        assert len(set(runs)) > 1
+    assert not multiprocessing.active_children()
+
+
 def test_log_level_defaults_to_quiet(tmp_path):
     # a fresh process, because logging is configured once per process
     template = tmp_path / "template.json"
@@ -361,6 +391,61 @@ def test_rga_csv_bytes_match_the_per_frequency_digest(tmp_path):
     assert main(["rga", "--model", str(path), "--points", "2000", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "rga.csv").read_bytes()).hexdigest()
     assert digest == DEFAULT_MODEL_RGA_CSV_SHA256
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_rga_csv_digest_holds_on_any_cpu_count(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "model.json"
+    path.write_text(default_coupling_matrix().to_json(), encoding="utf-8")
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    pids = tmp_path / "pids"
+    log_block_pids(monkeypatch, rga.RGAResult, pids, caller_waits=cpus == 4)
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--points", "2000", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "rga.csv").read_bytes()).hexdigest()
+    assert digest == DEFAULT_MODEL_RGA_CSV_SHA256
+    assert_block_pids(pids, cpus)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--wmin", "0"], "--wmin must be a finite positive number, got 0.0"),
+        (["--wmin", "-1"], "--wmin must be a finite positive number, got -1.0"),
+        (["--wmin", "nan"], "--wmin must be a finite positive number, got nan"),
+        (["--wmin", "inf"], "--wmin must be a finite positive number, got inf"),
+        (["--wmax", "inf"], "--wmax must be finite and above --wmin, got inf"),
+        (["--wmax", "nan"], "--wmax must be finite and above --wmin, got nan"),
+        (["--wmin", "10", "--wmax", "1"], "--wmax must be finite and above --wmin, got 1.0"),
+        (["--points", "0"], "--points must be at least 1, got 0"),
+    ],
+)
+def test_rga_grid_flags_are_checked_naming_the_flag(tmp_path, capsys, flags, message):
+    path = tmp_path / "model.json"
+    path.write_text(default_coupling_matrix().to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3, "entries": [[{"tau": 1.0, "k": 1.0}]]}', "n is 3, but entries has length 1"),
+        ('{"entries": [[{"tau": 1.0, "k": 1.0}]]}', "n must be a positive integer, got None"),
+        ('{"n": 1, "entries": [[{"tau": true, "k": 1.0}]]}', "channel (1,1): tau must be a number"),
+        ('{"n": 1, "entries": [[{"tau": 1.0, "k": "1.5"}]]}', "channel (1,1): k must be a number"),
+    ],
+)
+def test_rga_model_json_with_a_bad_n_or_a_non_number_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +873,7 @@ def test_sweep_with_helpers_is_byte_identical_to_the_serial_loop(tmp_path, monke
         pids = tmp_path / f"{name}.pids"
         with monkeypatch.context() as patch:
             if cpus is not None:
-                patch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+                patch.setattr(fanout, "_usable_cpus", lambda cpus=cpus: cpus)
             record_pids(patch, pids)
             out = tmp_path / name
             code = main(sweep_argv(template, grid, out))
@@ -813,7 +898,7 @@ def test_sweep_with_helpers_is_byte_identical_to_the_serial_loop(tmp_path, monke
 @pytest.mark.parametrize("claimant", ["caller", "helper"])
 def test_sweep_cell_raising_outside_the_contract_escapes_main(tmp_path, monkeypatch, claimant):
     template, grid = write_mixed_sweep(tmp_path)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
     caller = os.getpid()
     raised = tmp_path / "raised"
 
@@ -842,9 +927,9 @@ def test_sweep_cell_raising_outside_the_contract_escapes_main(tmp_path, monkeypa
 
 def test_sweep_survives_a_helper_that_dies_mid_cell(tmp_path, monkeypatch):
     template, grid = write_mixed_sweep(tmp_path)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     assert main(sweep_argv(template, grid, tmp_path / "serial")) == 4
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
     caller = os.getpid()
     died = tmp_path / "died"
 
@@ -869,9 +954,9 @@ def test_sweep_survives_a_helper_that_dies_mid_cell(tmp_path, monkeypatch):
 
 def test_sweep_runs_alone_when_a_fork_fails(tmp_path, monkeypatch):
     template, grid = write_mixed_sweep(tmp_path)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     assert main(sweep_argv(template, grid, tmp_path / "serial")) == 4
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
     from multiprocessing.context import ForkProcess
 
     forks = []
@@ -893,8 +978,8 @@ def test_sweep_runs_alone_when_a_fork_fails(tmp_path, monkeypatch):
 
 _FORCED_CPUS = (
     "import sys\n"
-    "from coldstart import cli\n"
-    "cli._usable_cpus = lambda: int(sys.argv[1])\n"
+    "from coldstart import cli, fanout\n"
+    "fanout._usable_cpus = lambda: int(sys.argv[1])\n"
     "sys.exit(cli.main(sys.argv[2:]))\n"
 )
 

@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldstart import dsmc, looplab, plant
+from coldstart import dsmc, fanout, looplab, plant
 from coldstart.errors import ConfigError, DegenerateInputError, SimulationAbort
 from coldstart.looplab import (
     LOOPS,
@@ -29,6 +31,7 @@ from coldstart.looplab import (
 )
 from coldstart.trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from coldstart.trajectory import TrajectoryTable
+from lab_helpers import kill_first_helper_mid_block
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,15 @@ def test_config_rejects_bad_numbers_with_the_field_path(path, value):
     target[last] = value
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         ScenarioConfig.from_dict(data)
+
+
+def test_config_substeps_are_capped():
+    assert ScenarioConfig(substeps=looplab.MAX_SUBSTEPS).substeps == 1000
+    assert ScenarioConfig(substeps=2.0).substeps == 2
+    for value in (1001, 1e300):
+        message = f"substeps must be in [1, 1000], got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_dict({"substeps": value})
 
 
 @pytest.mark.parametrize("name", looplab.POSITIVE_CONSTANTS)
@@ -818,8 +830,9 @@ def test_record_csv_matches_a_csv_writer_reference(rec, block_rows):
         np.testing.assert_array_equal(rec.series[name], back.series[name], err_msg=name)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_record_csv_across_the_block_boundary(offset):
+def boundary_record(offset):
+    """A record of ``CSV_BLOCK_ROWS + offset`` rows of random floats, NaN
+    and -0.0 included, flags, and events some of which need quoting."""
     n = looplab.CSV_BLOCK_ROWS + offset
     rng = np.random.default_rng(n)
     cells = n * N_FLOAT_COLUMNS
@@ -828,10 +841,82 @@ def test_record_csv_across_the_block_boundary(offset):
     values[1::89] = -0.0
     flags = rng.integers(0, 2, 3 * n)
     events = ["" if i % 5 else f"kind {i}, detail \"{i}\"" for i in range(n)]
-    rec = columns_record(values, flags, events)
+    return columns_record(values, flags, events)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_record_csv_across_the_block_boundary(offset):
+    rec = boundary_record(offset)
     text = rec.to_csv()
     assert text == reference_csv(rec)
-    assert text.count("\n") == n + 1
+    assert text.count("\n") == len(rec) + 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_record_csv_across_the_block_boundary_is_the_same_on_any_cpu_count(
+    monkeypatch, offset, cpus
+):
+    rec = boundary_record(offset)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    assert rec.to_csv() == reference_csv(rec)
+    assert not multiprocessing.active_children()
+
+
+def record_forks(monkeypatch) -> list:
+    """The helper processes forked from now on, in order."""
+    from multiprocessing.context import ForkProcess
+
+    forks = []
+    fork = ForkProcess._Popen
+    monkeypatch.setattr(ForkProcess, "_Popen", staticmethod(lambda p: forks.append(p) or fork(p)))
+    return forks
+
+
+def test_record_csv_of_one_block_forks_no_helper(monkeypatch):
+    forks = record_forks(monkeypatch)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
+    rec = boundary_record(0)
+    assert rec.to_csv() == reference_csv(rec)
+    assert forks == []
+    assert boundary_record(1).to_csv() == reference_csv(boundary_record(1))
+    assert len(forks) == 1  # two blocks: one helper
+
+
+def test_record_csv_forks_no_helper_beside_another_thread(monkeypatch):
+    forks = record_forks(monkeypatch)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
+    rec = boundary_record(1)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    other.start()
+    try:
+        text = rec.to_csv()
+    finally:
+        stop.set()
+        other.join(30.0)
+    assert not other.is_alive()
+    assert text == reference_csv(rec)
+    assert forks == []
+
+
+def test_record_csv_survives_a_helper_that_dies_mid_block(tmp_path, monkeypatch):
+    rec = run_scenario(ScenarioConfig())
+    serial = reference_csv(rec)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
+    kill_first_helper_mid_block(monkeypatch, RunRecord, tmp_path / "died")
+    assert rec.to_csv() == serial
+    assert (tmp_path / "died").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_record_csv_nan_flag_in_a_shared_write_raises_in_the_caller(monkeypatch):
+    rec = boundary_record(1)
+    rec.series["sat_fuel"][-1] = math.nan  # the last row, alone in the second block
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
+    with pytest.raises(ValueError):
+        rec.to_csv()
+    assert not multiprocessing.active_children()
 
 
 def test_record_csv_round_trips_events_that_need_quoting():

@@ -1,11 +1,14 @@
 """Coupling-analysis and identification checks."""
 
+import json
 import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
 
-from coldstart import rga
+from coldstart import fanout, rga
 from coldstart.errors import IdentificationError, SingularGainError, SingularMatrixError
 from coldstart.rga import (
     FirstOrderTF,
@@ -19,7 +22,7 @@ from coldstart.rga import (
     rga_sweep,
     to_gain_time_constant,
 )
-from lab_helpers import default_coupling_matrix, simulate_first_order
+from lab_helpers import default_coupling_matrix, kill_first_helper_mid_block, simulate_first_order
 
 
 def random_well_conditioned(n, rng, tries=50):
@@ -136,6 +139,39 @@ def test_tfmatrix_json_round_trip():
     tfm = default_coupling_matrix()
     back = TFMatrix.from_json(tfm.to_json())
     assert back == tfm
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"entries": [[{"tau": 1.0, "k": 1.0}]]}, "n must be a positive integer, got None"),
+        ({"n": 1.0, "entries": [[{"tau": 1.0, "k": 1.0}]]}, "n must be a positive integer"),
+        ({"n": True, "entries": [[{"tau": 1.0, "k": 1.0}]]}, "n must be a positive integer"),
+        ({"n": "1", "entries": [[{"tau": 1.0, "k": 1.0}]]}, "n must be a positive integer"),
+        ({"n": 3, "entries": [[{"tau": 1.0, "k": 1.0}]]}, "n is 3, but entries has length 1"),
+        ({"n": 2, "entries": [[None, None], [None]]}, "n is 2, but row 2 has length 1"),
+    ],
+)
+def test_tfmatrix_json_refuses_a_missing_or_mismatched_n(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TFMatrix.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"tau": True, "k": 1.0}, "channel (1,2): tau must be a number, got True"),
+        ({"tau": 1.0, "k": "1.5"}, "channel (1,2): k must be a number, got '1.5'"),
+        ({"tau": None, "k": 1.0}, "channel (1,2): tau must be a number, got None"),
+        ({"tau": 1.0}, "channel (1,2) must be null or an object of tau and k"),
+        ({"tau": 1.0, "k": 1.0, "x": 2.0}, "channel (1,2) must be null or an object of tau and k"),
+        ([1.0, 1.0], "channel (1,2) must be null or an object of tau and k"),
+    ],
+)
+def test_tfmatrix_json_refuses_booleans_and_strings_naming_the_channel(cell, message):
+    doc = {"n": 2, "entries": [[{"tau": 1.0, "k": 1.0}, cell], [None, {"tau": 1, "k": 2}]]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TFMatrix.from_json(json.dumps(doc))
 
 
 def test_tfmatrix_csv_round_trip():
@@ -286,6 +322,43 @@ def test_sweep_singular_at_dc_leaves_gap_rows():
     # gap rows carry no numbers but the sweep output keeps its shape
     lines = res.to_csv().splitlines()
     assert len(lines) == 61
+
+
+def boundary_result(offset):
+    """A 2x2 sweep result of ``CSV_BLOCK_ROWS + offset`` frequencies with
+    random elements, exact zeros and every seventh row a gap."""
+    n_freq = rga.CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n_freq)
+    lambdas = rng.standard_normal((n_freq, 2, 2)) + 1j * rng.standard_normal((n_freq, 2, 2))
+    lambdas[:, 0, 1] = 0.0
+    gaps = np.arange(n_freq) % 7 == 3
+    lambdas[gaps] = np.nan
+    return rga.RGAResult(omegas=np.logspace(-3, 3, n_freq), lambdas=lambdas, gaps=gaps)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sweep_csv_across_the_block_boundary_is_the_same_on_any_cpu_count(
+    monkeypatch, offset, cpus
+):
+    res = boundary_result(offset)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    serial = res.to_csv()
+    assert serial.count("\n") == len(res.omegas) + 1
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    assert res.to_csv() == serial
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_csv_survives_a_helper_that_dies_mid_block(tmp_path, monkeypatch):
+    res = rga_sweep(default_coupling_matrix(), n_points=2000)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    serial = res.to_csv()
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
+    kill_first_helper_mid_block(monkeypatch, rga.RGAResult, tmp_path / "died")
+    assert res.to_csv() == serial
+    assert (tmp_path / "died").exists()
+    assert not multiprocessing.active_children()
 
 
 def test_response_over_a_grid_stacks_the_single_frequency_matrices():
