@@ -281,7 +281,10 @@ def cmd_rga(args) -> int:
             model = TFMatrix.from_csv(text)
     except ValueError as err:
         raise ConfigError(f"{args.model}: {err}") from None
-    result = rga_sweep(model, args.wmin, args.wmax, args.points)
+    try:
+        result = rga_sweep(model, args.wmin, args.wmax, args.points)
+    except OverflowError as err:
+        raise ConfigError(f"--wmax {args.wmax!r} is too high: {err}") from None
     out = _out_dir(args.out)
     (out / "rga.csv").write_text(result.to_csv(), encoding="utf-8")
     if args.plots:

@@ -7,8 +7,9 @@ spawned, and talk back over one-way pipes.  No thread is started, and no
 helper is forked from a process that has other threads, because forking a
 process with threads is unsafe.  Helpers never outlive the call, and an item
 a helper did not deliver is the caller's to redo, so the result is always
-that of a serial loop.  ``multiprocessing`` is imported only when a helper
-is forked.
+that of a serial loop.  ``multiprocessing`` and ``fcntl`` are imported only
+when a helper is forked, and ``logging`` only when a share ends: it logs
+one DEBUG line.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+import time
+
+PIPE_BYTES = 1 << 20  # a result pipe: the default pipe-max-size; a new pipe holds 64 KiB
 
 
 def _usable_cpus() -> int:
@@ -49,6 +53,9 @@ def share_items(count: int, run_item) -> dict:
     claim = itertools.count().__next__
     helpers = []  # (process, reading end of its pipe)
     open_readers = []
+    pipe_bytes = []  # of each helper's pipe; None where it keeps its size
+    by_caller = 0
+    waited_ms = 0.0  # after the caller's last item
 
     def receive(timeout: float | None) -> None:
         for reader in wait(open_readers, timeout):
@@ -66,6 +73,7 @@ def share_items(count: int, run_item) -> dict:
             # imports, monkeypatches and tracer, at no import cost.  Pipe,
             # not Queue: a Queue starts a feeder thread
             ctx = multiprocessing.get_context("fork")
+            import fcntl  # every system with fork has it
             counter = ctx.Value("i", 0)
 
             def claim() -> int:
@@ -85,6 +93,12 @@ def share_items(count: int, run_item) -> dict:
 
             for _ in range(n_helpers):
                 reader, writer = ctx.Pipe(duplex=False)
+                # a CSV block pickles to 136-255 KiB: a result larger than the
+                # pipe stalls its helper until this process reads between items
+                try:
+                    pipe_bytes.append(fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, PIPE_BYTES))
+                except (AttributeError, OSError):  # not Linux, or past the user's pipe quota
+                    pipe_bytes.append(None)
                 proc = ctx.Process(target=helper, args=(writer,), daemon=True)
                 helpers.append((proc, reader))
                 proc.start()
@@ -92,10 +106,13 @@ def share_items(count: int, run_item) -> dict:
                 open_readers.append(reader)
         while (idx := claim()) < count:
             done[idx] = run_item(idx)
+            by_caller += 1
             if open_readers:
                 receive(0)  # keep the pipes from filling up
+        idle_from = time.perf_counter()
         while open_readers:
             receive(None)
+        waited_ms = (time.perf_counter() - idle_from) * 1e3
         ok = True
     except Exception:  # noqa: BLE001 - the caller reruns the item in order and raises it there
         pass
@@ -106,6 +123,12 @@ def share_items(count: int, run_item) -> dict:
                     proc.terminate()
                 proc.join()
             reader.close()
+    import logging  # here, like multiprocessing: 5-7 ms off ``import coldstart``
+    logging.getLogger(__name__).debug(
+        "share of %d items: caller %d, helpers %d (%d forked); pipe bytes %s; "
+        "caller waited %.1f ms after its last item",
+        count, by_caller, len(done) - by_caller, len(helpers), pipe_bytes, waited_ms,
+    )
     return done
 
 

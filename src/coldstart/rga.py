@@ -42,9 +42,15 @@ class FirstOrderTF:
 
 
 def freq_response(tf: FirstOrderTF, omega):
-    """Evaluate 1/(j*omega*tau + k); omega may be a scalar or an array."""
+    """Evaluate 1/(j*omega*tau + k); omega may be a scalar or an array.
+    OverflowError where omega*tau is too large for a float."""
     w = np.asarray(omega, dtype=float)
-    den = 1j * w * tf.tau + tf.k
+    with np.errstate(over="ignore"):
+        den = 1j * w * tf.tau + tf.k
+    overflow = ~np.isfinite(den)
+    if overflow.any():
+        first = float(np.min(w[overflow]))
+        raise OverflowError(f"response of 1/({tf.tau}*s + {tf.k}) overflows from omega = {first!r}")
     if np.any(den == 0):
         raise SingularGainError(
             f"response of 1/({tf.tau}*s + {tf.k}) is singular where omega*tau and k vanish"
@@ -149,21 +155,6 @@ class TFMatrix:
             rows.append(tuple(cells))
         return cls(tuple(rows))
 
-    def to_csv(self) -> str:
-        """One row per output; per input a (tau, k) column pair, blank when zero."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["row"]
-        for j in range(self.n):
-            header += [f"tau_{j + 1}", f"k_{j + 1}"]
-        writer.writerow(header)
-        for i, row in enumerate(self.entries):
-            cells = [str(i + 1)]
-            for tf in row:
-                cells += ["", ""] if tf is None else [repr(tf.tau), repr(tf.k)]
-            writer.writerow(cells)
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, text: str) -> "TFMatrix":
         reader = csv.reader(io.StringIO(text))
@@ -215,14 +206,9 @@ def _check_invertible(p: np.ndarray, cond_limit: float) -> None:
         raise SingularMatrixError(f"condition number {worst:.3e} above limit {cond_limit:.3e}")
 
 
-def _transposed_inverse(p: np.ndarray) -> np.ndarray:
-    """inv(P).T of each matrix, with no conditioning check."""
-    return np.swapaxes(np.linalg.inv(p), -1, -2)
-
-
 def _rga(p: np.ndarray) -> np.ndarray:
     """P .* inv(P).T of each matrix, with no conditioning check."""
-    return p * _transposed_inverse(p)
+    return p * np.swapaxes(np.linalg.inv(p), -1, -2)
 
 
 def rga_of_matrix(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
@@ -231,19 +217,6 @@ def rga_of_matrix(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.n
     p = np.asarray(p, dtype=complex)
     _check_invertible(p, cond_limit)
     return _rga(p)
-
-
-def closed_loop_gains(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Apparent channel gains with all other loops closed: 1 / inv(P).T.
-
-    Accepts one matrix or a (..., n, n) stack.  Entries where inv(P).T
-    vanishes (no closed-loop path) come out infinite.
-    """
-    p = np.asarray(p, dtype=complex)
-    _check_invertible(p, cond_limit)
-    c = _transposed_inverse(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(c == 0, np.inf + 0j, 1.0 / c)
 
 
 @dataclass
@@ -321,7 +294,8 @@ def rga_sweep(
     n_points: int = DEFAULT_GRID[2],
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> RGAResult:
-    """Log-spaced RGA sweep; ill-conditioned frequencies become gaps."""
+    """Log-spaced RGA sweep; ill-conditioned frequencies become gaps.
+    OverflowError where a response or an RGA element overflows a float."""
     if not (w_min > 0 and w_max > w_min):
         raise ValueError(f"need 0 < w_min < w_max, got [{w_min}, {w_max}]")
     if n_points < 1:
@@ -332,7 +306,11 @@ def rga_sweep(
     # inverse, and the mask is the conditioning check of the rows kept
     gaps = _ill_conditioned(np.linalg.cond(p), cond_limit)
     lambdas = np.full(p.shape, np.nan, dtype=complex)
-    lambdas[~gaps] = _rga(p[~gaps])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lambdas[~gaps] = _rga(p[~gaps])
+    lost = ~gaps & ~np.isfinite(lambdas).all(axis=(1, 2))
+    if lost.any():
+        raise OverflowError(f"RGA overflows from omega = {float(omegas[lost][0])!r}")
     return RGAResult(omegas=omegas, lambdas=lambdas, gaps=gaps)
 
 

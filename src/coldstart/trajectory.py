@@ -65,14 +65,6 @@ class TrajectoryTable:
         if min(self.afr_d) <= 0.0:
             raise ConfigError("desired AFR must be positive everywhere")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for row in zip(self.time, self.afr_d, self.omega_d, self.t_exh_d):
-            writer.writerow([repr(v) for v in row])
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, text: str) -> "TrajectoryTable":
         reader = csv.DictReader(io.StringIO(text))

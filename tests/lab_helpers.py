@@ -1,11 +1,15 @@
 """Model builders and data generators that only the tests use: a cascade
 controller with the default gains, the illustrative coupling matrix whose
-``rga.csv`` digest is pinned, and the exact sampled response of a
-first-order channel that identification round trips are checked against.
+``rga.csv`` digest is pinned, the exact sampled response of a first-order
+channel that identification round trips are checked against, the
+closed-loop channel gains that the RGA is checked against, and CSV writers
+for the model and trajectory files the program only reads.
 Also hooks into the per-block form of the CSV writers, to see which
 process formats each block when the blocks are shared across CPUs.
 """
 
+import csv
+import io
 import math
 import os
 import time
@@ -13,7 +17,14 @@ import time
 import numpy as np
 
 from coldstart.dsmc import BETA_DEFAULT, RHO_DEFAULTS, AdaptiveLoop, CascadeController
-from coldstart.rga import FirstOrderTF, TFMatrix, from_gain_time_constant
+from coldstart.rga import (
+    DEFAULT_COND_LIMIT,
+    FirstOrderTF,
+    TFMatrix,
+    _check_invertible,
+    from_gain_time_constant,
+)
+from coldstart.trajectory import COLUMNS, TrajectoryTable
 
 
 def with_default_gains(T: float = 0.02, **kwargs) -> CascadeController:
@@ -41,6 +52,46 @@ def default_coupling_matrix() -> TFMatrix:
             [k(0.3, 0.2), k(0.5, 0.4), k(1.5, 0.05)],
         ]
     )
+
+
+def closed_loop_gains(p: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """Apparent channel gains with all other loops closed: 1 / inv(P).T.
+
+    Accepts one matrix or a (..., n, n) stack.  Entries where inv(P).T
+    vanishes (no closed-loop path) come out infinite.
+    """
+    p = np.asarray(p, dtype=complex)
+    _check_invertible(p, cond_limit)
+    c = np.swapaxes(np.linalg.inv(p), -1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c == 0, np.inf + 0j, 1.0 / c)
+
+
+def tf_matrix_csv(tfm: TFMatrix) -> str:
+    """One row per output; per input a (tau, k) column pair, blank when zero:
+    the layout ``TFMatrix.from_csv`` reads."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["row"]
+    for j in range(tfm.n):
+        header += [f"tau_{j + 1}", f"k_{j + 1}"]
+    writer.writerow(header)
+    for i, row in enumerate(tfm.entries):
+        cells = [str(i + 1)]
+        for tf in row:
+            cells += ["", ""] if tf is None else [repr(tf.tau), repr(tf.k)]
+        writer.writerow(cells)
+    return buf.getvalue()
+
+
+def trajectory_csv(table: TrajectoryTable) -> str:
+    """The layout ``TrajectoryTable.from_csv`` reads."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for row in zip(table.time, table.afr_d, table.omega_d, table.t_exh_d):
+        writer.writerow([repr(v) for v in row])
+    return buf.getvalue()
 
 
 def simulate_first_order(tf: FirstOrderTF, u, T: float, y0: float = 0.0) -> np.ndarray:

@@ -19,7 +19,7 @@ import coldstart
 from coldstart import cli, fanout, looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
-from lab_helpers import default_coupling_matrix, log_block_pids, simulate_first_order
+from lab_helpers import default_coupling_matrix, log_block_pids, simulate_first_order, tf_matrix_csv
 
 
 @pytest.fixture(autouse=True)
@@ -291,7 +291,7 @@ def test_rga_csv_model_and_custom_grid(tmp_path):
     k = rga.from_gain_time_constant
     model = rga.TFMatrix([[k(1.0, 0.3), k(0.4, 0.5)], [k(0.25, 0.6), k(2.0, 0.8)]])
     path = tmp_path / "model.csv"
-    path.write_text(model.to_csv(), encoding="utf-8")
+    path.write_text(tf_matrix_csv(model), encoding="utf-8")
     out = tmp_path / "out"
     code = main(
         ["rga", "--model", str(path), "--out", str(out),
@@ -418,6 +418,10 @@ def test_rga_csv_digest_holds_on_any_cpu_count(tmp_path, monkeypatch, cpus):
         (["--wmax", "nan"], "--wmax must be finite and above --wmin, got nan"),
         (["--wmin", "10", "--wmax", "1"], "--wmax must be finite and above --wmin, got 1.0"),
         (["--points", "0"], "--points must be at least 1, got 0"),
+        (
+            ["--wmax", "1e308"],
+            "--wmax 1e+308 is too high: response of 1/(2.4*s + 4.0) overflows from omega = 1e+308",
+        ),
     ],
 )
 def test_rga_grid_flags_are_checked_naming_the_flag(tmp_path, capsys, flags, message):
@@ -426,6 +430,45 @@ def test_rga_grid_flags_are_checked_naming_the_flag(tmp_path, capsys, flags, mes
     out = tmp_path / "out"
     assert main(["rga", "--model", str(path), "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def four_by_four(tau, k) -> rga.TFMatrix:
+    return rga.TFMatrix(
+        [[rga.FirstOrderTF(t, g) for t, g in zip(tau_row, k_row)] for tau_row, k_row in zip(tau, k)]
+    )
+
+
+# 4x4 models of the size the benchmark draws.  At --wmax 1e308 the first
+# overflows in a channel response; numpy then raised "Singular matrix".  At
+# 1e307, where no response overflows, the second overflows in its RGA, and
+# rga.csv held inf and nan cells.  The lab's 3x3 model is a case above
+RESPONSE_OVERFLOW_4X4 = four_by_four(
+    [[4.6, 0.6, 0.7, 4.9], [3.0, 0.7, 3.5, 0.9], [1.0, 2.3, 3.5, 4.2], [4.3, 2.2, 4.9, 1.1]],
+    [[4.2, 1.8, 4.4, 3.1], [0.7, 0.7, 2.1, 1.0], [4.3, 3.0, 4.0, 4.2], [0.8, 2.8, 4.3, 5.5]],
+)
+RGA_OVERFLOW_4X4 = four_by_four(
+    [[1.1, 1.8, 3.1, 3.0], [4.1, 3.0, 1.8, 2.4], [4.2, 3.3, 4.8, 2.2], [3.0, 3.2, 4.3, 1.2]],
+    [[2.7, 5.5, 0.7, 5.0], [2.8, 5.1, 0.6, 2.5], [0.9, 4.1, 2.0, 4.4], [5.7, 1.2, 5.3, 0.8]],
+)
+
+
+@pytest.mark.parametrize(
+    "model, wmax, message",
+    [
+        (RESPONSE_OVERFLOW_4X4, "1e308", "response of 1/(4.6*s + 4.2) overflows from omega = 1e+308"),
+        (RGA_OVERFLOW_4X4, "1e307", "RGA overflows from omega = 1e+307"),
+    ],
+    ids=["response", "rga"],
+)
+def test_rga_4x4_wmax_past_the_float_range_exits_2_naming_the_flag(
+    tmp_path, capsys, model, wmax, message
+):
+    path = tmp_path / "model.json"
+    path.write_text(model.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--out", str(out), "--wmax", wmax]) == 2
+    assert capsys.readouterr().err == f"error: --wmax {float(wmax)!r} is too high: {message}\n"
     assert not out.exists()
 
 
@@ -1010,8 +1053,9 @@ def test_sweep_info_log_lists_cells_in_order(tmp_path):
 
 def test_import_does_not_load_multiprocessing():
     src = str(Path(coldstart.__file__).parents[1])
+    code = "import sys, coldstart; print({'multiprocessing', 'fcntl', 'logging'} & set(sys.modules))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, coldstart; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.stdout.strip() == "set()", proc.stderr

@@ -13,7 +13,6 @@ from coldstart.errors import IdentificationError, SingularGainError, SingularMat
 from coldstart.rga import (
     FirstOrderTF,
     TFMatrix,
-    closed_loop_gains,
     freq_response,
     from_gain_time_constant,
     identify_first_order,
@@ -22,7 +21,13 @@ from coldstart.rga import (
     rga_sweep,
     to_gain_time_constant,
 )
-from lab_helpers import default_coupling_matrix, kill_first_helper_mid_block, simulate_first_order
+from lab_helpers import (
+    closed_loop_gains,
+    default_coupling_matrix,
+    kill_first_helper_mid_block,
+    simulate_first_order,
+    tf_matrix_csv,
+)
 
 
 def random_well_conditioned(n, rng, tries=50):
@@ -88,6 +93,15 @@ def test_freq_response_unit_values():
 def test_freq_response_dc_is_inverse_k():
     tf = FirstOrderTF(tau=3.0, k=0.25)
     assert freq_response(tf, 0.0) == pytest.approx(4.0, rel=1e-15)
+
+
+def test_freq_response_overflow_names_the_first_frequency_and_warns_nothing():
+    tf = FirstOrderTF(tau=2.0, k=1.0)
+    with pytest.raises(OverflowError, match=re.escape("overflows from omega = 1e+308")):
+        freq_response(tf, 1e308)
+    with pytest.raises(OverflowError, match=re.escape("overflows from omega = 1e+300")):
+        freq_response(FirstOrderTF(tau=1e10, k=1.0), np.array([1.0, 1e300, 1e305]))
+    assert freq_response(tf, 5e307) == pytest.approx(1.0 / (1.0 + 1e308j), rel=1e-15)
 
 
 def test_freq_response_singular_at_dc_with_zero_k():
@@ -176,7 +190,7 @@ def test_tfmatrix_json_refuses_booleans_and_strings_naming_the_channel(cell, mes
 
 def test_tfmatrix_csv_round_trip():
     tfm = default_coupling_matrix()
-    back = TFMatrix.from_csv(tfm.to_csv())
+    back = TFMatrix.from_csv(tf_matrix_csv(tfm))
     assert back == tfm
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from coldstart.errors import ConfigError
 from coldstart.trajectory import SampledTrajectory, TrajectoryTable, default_table
+from lab_helpers import trajectory_csv
 
 
 def test_default_table_shapes():
@@ -36,7 +37,7 @@ def test_sampling_linear_interpolation_exact():
 
 def test_csv_round_trip():
     table = default_table()
-    again = TrajectoryTable.from_csv(table.to_csv())
+    again = TrajectoryTable.from_csv(trajectory_csv(table))
     assert again == table
 
 
