@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -36,11 +35,10 @@ from .looplab import (
     ScenarioConfig,
     apply_overrides,
     compute_metrics,
-    csv_float,
-    read_csv_body,
     run_scenario,
 )
 from .rga import TFMatrix, identify_mimo, rga_sweep
+from .tables import read_body, read_header
 from .trajectory import TrajectoryTable
 
 log = logging.getLogger("coldstart.cli")
@@ -311,58 +309,15 @@ def cmd_rga(args) -> int:
 
 
 def _read_data_table(path: str) -> dict[str, np.ndarray]:
-    """The named columns of an ``identify`` data CSV. Every cell must be a
-    finite number and every row must fill the header, which names each
-    column once; blank lines are skipped."""
+    """The named columns of an ``identify`` data CSV, read by the rule of
+    every numeric CSV input (``tables``): each column named once, every row
+    filling the header, every cell a finite number. It needs a data row."""
     text = _read_text(path)
-    try:
-        header = next(csv.reader(io.StringIO(text)), None)
-    except csv.Error as err:
-        raise ConfigError(f"{path} line 1: {err}") from None
-    if not header:
-        raise ConfigError(f"{path}: data CSV has no header line")
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ConfigError(f"{path}: data CSV repeats column {name!r}")
-    try:
-        table = read_csv_body(text)
-    except ValueError as err:
-        _refuse_data_table(path, text, header, str(err))
-    if table is None:
+    header = read_header(text, path)
+    columns = read_body(text, path, header, finite=True)
+    if not len(columns[header[0]]):
         raise ConfigError(f"{path}: data CSV has no data rows")
-    if table.shape[1] != len(header) or not np.isfinite(table).all():
-        _refuse_data_table(path, text, header, "data CSV does not match its header")
-    columns = table.T.copy()  # one contiguous row per column
-    return dict(zip(header, columns))
-
-
-def _refuse_data_table(path: str, text: str, header: list[str], reason: str) -> NoReturn:
-    """Raise the ConfigError for a data table that ``_read_data_table``
-    refused, naming the first faulty line and column found by re-reading
-    ``text`` row by row, or carrying ``reason`` when that finds none."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        next(reader)
-        for row in reader:
-            if not row:
-                continue  # skipped by the C reader too
-            where = f"{path} line {reader.line_num}"
-            if len(row) > len(header):
-                raise ConfigError(
-                    f"{where}: cell {len(header) + 1} is past the {len(header)} named columns"
-                )
-            for name, cell in itertools.zip_longest(header, row, fillvalue=""):
-                if cell == "":
-                    raise ConfigError(f"{where}: column {name!r} is empty")
-                try:
-                    value = csv_float(cell)
-                except ValueError:
-                    raise ConfigError(f"{where}: column {name!r} is not a number: {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ConfigError(f"{where}: column {name!r} is not finite: {cell!r}")
-    except csv.Error as err:
-        raise ConfigError(f"{path} line {reader.line_num}: {err}") from None
-    raise ConfigError(f"{path}: {reason}")
+    return columns
 
 
 def _read_pairing_spec(path: str) -> tuple[float, list[dict]]:

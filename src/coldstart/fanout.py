@@ -19,6 +19,7 @@ import os
 import threading
 import time
 
+BLOCK_ROWS = 256  # rows of a CSV table that one process converts to text at a time
 PIPE_BYTES = 1 << 20  # a result pipe: the default pipe-max-size; a new pipe holds 64 KiB
 
 
@@ -132,16 +133,16 @@ def share_items(count: int, run_item) -> dict:
     return done
 
 
-def join_blocks(n_rows: int, block_rows: int, format_rows) -> str:
-    """``format_rows(block)`` of each ``block`` slice of ``block_rows``
+def join_blocks(n_rows: int, format_rows) -> str:
+    """``format_rows(block)`` of each ``block`` slice of ``BLOCK_ROWS``
     consecutive rows out of ``n_rows``, joined in row order: the text of a
     serial loop over the blocks, whichever process formatted each one.  The
     blocks are shared by ``share_items``; the caller formats any block it
     got no text for, in order, so a block that raises raises here."""
-    starts = range(0, n_rows, block_rows)
+    starts = range(0, n_rows, BLOCK_ROWS)
 
     def run_block(idx: int) -> str:
-        return format_rows(slice(starts[idx], starts[idx] + block_rows))
+        return format_rows(slice(starts[idx], starts[idx] + BLOCK_ROWS))
 
     done = share_items(len(starts), run_block)
     return "".join(done.pop(idx) if idx in done else run_block(idx) for idx in range(len(starts)))

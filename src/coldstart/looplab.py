@@ -12,21 +12,18 @@ same record, byte for byte in serialized form.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, NoReturn
+from typing import Any
 
 import numpy as np
 
-from . import dsmc, fanout, plant
+from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
 from .plant import PhiTrue
-from .rga import CSV_BLOCK_ROWS
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
@@ -441,38 +438,6 @@ RECORD_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS + ("events",)
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
-# any character other than a line end
-_NON_BLANK = re.compile(r"[^\r\n]")
-
-
-def read_csv_body(text: str, converters=None) -> np.ndarray | None:
-    """The rows after the header line of ``text`` as one (rows, columns)
-    float table, read by numpy's C reader, or None when no row holds data.
-
-    Cells are converted by the routine ``float()`` uses, quoted fields may
-    hold commas, quotes, CR and LF, and blank lines are skipped. Every row
-    must have the same number of fields. Raises ValueError where numpy
-    refuses the text; the caller re-reads it to name the line and column.
-    """
-    header_end = text.find("\n")
-    if header_end < 0 or _NON_BLANK.search(text, header_end + 1) is None:
-        return None  # checked first: numpy warns on a body with no data
-    return np.loadtxt(
-        io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
-        skiprows=1, ndmin=2, encoding=None, converters=converters,
-    )
-
-
-def csv_float(cell: str) -> float:
-    """The number in one CSV cell, refusing what numpy's C reader refuses
-    and ``float()`` takes: underscores and non-ASCII digits.  Both skip
-    whitespace, Unicode or not, around the number."""
-    number = cell.strip()
-    if "_" in number or not number.isascii():
-        raise ValueError(f"could not convert string to float: {cell!r}")
-    return float(number)
-
-
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted, with quotes doubled, when it holds
     a comma, a quote, CR or LF.  This is csv.writer's quoting, except that a
@@ -509,11 +474,11 @@ class RunRecord:
         """One row per sample in ``RECORD_COLUMNS`` order: float reprs, 0/1
         flags, then the events text, quoted only where CSV needs it.
 
-        Rows are converted a block of ``CSV_BLOCK_ROWS`` at a time, the
+        Rows are converted a block of ``fanout.BLOCK_ROWS`` at a time, the
         blocks shared across CPUs by ``fanout.join_blocks``.
         """
         header = ",".join(RECORD_COLUMNS) + "\n"
-        return header + fanout.join_blocks(len(self), CSV_BLOCK_ROWS, self._csv_rows)
+        return header + fanout.join_blocks(len(self), self._csv_rows)
 
     def _csv_rows(self, block: slice) -> str:
         """The CSV lines of the rows in ``block``, with no per-element numpy
@@ -532,58 +497,15 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, text: str, meta: dict[str, Any] | None = None) -> "RunRecord":
-        """Read a record written by ``to_csv``. The header is checked with the
-        csv module and the body is read in one pass by ``read_csv_body``, so
-        blank lines are skipped. Any fault is a ConfigError naming its line."""
-        try:
-            header = next(csv.reader(io.StringIO(text)), None)
-        except csv.Error as err:
-            raise ConfigError(f"run record line 1: {err}") from None
-        if header is None:
-            raise ConfigError("run record CSV is empty")
+        """Read a record written by ``to_csv``: its header must be exactly
+        ``RECORD_COLUMNS``, and the body is read by the rule of every numeric
+        CSV input (``tables.read_body``), with events as the text column."""
+        header = tables.read_header(text, "run record")
         if tuple(header) != RECORD_COLUMNS:
             raise ConfigError("run record CSV does not have the expected columns")
-        events: list[str] = []
-
-        def event(cell: str) -> float:
-            events.append(cell)
-            return 0.0
-
-        try:
-            table = read_csv_body(text, converters={len(RECORD_COLUMNS) - 1: event})
-        except ValueError as err:
-            _refuse_record(text, str(err))
-        if table is None:
-            table = np.empty((0, len(RECORD_COLUMNS)))
-        elif table.shape[1] != len(RECORD_COLUMNS):
-            _refuse_record(text, f"rows have {table.shape[1]} fields")
-        columns = table.T.copy()  # one contiguous row per column
-        series = dict(zip(RECORD_COLUMNS[:-1], columns))
+        series = tables.read_body(text, "run record", header, text_column="events")
+        events = series.pop("events")
         return cls(series=series, events=events, meta=dict(meta or {}))
-
-
-def _refuse_record(text: str, reason: str) -> NoReturn:
-    """Raise the ConfigError for a run record body the C reader refused,
-    naming the first faulty line found by re-reading ``text`` row by row,
-    or carrying ``reason`` when that finds none."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        next(reader)
-        for row in reader:
-            if not row:
-                continue  # skipped by the C reader too
-            if len(row) != len(RECORD_COLUMNS):
-                raise ConfigError(f"run record line {reader.line_num} has {len(row)} fields")
-            for name, cell in zip(RECORD_COLUMNS[:-1], row):
-                try:
-                    csv_float(cell)
-                except ValueError:
-                    raise ConfigError(
-                        f"run record line {reader.line_num}: column {name!r} is not a number"
-                    ) from None
-    except csv.Error as err:
-        raise ConfigError(f"run record line {reader.line_num}: {err}") from None
-    raise ConfigError(f"run record: {reason}")
 
 
 def run_scenario(config: ScenarioConfig) -> RunRecord:

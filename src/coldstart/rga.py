@@ -20,10 +20,10 @@ import numpy as np
 
 from . import fanout
 from .errors import IdentificationError, SingularGainError, SingularMatrixError
+from .tables import csv_float
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
-CSV_BLOCK_ROWS = 256  # rows of a CSV table that one process converts to text at a time
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,6 @@ def freq_response(tf: FirstOrderTF, omega):
         )
     out = 1.0 / den
     return complex(out) if np.isscalar(omega) or w.ndim == 0 else out
-
-
-def to_gain_time_constant(tf: FirstOrderTF) -> tuple[float, float]:
-    """Rewrite 1/(tau*s + k) as K/(T*s + 1); returns (K, T)."""
-    if tf.k == 0.0:
-        raise SingularGainError("k = 0 cannot be expressed in unit-denominator form")
-    return 1.0 / tf.k, tf.tau / tf.k
-
-
-def from_gain_time_constant(gain: float, time_constant: float) -> FirstOrderTF:
-    """Inverse of ``to_gain_time_constant``."""
-    if gain == 0.0:
-        raise ValueError("zero gain has no first-order inverse form")
-    return FirstOrderTF(tau=time_constant / gain, k=1.0 / gain)
 
 
 @dataclass(frozen=True)
@@ -157,34 +143,38 @@ class TFMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "TFMatrix":
+        """One row per output after a header line; per input a (tau, k) pair
+        of cells, both blank for no coupling. Each cell is read by
+        ``tables.csv_float``, and an error names its line."""
         reader = csv.reader(io.StringIO(text))
         try:
-            rows = [r for r in reader if r]
+            rows = [(reader.line_num, r) for r in reader if r]
         except csv.Error as err:
             raise ValueError(f"line {reader.line_num}: {err}") from None
         if len(rows) < 2:
             raise ValueError("transfer matrix CSV needs a header and at least one row")
-        n = (len(rows[0]) - 1) // 2
+        n = (len(rows[0][1]) - 1) // 2
+        m = len(rows) - 1
+        if m != n:  # named at the first row past n, or at the last row
+            line = rows[min(m, n + 1)][0]
+            raise ValueError(f"line {line}: a model of {n} inputs needs {n} rows, the CSV has {m}")
         out = []
-        for i, r in enumerate(rows[1:], start=1):
+        for i, (line, r) in enumerate(rows[1:], start=1):
             if len(r) != 1 + 2 * n:
-                raise ValueError(
-                    f"transfer matrix row {i} has {len(r)} fields, expected {1 + 2 * n}"
-                )
+                raise ValueError(f"line {line} has {len(r)} fields, expected {1 + 2 * n}")
             row = []
             for j in range(n):
                 tau_s, k_s = r[1 + 2 * j], r[2 + 2 * j]
+                where = f"channel ({i},{j + 1}) on line {line}"
                 if (tau_s == "") != (k_s == ""):
-                    raise ValueError(
-                        f"channel ({i},{j + 1}): tau and k must both be set or both blank"
-                    )
+                    raise ValueError(f"{where}: tau and k must both be set or both blank")
                 if tau_s == "":
                     row.append(None)
                     continue
                 try:
-                    row.append(FirstOrderTF(float(tau_s), float(k_s)))
+                    row.append(FirstOrderTF(csv_float(tau_s), csv_float(k_s)))
                 except ValueError as err:
-                    raise ValueError(f"channel ({i},{j + 1}): {err}") from None
+                    raise ValueError(f"{where}: {err}") from None
             out.append(tuple(row))
         return cls(tuple(out))
 
@@ -251,7 +241,7 @@ class RGAResult:
         """One row per frequency: omega, the gap flag, each element's real and
         imaginary part, then each element's dB magnitude; gap rows are blank.
 
-        Rows are converted a block of ``CSV_BLOCK_ROWS`` at a time, the
+        Rows are converted a block of ``fanout.BLOCK_ROWS`` at a time, the
         blocks shared across CPUs by ``fanout.join_blocks``.
         """
         n = self.lambdas.shape[1]
@@ -262,7 +252,7 @@ class RGAResult:
         for i in range(n):
             for j in range(n):
                 header.append(f"db_{i + 1}_{j + 1}")
-        rows = fanout.join_blocks(len(self.omegas), CSV_BLOCK_ROWS, self._csv_rows)
+        rows = fanout.join_blocks(len(self.omegas), self._csv_rows)
         return ",".join(header) + "\n" + rows
 
     def _csv_rows(self, block: slice) -> str:

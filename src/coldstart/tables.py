@@ -1,0 +1,137 @@
+"""One reader for the numeric CSV inputs: the run record ``metrics`` replays,
+the ``identify`` data and trajectory tables.
+
+Each is a header line that names each column once, then rows that fill the
+header; blank lines are skipped.  Every cell is a number that numpy's C
+reader takes (the routine ``float()`` uses, without underscores or
+non-ASCII digits), except in a named text column.  The body is read by one
+``np.loadtxt`` call; where that refuses it, the text is re-read row by row,
+once, to raise a ConfigError naming the first faulty line and column.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+import re
+from typing import Any, NoReturn
+
+import numpy as np
+
+from .errors import ConfigError
+
+# any character other than a line end
+_NON_BLANK = re.compile(r"[^\r\n]")
+
+
+def read_csv_body(text: str, converters=None) -> np.ndarray | None:
+    """The rows after the header line of ``text`` as one (rows, columns)
+    float table, read by numpy's C reader, or None when no row holds data.
+
+    Cells are converted by the routine ``float()`` uses, quoted fields may
+    hold commas, quotes, CR and LF, and blank lines are skipped. Every row
+    must have the same number of fields. Raises ValueError where numpy
+    refuses the text; the caller re-reads it to name the line and column.
+    """
+    header_end = text.find("\n")
+    if header_end < 0 or _NON_BLANK.search(text, header_end + 1) is None:
+        return None  # checked first: numpy warns on a body with no data
+    return np.loadtxt(
+        io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
+        skiprows=1, ndmin=2, encoding=None, converters=converters,
+    )
+
+
+def csv_float(cell: str) -> float:
+    """The number in one CSV cell, refusing what numpy's C reader refuses
+    and ``float()`` takes: underscores and non-ASCII digits.  Both skip
+    whitespace, Unicode or not, around the number."""
+    number = cell.strip()
+    if "_" in number or not number.isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(number)
+
+
+def read_header(text: str, where: str) -> list[str]:
+    """The column names on the first line of ``text``, each named once.
+    ``where`` names the input in the ConfigError for any other header."""
+    try:
+        header = next(csv.reader(io.StringIO(text)), None)
+    except csv.Error as err:
+        raise ConfigError(f"{where} line 1: {err}") from None
+    if not header:
+        raise ConfigError(f"{where} line 1: header is empty")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ConfigError(f"{where} line 1: column {name!r} is named twice")
+    return header
+
+
+def read_body(
+    text: str, where: str, header: list[str], text_column: str | None = None,
+    finite: bool = False,
+) -> dict[str, Any]:
+    """The columns of the rows after the header line of ``text``, by name in
+    ``header``: each a row of one contiguous float table, empty when no row
+    holds data, and ``text_column``, if given, as the list of its cells.
+
+    Every row must fill the header, and with ``finite`` every number must be
+    finite. Anything else is a ConfigError naming ``where`` and the first
+    faulty line and column.
+    """
+    texts: list[str] = []
+    converters = None
+    if text_column is not None:
+
+        def keep(cell: str) -> float:
+            texts.append(cell)
+            return 0.0
+
+        converters = {header.index(text_column): keep}
+    try:
+        table = read_csv_body(text, converters)
+    except ValueError as err:
+        _locate_fault(text, where, header, text_column, finite, str(err))
+    if table is None:
+        table = np.empty((0, len(header)))
+    elif table.shape[1] != len(header) or (finite and not np.isfinite(table).all()):
+        _locate_fault(text, where, header, text_column, finite, "body does not match its header")
+    columns: dict[str, Any] = dict(zip(header, table.T.copy()))  # one contiguous row per column
+    if text_column is not None:
+        columns[text_column] = texts
+    return columns
+
+
+def _locate_fault(
+    text: str, where: str, header: list[str], text_column: str | None, finite: bool,
+    reason: str,
+) -> NoReturn:
+    """Raise the ConfigError for a body ``read_body`` refused, naming the
+    first faulty line and column found by re-reading ``text`` row by row,
+    or carrying ``reason`` when that finds none."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        next(reader)
+        for row in reader:
+            if not row:
+                continue  # skipped by the C reader too
+            at = f"{where} line {reader.line_num}"
+            if len(row) > len(header):
+                raise ConfigError(
+                    f"{at}: cell {len(header) + 1} is past the {len(header)} named columns"
+                )
+            if len(row) < len(header):
+                raise ConfigError(f"{at}: the row ends before column {header[len(row)]!r}")
+            for name, cell in zip(header, row):
+                if name == text_column:
+                    continue
+                try:
+                    value = csv_float(cell)
+                except ValueError:
+                    raise ConfigError(f"{at}: column {name!r} is not a number: {cell!r}") from None
+                if finite and not math.isfinite(value):
+                    raise ConfigError(f"{at}: column {name!r} is not finite: {cell!r}")
+    except csv.Error as err:
+        raise ConfigError(f"{where} line {reader.line_num}: {err}") from None
+    raise ConfigError(f"{where}: {reason}")

@@ -1,4 +1,4 @@
-"""Desired-output trajectories: breakpoint tables, CSV I/O, controller-grid sampling.
+"""Desired-output trajectories: breakpoint tables, CSV input, controller-grid sampling.
 
 A trajectory is stored as piecewise-linear breakpoints over time for the three
 tracked outputs (AFR, crankshaft speed, exhaust temperature) and sampled onto
@@ -9,14 +9,13 @@ two-step lookahead of its target.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import tables
 from .errors import ConfigError
 
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
@@ -67,30 +66,14 @@ class TrajectoryTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "TrajectoryTable":
-        reader = csv.DictReader(io.StringIO(text))
-        cols: dict[str, list[float]] = {c: [] for c in COLUMNS}
-        try:
-            header = reader.fieldnames or []
-            missing = [c for c in COLUMNS if c not in header]
-            if missing:
-                raise ConfigError(f"trajectory file is missing column(s) {missing}")
-            for row in reader:
-                for c in COLUMNS:
-                    try:
-                        cols[c].append(float(row[c]))
-                    except (TypeError, ValueError):
-                        raise ConfigError(
-                            f"trajectory line {reader.reader.line_num}: "
-                            f"column {c!r} is not a number: {row[c]!r}"
-                        ) from None
-        except csv.Error as err:
-            raise ConfigError(f"trajectory line {reader.reader.line_num}: {err}") from None
-        return cls(
-            time=tuple(cols["time"]),
-            afr_d=tuple(cols["afr_d"]),
-            omega_d=tuple(cols["omega_d"]),
-            t_exh_d=tuple(cols["t_exh_d"]),
-        )
+        """Read the ``COLUMNS`` of a CSV table by the rule of every numeric
+        CSV input (``tables``); any other column must hold numbers too."""
+        header = tables.read_header(text, "trajectory")
+        missing = [c for c in COLUMNS if c not in header]
+        if missing:
+            raise ConfigError(f"trajectory file is missing column(s) {missing}")
+        columns = tables.read_body(text, "trajectory", header, finite=True)
+        return cls(**{c: tuple(columns[c].tolist()) for c in COLUMNS})
 
     def sample(self, T: float, duration: float) -> "SampledTrajectory":
         """Linear interpolation onto the controller grid (plus two lookahead points)."""

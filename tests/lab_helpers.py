@@ -1,5 +1,6 @@
-"""Model builders and data generators that only the tests use: a cascade
-controller with the default gains, the illustrative coupling matrix whose
+"""Model builders and data generators that only the tests use: the
+gain/time-constant form of a first-order channel, a cascade controller with
+the default gains, the illustrative coupling matrix whose
 ``rga.csv`` digest is pinned, the exact sampled response of a first-order
 channel that identification round trips are checked against, the
 closed-loop channel gains that the RGA is checked against, and CSV writers
@@ -17,14 +18,23 @@ import time
 import numpy as np
 
 from coldstart.dsmc import BETA_DEFAULT, RHO_DEFAULTS, AdaptiveLoop, CascadeController
-from coldstart.rga import (
-    DEFAULT_COND_LIMIT,
-    FirstOrderTF,
-    TFMatrix,
-    _check_invertible,
-    from_gain_time_constant,
-)
+from coldstart.errors import SingularGainError
+from coldstart.rga import DEFAULT_COND_LIMIT, FirstOrderTF, TFMatrix, _check_invertible
 from coldstart.trajectory import COLUMNS, TrajectoryTable
+
+
+def to_gain_time_constant(tf: FirstOrderTF) -> tuple[float, float]:
+    """Rewrite 1/(tau*s + k) as K/(T*s + 1); returns (K, T)."""
+    if tf.k == 0.0:
+        raise SingularGainError("k = 0 cannot be expressed in unit-denominator form")
+    return 1.0 / tf.k, tf.tau / tf.k
+
+
+def from_gain_time_constant(gain: float, time_constant: float) -> FirstOrderTF:
+    """Inverse of ``to_gain_time_constant``."""
+    if gain == 0.0:
+        raise ValueError("zero gain has no first-order inverse form")
+    return FirstOrderTF(tau=time_constant / gain, k=1.0 / gain)
 
 
 def with_default_gains(T: float = 0.02, **kwargs) -> CascadeController:

@@ -1,10 +1,10 @@
 """Reference readers for the differential tests of the CSV readers.
 
-These are the row-by-row csv-module loops that ``RunRecord.from_csv`` and
-the ``identify`` data table used before numpy's C reader took over: one
-``float()`` call per cell. Each returns the parsed columns or raises the
-error the old reader raised (``ConfigError``, or ``csv.Error`` from the data
-table loop, which did not catch it).
+These are the row-by-row csv-module loops that ``RunRecord.from_csv``, the
+``identify`` data table and ``TrajectoryTable.from_csv`` used before numpy's
+C reader took over: one ``float()`` call per cell. Each returns what the old
+reader returned or raises the error it raised (``ConfigError``, or
+``csv.Error`` from the data table loop, which did not catch it).
 """
 
 import csv
@@ -14,6 +14,8 @@ import numpy as np
 
 from coldstart.errors import ConfigError
 from coldstart.looplab import RECORD_COLUMNS
+from coldstart.trajectory import COLUMNS as TRAJECTORY_COLUMNS
+from coldstart.trajectory import TrajectoryTable
 
 
 def reference_record(text: str) -> tuple[dict[str, np.ndarray], list[str]]:
@@ -64,3 +66,31 @@ def reference_data_table(text: str, path: str = "data.csv") -> dict[str, np.ndar
                     f"{path} line {line_no}: column {name!r} is not a number: {cell!r}"
                 ) from None
     return {name: np.asarray(vals) for name, vals in columns.items()}
+
+
+def reference_trajectory(text: str) -> TrajectoryTable:
+    """A trajectory table, read cell by cell."""
+    reader = csv.DictReader(io.StringIO(text))
+    cols: dict[str, list[float]] = {c: [] for c in TRAJECTORY_COLUMNS}
+    try:
+        header = reader.fieldnames or []
+        missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
+        if missing:
+            raise ConfigError(f"trajectory file is missing column(s) {missing}")
+        for row in reader:
+            for c in TRAJECTORY_COLUMNS:
+                try:
+                    cols[c].append(float(row[c]))
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"trajectory line {reader.reader.line_num}: "
+                        f"column {c!r} is not a number: {row[c]!r}"
+                    ) from None
+    except csv.Error as err:
+        raise ConfigError(f"trajectory line {reader.reader.line_num}: {err}") from None
+    return TrajectoryTable(
+        time=tuple(cols["time"]),
+        afr_d=tuple(cols["afr_d"]),
+        omega_d=tuple(cols["omega_d"]),
+        t_exh_d=tuple(cols["t_exh_d"]),
+    )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from coldstart import dsmc, looplab, plant, rga
-from lab_helpers import simulate_first_order
+from lab_helpers import from_gain_time_constant, simulate_first_order, to_gain_time_constant
 
 LOOPS = ("fuel", "speed", "exh", "air")
 
@@ -303,7 +303,7 @@ def test_criterion_8_identification_accuracy(report):
     y_clean = np.zeros((n, n, N))
     for j in range(n):  # experiment j excites input j only
         for i in range(n):
-            tf = rga.from_gain_time_constant(gains[i][j], taus[i][j])
+            tf = from_gain_time_constant(gains[i][j], taus[i][j])
             y_clean[i, j] = simulate_first_order(tf, u_series[j], T)
 
     def worst_error(y_series) -> float:
@@ -311,7 +311,7 @@ def test_criterion_8_identification_accuracy(report):
         assert not ident.holes
         worst = 0.0
         for (i, j), fit in ident.fits.items():
-            k_hat, tau_hat = rga.to_gain_time_constant(fit.tf)
+            k_hat, tau_hat = to_gain_time_constant(fit.tf)
             k_true, tau_true = gains[i - 1][j - 1], taus[i - 1][j - 1]
             worst = max(
                 worst,

@@ -19,7 +19,13 @@ import coldstart
 from coldstart import cli, fanout, looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
-from lab_helpers import default_coupling_matrix, log_block_pids, simulate_first_order, tf_matrix_csv
+from lab_helpers import (
+    default_coupling_matrix,
+    from_gain_time_constant,
+    log_block_pids,
+    simulate_first_order,
+    tf_matrix_csv,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -263,7 +269,7 @@ def test_bad_log_level_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def diag_model(tmp_path):
-    k = rga.from_gain_time_constant
+    k = from_gain_time_constant
     model = rga.TFMatrix(
         [[k(1.0, 0.5), None], [None, k(2.0, 0.3)]]
     )
@@ -288,7 +294,7 @@ def test_rga_decoupled_model_scores_unit_dominance(tmp_path, capsys):
 
 
 def test_rga_csv_model_and_custom_grid(tmp_path):
-    k = rga.from_gain_time_constant
+    k = from_gain_time_constant
     model = rga.TFMatrix([[k(1.0, 0.3), k(0.4, 0.5)], [k(0.25, 0.6), k(2.0, 0.8)]])
     path = tmp_path / "model.csv"
     path.write_text(tf_matrix_csv(model), encoding="utf-8")
@@ -305,7 +311,7 @@ def test_rga_csv_model_and_custom_grid(tmp_path):
 
 def test_rga_singular_frequencies_are_gaps_not_failures(tmp_path, capsys):
     # equal rows at DC: response matrix singular at low frequency
-    k = rga.from_gain_time_constant
+    k = from_gain_time_constant
     model = rga.TFMatrix(
         [[k(1.0, 0.5), k(1.0, 0.9)], [k(1.0, 0.5), k(1.0, 0.9)]]
     )
@@ -499,10 +505,10 @@ def write_ident_fixture(tmp_path, n_samples=1200, break_pair=None):
     """Two-experiment 2x2 dataset from exact channel simulations."""
     T = 0.02
     tf = {
-        (1, 1): rga.from_gain_time_constant(2.0, 0.5),
-        (2, 1): rga.from_gain_time_constant(0.5, 1.0),
-        (1, 2): rga.from_gain_time_constant(0.8, 0.25),
-        (2, 2): rga.from_gain_time_constant(1.5, 0.7),
+        (1, 1): from_gain_time_constant(2.0, 0.5),
+        (2, 1): from_gain_time_constant(0.5, 1.0),
+        (1, 2): from_gain_time_constant(0.8, 0.25),
+        (2, 2): from_gain_time_constant(1.5, 0.7),
     }
     rng = np.random.default_rng(11)
     u1, u2 = rng.standard_normal(n_samples), rng.standard_normal(n_samples)
@@ -681,7 +687,7 @@ def test_identify_repeated_column_name_exits_2(tmp_path, capsys):
     data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
     rewrite_data_lines(data, lambda lines: [lines[0].replace("u2", "u1")] + lines[1:])
     err = identify_error(data, pairs, tmp_path, capsys)
-    assert "data CSV repeats column 'u1'" in err
+    assert f"error: {data} line 1: column 'u1' is named twice\n" in err
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +724,8 @@ def test_metrics_cell_numpy_refuses_names_its_line_and_column(tmp_path, capsys, 
     path.write_text(f"{header}\n{','.join(cells)}\n{','.join(bad)}\n", encoding="utf-8")
     assert main(["metrics", "--run", str(path)]) == 2
     column = looplab.RECORD_COLUMNS[3]
-    assert f"error: run record line 3: column {column!r} is not a number\n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: run record line 3: column {column!r} is not a number: {cell!r}\n" in err
 
 
 def test_metrics_reads_a_record_with_crlf_line_endings(tmp_path, capsys):
@@ -752,6 +759,68 @@ def test_metrics_with_baseline_defines_the_ratios(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "removal_ratio_overall = absent" not in text
     assert "tracking_ratio_speed = " in text
+
+
+# ---------------------------------------------------------------------------
+# one refusal rule across the CSV inputs
+
+
+def bad_run_csv(tmp_path, cell):
+    header = ",".join(looplab.RECORD_COLUMNS)
+    cells = ["0.0"] * (len(looplab.RECORD_COLUMNS) - 1) + [""]
+    bad = list(cells)
+    bad[3] = cell  # column mdot_f
+    path = tmp_path / "run.csv"
+    path.write_text(f"{header}\n{','.join(cells)}\n{','.join(bad)}\n", encoding="utf-8")
+    return ["metrics", "--run", str(path)], f"run record line 3: column 'mdot_f' is not a number: {cell!r}"
+
+
+def bad_identify_data(tmp_path, cell):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+
+    def put(lines):
+        cells = lines[5].split(",")
+        cells[2] = cell  # column y1_1
+        lines[5] = ",".join(cells)
+        return lines
+
+    rewrite_data_lines(data, put)
+    argv = ["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(tmp_path / "o")]
+    return argv, f"{data} line 6: column 'y1_1' is not a number: {cell!r}"
+
+
+def bad_trajectory(tmp_path, cell):
+    path = tmp_path / "traj.csv"
+    path.write_text(
+        f"time,afr_d,omega_d,t_exh_d\n0.0,12.5,125.0,650.0\n30.0,{cell},110.0,650.0\n",
+        encoding="utf-8",
+    )
+    argv = [
+        "simulate", "--out", str(tmp_path / "out"), "--trajectory", str(path),
+        "--override", "duration=1.0", "--override", "metrics_window_start=0.5",
+    ]
+    return argv, f"trajectory line 3: column 'afr_d' is not a number: {cell!r}"
+
+
+def bad_model_csv(tmp_path, cell):
+    path = tmp_path / "model.csv"
+    path.write_text(f"row,tau_1,k_1,tau_2,k_2\n1,0.5,1.0,,\n2,,,{cell},2.0\n", encoding="utf-8")
+    argv = ["rga", "--model", str(path), "--out", str(tmp_path / "out")]
+    return argv, (
+        f"{path}: channel (2,2) on line 3: could not convert string to float: {cell!r}"
+    )
+
+
+# float() takes these and numpy's C reader does not
+@pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "\uff11"])
+@pytest.mark.parametrize(
+    "bad_input", [bad_run_csv, bad_identify_data, bad_trajectory, bad_model_csv],
+    ids=["metrics-run", "identify-data", "trajectory", "rga-model"],
+)
+def test_every_csv_input_refuses_a_cell_numpy_refuses(tmp_path, capsys, bad_input, cell):
+    argv, message = bad_input(tmp_path, cell)
+    assert main(argv) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Differential checks of the two table readers against the row-by-row loops
-they replaced (``reference_readers``): the run record read by ``metrics`` and
-the ``identify`` data table.
+"""Differential checks of the table readers against the row-by-row loops
+they replaced (``reference_readers``): the run record read by ``metrics``,
+the ``identify`` data table and the trajectory table.
 
 Where both readers accept a table, the columns must match bit for bit. Every
 refusal must be a ``ConfigError``. The readers now skip blank lines, so a
@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from coldstart import cli
 from coldstart.errors import ConfigError
 from coldstart.looplab import RECORD_COLUMNS, RunRecord
-from reference_readers import reference_data_table, reference_record
+from coldstart.trajectory import COLUMNS as TRAJECTORY_COLUMNS
+from coldstart.trajectory import TrajectoryTable
+from reference_readers import reference_data_table, reference_record, reference_trajectory
 
 SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
@@ -43,6 +45,7 @@ finite_numbers = st.one_of(
     st.sampled_from([repr(v) for v in SPECIAL_FLOATS if math.isfinite(v)]),
     decimals_25(),
 )
+positive_numbers = finite_numbers.filter(lambda s: 0.0 < float(s) < math.inf)
 numbers = st.one_of(
     finite_numbers,
     st.floats().map(repr),
@@ -124,6 +127,22 @@ def data_texts(draw):
     return csv_text(draw, header, rows)
 
 
+@st.composite
+def trajectory_texts(draw):
+    """The four columns in any order, at times 0, 1, 2, ... and positive
+    numbers elsewhere, so that the reference accepts many; sometimes with a
+    fifth column, extra or repeating one."""
+    header = list(draw(st.permutations(TRAJECTORY_COLUMNS)))
+    header += draw(st.lists(st.sampled_from(["note", "time", "afr_d"]), max_size=1))
+    odd = st.sampled_from(ODD_CELLS + ["nan", "-inf", "1e999", "note"])
+    rows = draw(tables(len(header), written_as(positive_numbers), odd))
+    at = header.index("time")
+    for r, row in enumerate(rows):
+        if at < len(row) and draw(st.integers(0, 15)):
+            row[at] = str(r)
+    return csv_text(draw, header, rows)
+
+
 def assert_bits_equal(got: np.ndarray, want: np.ndarray, name: str) -> None:
     # the raw 64-bit patterns, so signed zeros and NaN signs count
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -188,6 +207,19 @@ def test_data_table_reader_matches_the_reference_reader(data_path, texts):
     assert list(got) == list(want)
     for name in want:
         assert_bits_equal(got[name], want[name], name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=trajectory_texts())
+def test_trajectory_reader_matches_the_reference_reader(texts):
+    text, compact = texts
+    got = refused(TrajectoryTable.from_csv, text)
+    if got is None:
+        return
+    want = refused(reference_trajectory, compact)
+    assert want is not None, "accepted a trajectory the reference refuses"
+    for name in TRAJECTORY_COLUMNS:
+        assert_bits_equal(getattr(got, name), getattr(want, name), name)
 
 
 def test_header_only_files_emit_no_warning(tmp_path):

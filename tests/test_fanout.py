@@ -122,7 +122,7 @@ def test_results_are_the_same_on_any_cpu_count(monkeypatch, caplog, cpus):
 
 
 def test_simulate_logs_one_share_line_at_debug_and_none_at_info(tmp_path):
-    """The 2 001-row record is 8 blocks of ``CSV_BLOCK_ROWS`` rows."""
+    """The 2 001-row record is 8 blocks of ``fanout.BLOCK_ROWS`` rows."""
     src = str(Path(coldstart.__file__).parents[1])
     stderr = {}
     for level in ("info", "debug"):

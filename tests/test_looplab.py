@@ -821,7 +821,7 @@ def records(draw):
 @given(rec=records(), block_rows=st.integers(1, 4))
 def test_record_csv_matches_a_csv_writer_reference(rec, block_rows):
     # small blocks so a handful of rows spans several of them
-    with mock.patch.object(looplab, "CSV_BLOCK_ROWS", block_rows):
+    with mock.patch.object(fanout, "BLOCK_ROWS", block_rows):
         text = rec.to_csv()
     assert text == reference_csv(rec)
     back = RunRecord.from_csv(text)
@@ -831,9 +831,9 @@ def test_record_csv_matches_a_csv_writer_reference(rec, block_rows):
 
 
 def boundary_record(offset):
-    """A record of ``CSV_BLOCK_ROWS + offset`` rows of random floats, NaN
+    """A record of ``fanout.BLOCK_ROWS + offset`` rows of random floats, NaN
     and -0.0 included, flags, and events some of which need quoting."""
-    n = looplab.CSV_BLOCK_ROWS + offset
+    n = fanout.BLOCK_ROWS + offset
     rng = np.random.default_rng(n)
     cells = n * N_FLOAT_COLUMNS
     values = rng.standard_normal(cells) * 10.0 ** rng.integers(-300, 300, cells)

@@ -14,19 +14,19 @@ from coldstart.rga import (
     FirstOrderTF,
     TFMatrix,
     freq_response,
-    from_gain_time_constant,
     identify_first_order,
     identify_mimo,
     rga_of_matrix,
     rga_sweep,
-    to_gain_time_constant,
 )
 from lab_helpers import (
     closed_loop_gains,
     default_coupling_matrix,
+    from_gain_time_constant,
     kill_first_helper_mid_block,
     simulate_first_order,
     tf_matrix_csv,
+    to_gain_time_constant,
 )
 
 
@@ -194,6 +194,18 @@ def test_tfmatrix_csv_round_trip():
     assert back == tfm
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("row,tau_1,k_1\n1,0.5,1.0\n\n2,0.5,1.0\n", "line 4: a model of 1 inputs needs 1 rows"),
+        ("row,tau_1,k_1,tau_2,k_2\n\n1,0.5,1.0,,\n", "line 3: a model of 2 inputs needs 2 rows"),
+    ],
+)
+def test_tfmatrix_csv_row_count_names_the_physical_line(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TFMatrix.from_csv(text)
+
+
 # ---------------------------------------------------------------------------
 # relative gain array algebra
 
@@ -339,9 +351,9 @@ def test_sweep_singular_at_dc_leaves_gap_rows():
 
 
 def boundary_result(offset):
-    """A 2x2 sweep result of ``CSV_BLOCK_ROWS + offset`` frequencies with
+    """A 2x2 sweep result of ``fanout.BLOCK_ROWS + offset`` frequencies with
     random elements, exact zeros and every seventh row a gap."""
-    n_freq = rga.CSV_BLOCK_ROWS + offset
+    n_freq = fanout.BLOCK_ROWS + offset
     rng = np.random.default_rng(n_freq)
     lambdas = rng.standard_normal((n_freq, 2, 2)) + 1j * rng.standard_normal((n_freq, 2, 2))
     lambdas[:, 0, 1] = 0.0

@@ -58,6 +58,33 @@ def test_non_numeric_cell_is_located():
         assert f"line {line}:" in str(err.value) and "afr_d" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "time,afr_d,omega_d,t_exh_d\n0,12,160,650\n1,nan,160,650\n",
+            "trajectory line 3: column 'afr_d' is not finite: 'nan'",
+        ),
+        (
+            "time,afr_d,omega_d,t_exh_d\n0,12,160,650,1,2\n1,12,160,650\n",
+            "trajectory line 2: cell 5 is past the 4 named columns",
+        ),
+        (
+            "time,afr_d,omega_d,t_exh_d,time\n0,12,160,650,5\n1,12,160,650,6\n",
+            "trajectory line 1: column 'time' is named twice",
+        ),
+        (
+            "time,afr_d,omega_d,t_exh_d,note\n0,12,160,650,a\n1,12,160,650,b\n",
+            "trajectory line 2: column 'note' is not a number: 'a'",
+        ),
+    ],
+)
+def test_trajectory_file_follows_the_data_csv_rule(text, message):
+    with pytest.raises(ConfigError) as err:
+        TrajectoryTable.from_csv(text)
+    assert str(err.value) == message
+
+
 def test_time_must_start_at_zero_and_increase():
     with pytest.raises(ConfigError):
         TrajectoryTable((1.0, 2.0), (12.0, 12.0), (160.0, 160.0), (650.0, 650.0))
