@@ -37,6 +37,7 @@ from .looplab import (
     compute_metrics,
     run_scenario,
 )
+from .plant import real
 from .rga import TFMatrix, identify_mimo, rga_sweep
 from .tables import read_body, read_header
 from .trajectory import TrajectoryTable
@@ -63,17 +64,28 @@ def _read_text(path: str) -> str:
     # newline="" hands line endings to the CSV and JSON parsers as written,
     # so a CR inside a quoted CSV field is read back as a CR
     with open(path, encoding="utf-8", newline="") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
 
 
-def _read_json(path) -> object:
-    """The JSON value in the file at ``path``; ConfigError naming the file
-    when the text is not JSON."""
+def _parse_file(path, parse):
+    """``parse`` of the text of the file at ``path``; a ConfigError it
+    raises is raised again with the path in front."""
     text = _read_text(path)
+    try:
+        return parse(text)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _json_value(text: str) -> object:
+    """The JSON value in ``text``; ConfigError when the text is not JSON."""
     try:
         return json.loads(text)
     except ValueError as err:  # not JSON, or an int of more digits than int() takes
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+        raise ConfigError(f"not valid JSON: {err}") from None
 
 
 def _out_dir(path: str) -> Path:
@@ -215,7 +227,7 @@ def _write_run_plots(out: Path, record: RunRecord) -> None:
 
 def _load_scenario(args) -> ScenarioConfig:
     if args.config is not None:
-        data = _read_json(args.config)
+        data = _parse_file(args.config, _json_value)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: config root must be an object")
     else:
@@ -223,7 +235,7 @@ def _load_scenario(args) -> ScenarioConfig:
     data = apply_overrides(data, list(args.override or ()))
     cfg = ScenarioConfig.from_dict(data)
     if getattr(args, "trajectory", None) is not None:
-        cfg.trajectory = TrajectoryTable.from_csv(_read_text(args.trajectory))
+        cfg.trajectory = _parse_file(args.trajectory, TrajectoryTable.from_csv)
     return cfg
 
 
@@ -247,9 +259,9 @@ def cmd_metrics(args) -> int:
     def load(path: str) -> RunRecord:
         meta = {}
         sibling = Path(path).parent / "config.json"
-        if sibling.exists():
-            meta = {"config": _read_json(sibling)}
-        return RunRecord.from_csv(_read_text(path), meta=meta)
+        if sibling.exists():  # checked as a config: the metrics read only valid fields
+            meta["config"] = _parse_file(sibling, ScenarioConfig.from_json).to_dict()
+        return _parse_file(path, lambda text: RunRecord.from_csv(text, meta=meta))
 
     record = load(args.run)
     baseline = load(args.baseline) if args.baseline is not None else None
@@ -271,14 +283,11 @@ def _check_grid_flags(args) -> None:
 
 def cmd_rga(args) -> int:
     _check_grid_flags(args)
-    text = _read_text(args.model)
-    try:
-        if text.lstrip().startswith("{"):
-            model = TFMatrix.from_json(text)
-        else:
-            model = TFMatrix.from_csv(text)
-    except ValueError as err:
-        raise ConfigError(f"{args.model}: {err}") from None
+
+    def parse_model(text: str) -> TFMatrix:
+        return (TFMatrix.from_json if text.lstrip().startswith("{") else TFMatrix.from_csv)(text)
+
+    model = _parse_file(args.model, parse_model)
     try:
         result = rga_sweep(model, args.wmin, args.wmax, args.points)
     except OverflowError as err:
@@ -320,42 +329,34 @@ def _read_data_table(path: str) -> dict[str, np.ndarray]:
     return columns
 
 
-def _read_pairing_spec(path: str) -> tuple[float, list[dict]]:
-    spec = _read_json(path)
+def _pairing_spec(text: str) -> tuple[float, list[dict]]:
+    spec = _json_value(text)
     if not isinstance(spec, dict) or set(spec) != {"T", "experiments"}:
-        raise ConfigError(f"{path}: pairing spec needs exactly the keys T and experiments")
-    try:
-        T = float(spec["T"])
-    except (TypeError, ValueError, OverflowError):
-        T = math.nan
-    if not math.isfinite(T):
-        raise ConfigError(f"{path}: T must be a number")
+        raise ConfigError("pairing spec needs exactly the keys T and experiments")
+    T = real(spec["T"], "T")
     if T <= 0:
-        raise ConfigError(f"{path}: T must be positive, got {T!r}")
+        raise ConfigError(f"T must be positive, got {T!r}")
     exps = spec["experiments"]
     if not isinstance(exps, list) or not exps:
-        raise ConfigError(f"{path}: experiments must be a non-empty array")
+        raise ConfigError("experiments must be a non-empty array")
     n = len(exps)
     for idx, exp in enumerate(exps, 1):
         if not isinstance(exp, dict) or set(exp) != {"input", "outputs"}:
-            raise ConfigError(
-                f"{path}: experiment {idx} needs exactly the keys input and outputs"
-            )
+            raise ConfigError(f"experiment {idx} needs exactly the keys input and outputs")
         if not isinstance(exp["input"], str):
-            raise ConfigError(f"{path}: experiment {idx}: input must be a column name")
+            raise ConfigError(f"experiment {idx}: input must be a column name")
         outs = exp["outputs"]
         if not isinstance(outs, list) or len(outs) != n or not all(
             isinstance(o, str) for o in outs
         ):
             raise ConfigError(
-                f"{path}: experiment {idx} must list {n} output column names "
-                f"(one per channel row)"
+                f"experiment {idx} must list {n} output column names (one per channel row)"
             )
     return T, exps
 
 
 def cmd_identify(args) -> int:
-    T, experiments = _read_pairing_spec(args.pairs)
+    T, experiments = _parse_file(args.pairs, _pairing_spec)
     data = _read_data_table(args.data)
     n = len(experiments)
     for exp in experiments:
@@ -403,10 +404,10 @@ def cmd_identify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    template = _read_json(args.template)
+    template = _parse_file(args.template, _json_value)
     if not isinstance(template, dict):
         raise ConfigError(f"{args.template}: config root must be an object")
-    grid = _read_json(args.grid)
+    grid = _parse_file(args.grid, _json_value)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"{args.grid}: grid must map override paths to value arrays")
 
@@ -510,10 +511,7 @@ def main(argv=None) -> int:
     except SimulationAbort as err:
         print(f"error: runtime abort: {err}", file=sys.stderr)
         return 3
-    except (ColdstartError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ColdstartError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import plant
-from .errors import DegenerateInputError, SingularGainError
+from .errors import ConfigError, DegenerateInputError, SingularGainError
 
 AFI_FLOOR_DEFAULT = 0.05
 
@@ -54,15 +54,15 @@ class AdaptiveLoop:
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"beta must lie strictly inside (0, 1) for a stable surface, got {self.beta!r}"
             )
         if not self.rho > 0.0:
-            raise ValueError(f"adaptation gain rho must be positive, got {self.rho!r}")
+            raise ConfigError(f"adaptation gain rho must be positive, got {self.rho!r}")
         if not math.isfinite(self.phi_hat):
-            raise ValueError(f"phi_hat must be finite, got {self.phi_hat!r}")
+            raise ConfigError(f"phi_hat must be finite, got {self.phi_hat!r}")
         if self.adapt_sign not in (-1.0, 1.0):
-            raise ValueError(f"adapt_sign must be +1 or -1, got {self.adapt_sign!r}")
+            raise ConfigError(f"adapt_sign must be +1 or -1, got {self.adapt_sign!r}")
 
 
 def adapt(loop: AdaptiveLoop, s: float, f: float, T: float) -> float:
@@ -87,7 +87,7 @@ class ActuatorBounds:
         for name in ("mdot_ai", "mdot_fc", "delta"):
             lo, hi = getattr(self, name)
             if not lo < hi:
-                raise ValueError(f"bound {name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
+                raise ConfigError(f"bound {name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
 
 
 def saturate(value: float, bound: tuple[float, float]) -> tuple[float, bool]:
@@ -244,7 +244,7 @@ class CascadeController:
         delta_initial: float = 0.0,
     ):
         if T <= 0.0:
-            raise ValueError(f"sample time must be positive, got {T!r}")
+            raise ConfigError(f"sample time must be positive, got {T!r}")
         self.loop_fuel = loop_fuel
         self.loop_speed = loop_speed
         self.loop_exh = loop_exh

@@ -5,8 +5,9 @@ class ColdstartError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(ColdstartError):
-    """Invalid configuration value; message carries the offending field path."""
+class ConfigError(ColdstartError, ValueError):
+    """Refused input; the message names the file, flag or field. It is also a
+    ValueError, so Python callers that catch ValueError keep working."""
 
 
 class DegenerateInputError(ColdstartError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
-from .plant import PhiTrue
+from .plant import PhiTrue, real
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
@@ -34,6 +34,11 @@ POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat")
 # Euler substeps per sample at most: a run's cost is linear in them, and at
 # the shipped T of 20 ms this is a 20 us plant step
 MAX_SUBSTEPS = 1000
+# samples per run at most: a record row peaks near 1.5 KB while the run
+# builds it (a tuple of 38 floats, then the float table) and near 2 KB while
+# run.csv is written (the table plus its text), so this run peaks near 2 GB:
+# 5.5 h of engine time at the shipped T, whose shipped run is 2 000 steps.
+MAX_STEPS = 1_000_000
 
 # ADC spans per signal; command spans default to the actuator bounds.
 DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
@@ -115,17 +120,9 @@ def euler_step(
 # scenario configuration
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a finite float; ConfigError naming the field otherwise."""
-    number = plant.finite_float(value)
-    if number is None:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return number
-
-
 def _count(value, name: str, low: int) -> int:
     """``value`` as an integer of at least ``low``; ConfigError otherwise."""
-    if _real(value, name) != int(value) or value < low:
+    if real(value, name) != int(value) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -135,7 +132,7 @@ def _pair(value, name: str) -> tuple[float, float]:
         lo, hi = value
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a (lo, hi) pair, got {value!r}") from None
-    lo, hi = _real(lo, f"{name}[0]"), _real(hi, f"{name}[1]")
+    lo, hi = real(lo, f"{name}[0]"), real(hi, f"{name}[1]")
     if not lo < hi:
         raise ConfigError(f"{name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
     return lo, hi
@@ -153,7 +150,7 @@ def _engine_state(value) -> plant.EngineState:
         value = [value[k] for k in STATE_KEYS]
     if not isinstance(value, (tuple, list)) or len(value) != len(STATE_KEYS):
         raise ConfigError(f"initial_state must be 5 numbers or an object, got {value!r}")
-    return plant.EngineState(*(_real(v, f"initial_state.{k}") for k, v in zip(STATE_KEYS, value)))
+    return plant.EngineState(*(real(v, f"initial_state.{k}") for k, v in zip(STATE_KEYS, value)))
 
 
 def _phi_true(value) -> PhiTrue:
@@ -165,7 +162,7 @@ def _phi_true(value) -> PhiTrue:
     unknown = sorted(set(value) - set(LOOPS))
     if unknown:
         raise ConfigError(f"phi_true has unknown loop(s) {unknown}")
-    return PhiTrue(**{k: _real(v, f"phi_true.{k}") for k, v in value.items()})
+    return PhiTrue(**{k: real(v, f"phi_true.{k}") for k, v in value.items()})
 
 
 @dataclass
@@ -215,7 +212,7 @@ class ScenarioConfig:
             "T", "duration", "adapt_sign", "phi_hat_init", "afi_floor", "delta_initial",
             "metrics_window_start",
         ):
-            _real(getattr(self, name), name)
+            real(getattr(self, name), name)
         if self.adapt_sign not in (-1.0, 1.0):
             raise ConfigError(f"adapt_sign must be +1 or -1, got {self.adapt_sign!r}")
         for name in ("quantization_enabled", "adaptation_enabled"):
@@ -226,11 +223,15 @@ class ScenarioConfig:
             values = getattr(self, dict_name)
             if not isinstance(values, dict):
                 raise ConfigError(f"{dict_name} must be an object")
-            setattr(self, dict_name, {k: _real(v, f"{dict_name}.{k}") for k, v in values.items()})
+            setattr(self, dict_name, {k: real(v, f"{dict_name}.{k}") for k, v in values.items()})
         if self.T <= 0.0:
             raise ConfigError(f"T must be positive, got {self.T!r}")
-        if self.duration < 0.0:
-            raise ConfigError(f"duration must be nonnegative, got {self.duration!r}")
+        for name in ("duration", "metrics_window_start"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        steps = self.duration / self.T
+        if steps > MAX_STEPS:
+            raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")
         self.quant_bits = _count(self.quant_bits, "quant_bits", 8)
         if self.quant_bits > 32:
             raise ConfigError(f"quant_bits must be in [8, 32], got {self.quant_bits!r}")
@@ -265,10 +266,6 @@ class ScenarioConfig:
             raise ConfigError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps!r}")
         self.substeps = substeps
         self.feedback_delay_steps = _count(self.feedback_delay_steps, "feedback_delay_steps", 0)
-        if self.metrics_window_start < 0.0:
-            raise ConfigError(
-                f"metrics_window_start must be nonnegative, got {self.metrics_window_start!r}"
-            )
         self.initial_state = _engine_state(self.initial_state)
         self.phi_true = _phi_true(self.phi_true)
         if not isinstance(self.bounds, dsmc.ActuatorBounds):
@@ -284,14 +281,11 @@ class ScenarioConfig:
         return replace(plant.PlantConstants(), **self.constants)
 
     def build_conventions(self) -> plant.PlantConventions:
-        try:
-            return plant.PlantConventions(
-                hc_mode=self.hc_mode,
-                qgen_grouping=self.qgen_grouping,
-                qin_direction=self.qin_direction,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        return plant.PlantConventions(
+            hc_mode=self.hc_mode,
+            qgen_grouping=self.qgen_grouping,
+            qin_direction=self.qin_direction,
+        )
 
     def build_controller(self) -> dsmc.CascadeController:
         def loop(name: str) -> dsmc.AdaptiveLoop:
@@ -367,7 +361,7 @@ class ScenarioConfig:
                 raise ConfigError("trajectory columns must be arrays of numbers")
             kwargs["trajectory"] = TrajectoryTable(
                 **{
-                    k: tuple(_real(v, f"trajectory.{k}[{i}]") for i, v in enumerate(t[k]))
+                    k: tuple(real(v, f"trajectory.{k}[{i}]") for i, v in enumerate(t[k]))
                     for k in TRAJECTORY_COLUMNS
                 }
             )
@@ -458,10 +452,10 @@ class RunRecord:
     def __post_init__(self):
         lengths = {len(v) for v in self.series.values()}
         if len(lengths) != 1 or len(self.events) not in lengths:
-            raise ValueError("all record series must share one grid")
+            raise ConfigError("all record series must share one grid")
         missing = [c for c in RECORD_COLUMNS if c != "events" and c not in self.series]
         if missing:
-            raise ValueError(f"record is missing column(s) {missing}")
+            raise ConfigError(f"record is missing column(s) {missing}")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -709,12 +703,23 @@ def compute_metrics(
     """Summarize one run; pair with a non-adaptive baseline for the ratios.
 
     The evaluation window starts at the configured post-adaptation time and
-    runs to the end.  Paired records must share the exact time grid.
+    runs to the end.  Paired records must share the exact time grid. A
+    record whose values overflow a float in a summary is a ConfigError.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _summarize(record, baseline, window_start)
+    except FloatingPointError as err:
+        raise ConfigError(f"run record values overflow its metrics: {err}") from None
+
+
+def _summarize(record, baseline, window_start) -> MetricsSummary:
     config = record.meta.get("config", {})
     if window_start is None:
         window_start = float(config.get("metrics_window_start", 5.0))
     times = record.times
+    if not len(times):
+        raise ConfigError("run record has no rows to summarize")
     duration = float(times[-1])
     mask = times >= window_start - 1e-12
     if not mask.any():

@@ -83,12 +83,10 @@ class PlantConventions:
     qin_direction: str = "as_printed"
 
     def __post_init__(self):
-        if self.hc_mode not in HC_MODES:
-            raise ValueError(f"hc_mode must be one of {HC_MODES}, got {self.hc_mode!r}")
-        if self.qgen_grouping not in QGEN_MODES:
-            raise ValueError(f"qgen_grouping must be one of {QGEN_MODES}, got {self.qgen_grouping!r}")
-        if self.qin_direction not in QIN_MODES:
-            raise ValueError(f"qin_direction must be one of {QIN_MODES}, got {self.qin_direction!r}")
+        for f, modes in zip(fields(self), (HC_MODES, QGEN_MODES, QIN_MODES)):
+            value = getattr(self, f.name)
+            if value not in modes:
+                raise ConfigError(f"{f.name} must be one of {modes}, got {value!r}")
 
 
 class EngineState(NamedTuple):
@@ -105,20 +103,23 @@ class ControlInput(NamedTuple):
     delta: float    # spark retard from nominal timing [deg]
 
 
-def finite_float(value) -> float | None:
-    """``value`` as a float when it is a finite real number, else None.
+def real(value, name: str) -> float:
+    """``value`` as a finite float; ConfigError naming the field ``name``
+    otherwise. The one rule for every number read from outside.
 
     Booleans and non-numbers are refused, and so is an int too large for a
     float: it counts as non-finite, where ``math.isfinite`` would raise
     OverflowError.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,7 @@ class PhiTrue:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            number = finite_float(v)
-            if number is None or not number > 0.0:
+            if not real(v, f"phi_true.{f.name}") > 0.0:
                 raise ConfigError(f"phi_true.{f.name} must be a positive number, got {v!r}")
 
 
@@ -172,12 +172,16 @@ def afi(afr_value: float) -> float:
 
 
 def afr(mdot_ao: float, mdot_f: float, floor: float = 1e-9) -> float:
-    """Air-fuel ratio from cylinder air flow and in-cylinder fuel flow."""
+    """Air-fuel ratio from cylinder air flow and in-cylinder fuel flow; a
+    non-finite ratio (an air flow that overflowed) is a degenerate input."""
     if mdot_f <= floor:
         raise DegenerateInputError(
             f"fuel flow {mdot_f!r} kg/s at or below floor {floor!r}; AFR undefined"
         )
-    return mdot_ao / mdot_f
+    ratio = mdot_ao / mdot_f
+    if not math.isfinite(ratio):
+        raise DegenerateInputError(f"AFR {ratio!r} at air flow {mdot_ao!r} kg/s is not finite")
+    return ratio
 
 
 def exhaust_time_constant(omega_e: float) -> float:
@@ -219,7 +223,7 @@ def engine_out_hc(
     whenever burn start precedes valve opening.
     """
     if hc_mode not in HC_MODES:
-        raise ValueError(f"hc_mode must be one of {HC_MODES}, got {hc_mode!r}")
+        raise ConfigError(f"hc_mode must be one of {HC_MODES}, got {hc_mode!r}")
     ratio = (constants.theta_evo - burn_start(delta)) / burn_duration(afr_value, constants.afr_st)
     powered = ratio**constants.n
     if hc_mode == "unburned_fraction":

@@ -13,13 +13,13 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fanout
-from .errors import IdentificationError, SingularGainError, SingularMatrixError
+from .errors import ConfigError, IdentificationError, SingularGainError, SingularMatrixError
+from .plant import real
 from .tables import csv_float
 
 DEFAULT_COND_LIMIT = 1e12
@@ -36,9 +36,9 @@ class FirstOrderTF:
     def __post_init__(self):
         for name in ("tau", "k"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau == 0.0 and self.k == 0.0:
-            raise ValueError("tau and k cannot both be zero")
+            raise ConfigError("tau and k cannot both be zero")
 
 
 def freq_response(tf: FirstOrderTF, omega):
@@ -68,11 +68,11 @@ class TFMatrix:
     def __post_init__(self):
         n = len(self.entries)
         if n == 0:
-            raise ValueError("empty transfer matrix")
+            raise ConfigError("empty transfer matrix")
         rows = []
         for i, row in enumerate(self.entries):
             if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+                raise ConfigError(f"row {i} has {len(row)} entries, expected {n}")
             rows.append(tuple(row))
         object.__setattr__(self, "entries", tuple(rows))
 
@@ -102,42 +102,36 @@ class TFMatrix:
     def from_json(cls, text: str) -> "TFMatrix":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"transfer matrix is not valid JSON: {err}") from None
+        except ValueError as err:  # not JSON, or an int of more digits than int() takes
+            raise ConfigError(f"transfer matrix is not valid JSON: {err}") from None
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-            raise ValueError("transfer matrix JSON must be an object with an 'entries' array")
+            raise ConfigError("transfer matrix JSON must be an object with an 'entries' array")
         n = data.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"transfer matrix n must be a positive integer, got {n!r}")
+            raise ConfigError(f"transfer matrix n must be a positive integer, got {n!r}")
         entries = data["entries"]
         if len(entries) != n:
-            raise ValueError(f"transfer matrix n is {n}, but entries has length {len(entries)}")
+            raise ConfigError(f"transfer matrix n is {n}, but entries has length {len(entries)}")
         rows = []
         for i, row in enumerate(entries, start=1):
             if not isinstance(row, list):
-                raise ValueError(
+                raise ConfigError(
                     f"transfer matrix row {i} must be an array, not {type(row).__name__}"
                 )
             if len(row) != n:
-                raise ValueError(f"transfer matrix n is {n}, but row {i} has length {len(row)}")
+                raise ConfigError(f"transfer matrix n is {n}, but row {i} has length {len(row)}")
             cells = []
             for j, c in enumerate(row, start=1):
                 if c is None:
                     cells.append(None)
                     continue
                 if not isinstance(c, dict) or set(c) != {"tau", "k"}:
-                    raise ValueError(f"channel ({i},{j}) must be null or an object of tau and k")
-                for name in ("tau", "k"):
-                    # the looplab._real rule: no booleans, no strings
-                    value = c[name]
-                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                        raise ValueError(
-                            f"channel ({i},{j}): {name} must be a number, got {value!r}"
-                        )
+                    raise ConfigError(f"channel ({i},{j}) must be null or an object of tau and k")
+                tau, k = (real(c[name], f"channel ({i},{j}): {name}") for name in ("tau", "k"))
                 try:
-                    cells.append(FirstOrderTF(float(c["tau"]), float(c["k"])))
-                except (ValueError, OverflowError) as err:
-                    raise ValueError(f"channel ({i},{j}): {err}") from None
+                    cells.append(FirstOrderTF(tau, k))
+                except ConfigError as err:
+                    raise ConfigError(f"channel ({i},{j}): {err}") from None
             rows.append(tuple(cells))
         return cls(tuple(rows))
 
@@ -150,31 +144,34 @@ class TFMatrix:
         try:
             rows = [(reader.line_num, r) for r in reader if r]
         except csv.Error as err:
-            raise ValueError(f"line {reader.line_num}: {err}") from None
+            raise ConfigError(f"line {reader.line_num}: {err}") from None
         if len(rows) < 2:
-            raise ValueError("transfer matrix CSV needs a header and at least one row")
-        n = (len(rows[0][1]) - 1) // 2
+            raise ConfigError("transfer matrix CSV needs a header and at least one row")
+        line, header = rows[0]
+        if len(header) < 3 or len(header) % 2 == 0:
+            raise ConfigError(f"line {line}: header needs a label and a (tau, k) pair per input")
+        n = (len(header) - 1) // 2
         m = len(rows) - 1
         if m != n:  # named at the first row past n, or at the last row
             line = rows[min(m, n + 1)][0]
-            raise ValueError(f"line {line}: a model of {n} inputs needs {n} rows, the CSV has {m}")
+            raise ConfigError(f"line {line}: a model of {n} inputs needs {n} rows, the CSV has {m}")
         out = []
         for i, (line, r) in enumerate(rows[1:], start=1):
             if len(r) != 1 + 2 * n:
-                raise ValueError(f"line {line} has {len(r)} fields, expected {1 + 2 * n}")
+                raise ConfigError(f"line {line} has {len(r)} fields, expected {1 + 2 * n}")
             row = []
             for j in range(n):
                 tau_s, k_s = r[1 + 2 * j], r[2 + 2 * j]
                 where = f"channel ({i},{j + 1}) on line {line}"
                 if (tau_s == "") != (k_s == ""):
-                    raise ValueError(f"{where}: tau and k must both be set or both blank")
+                    raise ConfigError(f"{where}: tau and k must both be set or both blank")
                 if tau_s == "":
                     row.append(None)
                     continue
                 try:
                     row.append(FirstOrderTF(csv_float(tau_s), csv_float(k_s)))
-                except ValueError as err:
-                    raise ValueError(f"{where}: {err}") from None
+                except ValueError as err:  # csv_float's, or the channel's ConfigError
+                    raise ConfigError(f"{where}: {err}") from None
             out.append(tuple(row))
         return cls(tuple(out))
 
@@ -188,7 +185,7 @@ def _check_invertible(p: np.ndarray, cond_limit: float) -> None:
     """SingularMatrixError if a square matrix, or any member of a (..., n, n)
     stack, is too ill-conditioned to invert."""
     if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
-        raise ValueError(f"gain matrix must be square, got shape {p.shape}")
+        raise ConfigError(f"gain matrix must be square, got shape {p.shape}")
     cond = np.linalg.cond(p)
     bad = _ill_conditioned(cond, cond_limit)
     if bad.any():
@@ -287,9 +284,9 @@ def rga_sweep(
     """Log-spaced RGA sweep; ill-conditioned frequencies become gaps.
     OverflowError where a response or an RGA element overflows a float."""
     if not (w_min > 0 and w_max > w_min):
-        raise ValueError(f"need 0 < w_min < w_max, got [{w_min}, {w_max}]")
+        raise ConfigError(f"need 0 < w_min < w_max, got [{w_min}, {w_max}]")
     if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+        raise ConfigError("n_points must be at least 1")
     omegas = np.logspace(math.log10(w_min), math.log10(w_max), n_points)
     p = tfm.response(omegas)
     # gap rows are left out first: one singular member fails a batched
@@ -351,6 +348,8 @@ def identify_first_order(
         y_mean = float(np.mean(y))
         if float(np.var(y)) <= excitation_floor * max(1.0, y_mean * y_mean) and y_mean != 0.0:
             # settled DC record: gain is known, the pole is not
+            if u_mean == 0.0:
+                raise IdentificationError(f"output settled at {y_mean!r} with no input")
             gain = y_mean / u_mean
             resid = float(np.sqrt(np.mean((y - gain * u) ** 2)))
             return FirstOrderFit(
@@ -410,21 +409,23 @@ def identify_mimo(u_series, y_series, T: float, on_error: str = "raise") -> Mimo
             f"y_series shape {y_series.shape} incompatible with u_series {u_series.shape}"
         )
     if on_error not in ("raise", "hole"):
-        raise ValueError("on_error must be 'raise' or 'hole'")
+        raise ConfigError("on_error must be 'raise' or 'hole'")
 
     entries = [[None] * n for _ in range(n)]
     fits, holes = {}, {}
     for j in range(n):
         u = u_series[j]
-        u_power = max(float(np.var(u)), 1.0)
         for i in range(n):
             y = y_series[i, j]
-            if float(np.var(y)) <= 1e-16 * u_power and abs(float(np.mean(y))) < 1e-12:
-                holes[(i + 1, j + 1)] = "zero response"
-                continue
+            # an overflow, or a fit no FirstOrderTF can hold, fails the pair
             try:
-                fit = identify_first_order(u, y, T)
-            except IdentificationError as exc:
+                with np.errstate(over="raise", invalid="raise"):
+                    u_power = max(float(np.var(u)), 1.0)
+                    if float(np.var(y)) <= 1e-16 * u_power and abs(float(np.mean(y))) < 1e-12:
+                        holes[(i + 1, j + 1)] = "zero response"
+                        continue
+                    fit = identify_first_order(u, y, T)
+            except (IdentificationError, ConfigError, FloatingPointError) as exc:
                 if on_error == "raise":
                     raise IdentificationError(str(exc), pair=(i + 1, j + 1)) from exc
                 holes[(i + 1, j + 1)] = f"fit failed: {exc}"

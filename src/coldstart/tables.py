@@ -25,24 +25,6 @@ from .errors import ConfigError
 _NON_BLANK = re.compile(r"[^\r\n]")
 
 
-def read_csv_body(text: str, converters=None) -> np.ndarray | None:
-    """The rows after the header line of ``text`` as one (rows, columns)
-    float table, read by numpy's C reader, or None when no row holds data.
-
-    Cells are converted by the routine ``float()`` uses, quoted fields may
-    hold commas, quotes, CR and LF, and blank lines are skipped. Every row
-    must have the same number of fields. Raises ValueError where numpy
-    refuses the text; the caller re-reads it to name the line and column.
-    """
-    header_end = text.find("\n")
-    if header_end < 0 or _NON_BLANK.search(text, header_end + 1) is None:
-        return None  # checked first: numpy warns on a body with no data
-    return np.loadtxt(
-        io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
-        skiprows=1, ndmin=2, encoding=None, converters=converters,
-    )
-
-
 def csv_float(cell: str) -> float:
     """The number in one CSV cell, refusing what numpy's C reader refuses
     and ``float()`` takes: underscores and non-ASCII digits.  Both skip
@@ -89,14 +71,19 @@ def read_body(
             return 0.0
 
         converters = {header.index(text_column): keep}
-    try:
-        table = read_csv_body(text, converters)
-    except ValueError as err:
-        _locate_fault(text, where, header, text_column, finite, str(err))
-    if table is None:
-        table = np.empty((0, len(header)))
-    elif table.shape[1] != len(header) or (finite and not np.isfinite(table).all()):
-        _locate_fault(text, where, header, text_column, finite, "body does not match its header")
+    header_end = text.find("\n")
+    if header_end < 0 or _NON_BLANK.search(text, header_end + 1) is None:
+        table = np.empty((0, len(header)))  # checked first: numpy warns on a body with no data
+    else:
+        try:
+            table = np.loadtxt(
+                io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
+                skiprows=1, ndmin=2, encoding=None, converters=converters,
+            )
+        except ValueError as err:
+            _locate_fault(text, where, header, text_column, finite, str(err))
+        if table.shape[1] != len(header) or (finite and not np.isfinite(table).all()):
+            _locate_fault(text, where, header, text_column, finite, "body does not fit its header")
     columns: dict[str, Any] = dict(zip(header, table.T.copy()))  # one contiguous row per column
     if text_column is not None:
         columns[text_column] = texts

@@ -134,7 +134,7 @@ def test_simulate_trajectory_with_bare_cr_line_ends_exits_2(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_bytes(b"time,afr_d,omega_d,t_exh_d\r0.0,12.5,125.0,650.0\r30.0,14.0,110.0,650.0\r")
     assert main(["simulate", "--out", str(tmp_path / "out"), "--trajectory", str(traj)]) == 2
-    assert "error: trajectory line 1: new-line character" in capsys.readouterr().err
+    assert f"error: {traj}: trajectory line 1: new-line character" in capsys.readouterr().err
 
 
 def test_simulate_validation_failures_exit_2(tmp_path, capsys):
@@ -159,20 +159,20 @@ HUGE_INT = "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, refusal",
     [
-        pytest.param("T", HUGE_INT, id="T"),
-        pytest.param("quant_bits", HUGE_INT, id="quant_bits"),
-        pytest.param("phi_true.fuel", HUGE_INT, id="phi_true.fuel"),
-        pytest.param("initial_state.t_cat", HUGE_INT, id="initial_state.t_cat"),
+        pytest.param("T", HUGE_INT, "a finite number", id="T"),
+        pytest.param("quant_bits", HUGE_INT, "a finite number", id="quant_bits"),
+        pytest.param("phi_true.fuel", HUGE_INT, "a finite number", id="phi_true.fuel"),
+        pytest.param("initial_state.t_cat", HUGE_INT, "a finite number", id="initial_state.t_cat"),
         # more digits than int() converts: taken as a string, like any non-JSON value
-        pytest.param("T", "1" + "0" * 5000, id="T-past-the-int-digit-limit"),
+        pytest.param("T", "1" + "0" * 5000, "a number", id="T-past-the-int-digit-limit"),
     ],
 )
-def test_simulate_int_too_large_for_a_float_exits_2(tmp_path, capsys, path, value):
+def test_simulate_int_too_large_for_a_float_exits_2(tmp_path, capsys, path, value, refusal):
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out), "--override", f"{path}={value}"]) == 2
-    assert f"error: {path} must be a finite number, got " in capsys.readouterr().err
+    assert f"error: {path} must be {refusal}, got " in capsys.readouterr().err
     assert not (out / "run.csv").exists()
 
 
@@ -194,6 +194,59 @@ def test_simulate_runtime_abort_exits_3(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "stalled" in err and "step" in err
+
+
+def test_simulate_air_mass_whose_afr_overflows_aborts_with_exit_3(tmp_path, capsys):
+    state = '{"m_a": 1e200, "omega_e": 125.0, "mdot_f": 7.7e-4, "t_cat": 25.0, "t_exh": 25.0}'
+    out = tmp_path / "out"
+    argv = ["simulate", "--out", str(out), "--override", f"initial_state={state}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: runtime abort: step 0: plant: AFR -inf ")
+    assert not (out / "run.csv").exists()
+
+
+@pytest.mark.parametrize("T", ["1e-300", "1e-15"])
+def test_simulate_past_max_steps_exits_2_before_running(tmp_path, capsys, T):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--override", f"T={T}"]) == 2
+    steps = 40.0 / float(T)
+    assert capsys.readouterr().err == (
+        f"error: duration / T must be at most {looplab.MAX_STEPS} steps, got {steps!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_whose_surfaces_overflow_the_metrics_exits_2(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(
+        "time,afr_d,omega_d,t_exh_d\n0.0,12.5,125.0,650.0\n1.5,12.665,167.0,1e308\n"
+        "26.0,14.7,100.0,650.0\n",
+        encoding="utf-8",
+    )
+    argv = [
+        "simulate", "--out", str(tmp_path / "out"), "--trajectory", str(traj),
+        "--override", "duration=1.0", "--override", "metrics_window_start=0.5",
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: run record values overflow its metrics: ")
+
+
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"n": 1, "entries": [[{"tau": 1.0, "k": 1\xff}]]}')
+    assert main(["rga", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
+
+
+def test_main_lets_a_value_error_of_the_program_escape(tmp_path, monkeypatch):
+    # only ColdstartError and OSError are refused input; anything else is a bug
+    def broken(args):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(cli, "cmd_metrics", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        main(["metrics", "--run", str(tmp_path / "run.csv")])
 
 
 def test_simulate_matches_the_benchmark_reference_digests(tmp_path):
@@ -341,17 +394,21 @@ def test_rga_model_csv_with_a_bare_cr_in_a_cell_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, text, message",
     [
-        ("model.json", '{"n": 1, "entries": [[{"tau": NaN, "k": 1.0}]]}', "tau must be finite"),
+        (
+            "model.json",
+            '{"n": 1, "entries": [[{"tau": NaN, "k": 1.0}]]}',
+            "channel (1,1): tau must be a finite number, got nan",
+        ),
         (
             "model.json",
             '{"n": 2, "entries": [[{"tau": 1.0, "k": 1.0}, null],'
             ' [null, {"tau": 1.0, "k": Infinity}]]}',
-            "channel (2,2): k must be finite",
+            "channel (2,2): k must be a finite number, got inf",
         ),
         pytest.param(
             "model.json",
             '{"n": 1, "entries": [[{"tau": ' + HUGE_INT + ', "k": 1.0}]]}',
-            "channel (1,1): int too large to convert to float",
+            "channel (1,1): tau must be a finite number, got " + HUGE_INT,
             id="model.json-int-too-large-for-a-float",
         ),
         ("model.csv", "row,tau_1,k_1\n1,nan,1.0\n", "tau must be finite"),
@@ -366,6 +423,16 @@ def test_rga_non_finite_channel_parameters_exit_2(tmp_path, capsys, name, text, 
     err = capsys.readouterr().err
     assert f"{name}: channel (" in err and message in err
     assert not (out / "rga.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["row\n1\n", "row,tau_1\n1,2\n"])
+def test_rga_model_csv_header_without_a_channel_pair_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "m0.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rga", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 1: header needs a label and a (tau, k) pair per input\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -621,7 +688,7 @@ def test_identify_pairing_spec_int_too_large_for_a_float_exits_2(tmp_path, capsy
     for T in (int(HUGE_INT), math.nan, math.inf, -math.inf):
         pairs.write_text(json.dumps({**spec, "T": T}), encoding="utf-8")
         assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 2
-        assert f"error: {pairs}: T must be a number" in capsys.readouterr().err
+        assert f"error: {pairs}: T must be a finite number, got " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -690,6 +757,47 @@ def test_identify_repeated_column_name_exits_2(tmp_path, capsys):
     assert f"error: {data} line 1: column 'u1' is named twice\n" in err
 
 
+@pytest.mark.parametrize("T", [True, "0.02"])
+def test_identify_pairing_spec_t_that_is_not_a_number_exits_2(tmp_path, capsys, T):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+    spec = json.loads(pairs.read_text(encoding="utf-8"))
+    pairs.write_text(json.dumps({**spec, "T": T}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {pairs}: T must be a number, got {T!r}\n"
+    assert not out.exists()
+
+
+def test_identify_fit_no_channel_model_holds_is_a_hole(tmp_path):
+    # at T = 1e308 every fitted pole is so slow that tau overflows a float
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+    spec = json.loads(pairs.read_text(encoding="utf-8"))
+    pairs.write_text(json.dumps({**spec, "T": 1e308}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 4
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(": ", 1)[1] for line in report] == [
+        "fit failed: tau must be finite, got inf"
+    ] * 4
+
+
+def test_identify_sample_whose_square_overflows_fails_its_pair(tmp_path):
+    data, pairs, _ = write_ident_fixture(tmp_path, n_samples=50)
+
+    def put(lines):
+        cells = lines[5].split(",")
+        cells[2] = "1e200"  # column y1_1
+        lines[5] = ",".join(cells)
+        return lines
+
+    rewrite_data_lines(data, put)
+    out = tmp_path / "o"
+    assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 4
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert report[0] == "pair (1,1): fit failed: overflow encountered in square"
+    assert [line.split(": ")[1][:6] for line in report[1:]] == ["tau = "] * 3
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -725,7 +833,7 @@ def test_metrics_cell_numpy_refuses_names_its_line_and_column(tmp_path, capsys, 
     assert main(["metrics", "--run", str(path)]) == 2
     column = looplab.RECORD_COLUMNS[3]
     err = capsys.readouterr().err
-    assert f"error: run record line 3: column {column!r} is not a number: {cell!r}\n" in err
+    assert f"error: {path}: run record line 3: column {column!r} is not a number: {cell!r}\n" in err
 
 
 def test_metrics_reads_a_record_with_crlf_line_endings(tmp_path, capsys):
@@ -761,6 +869,78 @@ def test_metrics_with_baseline_defines_the_ratios(tmp_path, capsys):
     assert "tracking_ratio_speed = " in text
 
 
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """The run.csv and config.json texts of a short run of the shipped scenario."""
+    tmp = tmp_path_factory.mktemp("short_run")
+    write_short_config(tmp / "config.json")
+    out = tmp / "out"
+    assert main(["simulate", "--config", str(tmp / "config.json"), "--out", str(out)]) == 0
+    return {name: (out / name).read_text(encoding="utf-8") for name in ("run.csv", "config.json")}
+
+
+def write_run(directory, files, **replaced):
+    """The run.csv path of ``files`` written into ``directory``, with the
+    texts in ``replaced`` (by file name, dots as underscores) put in."""
+    directory.mkdir(exist_ok=True)
+    for name, text in files.items():
+        text = replaced.get(name.replace(".", "_"), text)
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory / "run.csv"
+
+
+def with_cell(run_csv: str, line: int, column: str, cell: str) -> str:
+    lines = run_csv.split("\n")
+    cells = lines[line - 1].split(",")
+    cells[looplab.RECORD_COLUMNS.index(column)] = cell
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("[]", "config root must be an object, got list"),
+        ('{"phi_true": "abc"}', "phi_true must be an object with the four loop names"),
+        ('{"metrics_window_start": "x"}', "metrics_window_start must be a number, got 'x'"),
+        ('{"phi_true": {"fuel": 0}}', "phi_true.fuel must be a positive number, got 0.0"),
+    ],
+)
+def test_metrics_checks_the_config_of_the_run_naming_the_file(
+    tmp_path, capsys, short_run, config, message
+):
+    run = write_run(tmp_path / "run", short_run, config_json=config)
+    assert main(["metrics", "--run", str(run)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'run' / 'config.json'}: {message}\n"
+
+
+def test_metrics_baseline_error_names_the_baseline_file(tmp_path, capsys, short_run):
+    run = write_run(tmp_path / "run", short_run)
+    bad = with_cell(short_run["run.csv"], 3, "mdot_f", "x")
+    base = write_run(tmp_path / "base", short_run, run_csv=bad)
+    assert main(["metrics", "--run", str(run), "--baseline", str(base)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {base}: run record line 3: column 'mdot_f' is not a number: 'x'\n"
+    )
+
+
+def test_metrics_of_a_header_only_record_exits_2(tmp_path, capsys, short_run):
+    header = short_run["run.csv"].split("\n")[0] + "\n"
+    run = write_run(tmp_path / "run", short_run, run_csv=header)
+    assert main(["metrics", "--run", str(run)]) == 2
+    assert capsys.readouterr().err == "error: run record has no rows to summarize\n"
+
+
+def test_metrics_of_values_that_overflow_a_summary_exits_2(tmp_path, capsys, short_run):
+    # a row inside the 1 s metrics window: the spread of s1 squares it
+    bad = with_cell(short_run["run.csv"], 90, "s1", "1e200")
+    run = write_run(tmp_path / "run", short_run, run_csv=bad)
+    assert main(["metrics", "--run", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        "error: run record values overflow its metrics: overflow encountered in square\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # one refusal rule across the CSV inputs
 
@@ -772,7 +952,10 @@ def bad_run_csv(tmp_path, cell):
     bad[3] = cell  # column mdot_f
     path = tmp_path / "run.csv"
     path.write_text(f"{header}\n{','.join(cells)}\n{','.join(bad)}\n", encoding="utf-8")
-    return ["metrics", "--run", str(path)], f"run record line 3: column 'mdot_f' is not a number: {cell!r}"
+    return (
+        ["metrics", "--run", str(path)],
+        f"{path}: run record line 3: column 'mdot_f' is not a number: {cell!r}",
+    )
 
 
 def bad_identify_data(tmp_path, cell):
@@ -799,7 +982,7 @@ def bad_trajectory(tmp_path, cell):
         "simulate", "--out", str(tmp_path / "out"), "--trajectory", str(path),
         "--override", "duration=1.0", "--override", "metrics_window_start=0.5",
     ]
-    return argv, f"trajectory line 3: column 'afr_d' is not a number: {cell!r}"
+    return argv, f"{path}: trajectory line 3: column 'afr_d' is not a number: {cell!r}"
 
 
 def bad_model_csv(tmp_path, cell):
@@ -862,6 +1045,20 @@ def test_sweep_overflowing_cell_fails_alone(tmp_path):
     assert len(rows) == 3
     assert rows[1][-1] == ""
     assert "overflow" in rows[2][-1] and "step" in rows[2][-1]
+
+
+def test_sweep_cell_whose_afr_overflows_fails_alone(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"initial_state.m_a": [0.004, 1e200]}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)])
+    assert code == 4
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row[:2] for row in rows[1:]] == [["0", "0.004"], ["1", "1e+200"]]
+    assert rows[1][-1] == "" and rows[1][2] != ""
+    assert rows[2][-1].startswith("step 0: plant: AFR -inf ")
 
 
 def test_sweep_int_too_large_for_a_float_fails_its_cell_alone(tmp_path):

@@ -322,6 +322,18 @@ def test_config_substeps_are_capped():
             ScenarioConfig.from_dict({"substeps": value})
 
 
+def test_config_steps_are_capped_before_anything_is_allocated():
+    assert ScenarioConfig(T=0.02, duration=0.01 * looplab.MAX_STEPS).duration == 10_000.0
+    for data, steps in (
+        ({"T": 1e-15}, 40.0 / 1e-15),
+        ({"T": 1.0, "duration": 1e308}, 1e308),
+        ({"T": 5e-324}, math.inf),
+    ):
+        message = f"duration / T must be at most {looplab.MAX_STEPS} steps, got {steps!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_dict(data)
+
+
 @pytest.mark.parametrize("name", looplab.POSITIVE_CONSTANTS)
 @pytest.mark.parametrize("value", [0, -0.5])
 def test_config_rejects_non_positive_plant_constants(name, value):

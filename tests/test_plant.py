@@ -179,6 +179,13 @@ def test_afr_degenerate_fuel_flow_raises():
         plant.afr(0.01, 0.0)
 
 
+def test_afr_non_finite_ratio_is_degenerate():
+    # an air flow that overflowed would reach math.cos(inf) in afi
+    for mdot_ao in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DegenerateInputError, match="is not finite"):
+            plant.afr(mdot_ao, 0.001)
+
+
 def test_exhaust_time_constant_one_revolution():
     assert plant.exhaust_time_constant(2.0 * math.pi) == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(DegenerateInputError):

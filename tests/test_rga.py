@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from coldstart import fanout, rga
-from coldstart.errors import IdentificationError, SingularGainError, SingularMatrixError
+from coldstart.errors import (
+    ConfigError, IdentificationError, SingularGainError, SingularMatrixError,
+)
 from coldstart.rga import (
     FirstOrderTF,
     TFMatrix,
@@ -203,6 +205,13 @@ def test_tfmatrix_csv_round_trip():
 )
 def test_tfmatrix_csv_row_count_names_the_physical_line(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        TFMatrix.from_csv(text)
+
+
+@pytest.mark.parametrize("text", ["row\n1\n", "row,tau_1\n1,2\n", "row,tau_1,k_1,tau_2\n1,1,1,1\n"])
+def test_tfmatrix_csv_header_of_whole_channel_pairs(text):
+    message = "line 1: header needs a label and a (tau, k) pair per input"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         TFMatrix.from_csv(text)
 
 
@@ -458,6 +467,12 @@ def test_identify_settled_dc_record_flags_time_constant():
     assert not fit.tau_identifiable
     assert fit.tf.k == pytest.approx(0.5, rel=1e-12)
     assert fit.tf.tau == 0.0
+
+
+def test_identify_rejects_a_settled_output_with_no_input():
+    # the DC gain would be a division by the zero mean input
+    with pytest.raises(IdentificationError, match="^output settled at 1.0 with no input$"):
+        identify_first_order(np.zeros(30), np.ones(30), T=0.02)
 
 
 def test_identify_rejects_unsettled_output_without_excitation():
