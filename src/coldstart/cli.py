@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +236,15 @@ def _load_scenario(args) -> ScenarioConfig:
     data = apply_overrides(data, list(args.override or ()))
     cfg = ScenarioConfig.from_dict(data)
     if getattr(args, "trajectory", None) is not None:
-        cfg.trajectory = _parse_file(args.trajectory, TrajectoryTable.from_csv)
+
+        def with_table(text: str) -> ScenarioConfig:
+            # the table passes its config row and is sampled once, so a table
+            # too short for the run is an error about its file
+            table_cfg = replace(cfg, trajectory=TrajectoryTable.from_csv(text))
+            table_cfg.sampled_trajectory()
+            return table_cfg
+
+        cfg = _parse_file(args.trajectory, with_table)
     return cfg
 
 

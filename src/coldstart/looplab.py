@@ -16,7 +16,7 @@ import json
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -28,8 +28,9 @@ from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
-# plant constants the model divides by; zero or negative values are rejected
-POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat")
+# plant constants the model divides by, or that keep the fuel flow it
+# divides by off zero; zero or negative values are rejected
+POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat", "mdot_f_floor")
 
 # Euler substeps per sample at most: a run's cost is linear in them, and at
 # the shipped T of 20 ms this is a 20 us plant step
@@ -117,60 +118,183 @@ def euler_step(
 
 
 # ---------------------------------------------------------------------------
-# scenario configuration
+# scenario configuration: ``_FIELDS`` holds one row per field, whose ``norm``
+# reads the field's Python or JSON form into the value stored (or raises a
+# ConfigError naming the field's path) and whose ``dump`` gives the JSON form
 
 
-def _count(value, name: str, low: int) -> int:
-    """``value`` as an integer of at least ``low``; ConfigError otherwise."""
-    if real(value, name) != int(value) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _pair(value, name: str) -> tuple[float, float]:
-    try:
-        lo, hi = value
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a (lo, hi) pair, got {value!r}") from None
-    lo, hi = real(lo, f"{name}[0]"), real(hi, f"{name}[1]")
-    if not lo < hi:
-        raise ConfigError(f"{name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
-    return lo, hi
-
-
-# initial_state fields under their JSON names, in EngineState order
-STATE_KEYS = ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
-
-
-def _engine_state(value) -> plant.EngineState:
-    """An EngineState, 5 numbers or a ``STATE_KEYS`` object, as an EngineState of floats."""
-    if isinstance(value, dict):
-        if set(value) != set(STATE_KEYS):
-            raise ConfigError(f"initial_state must be an object with fields {sorted(STATE_KEYS)}")
-        value = [value[k] for k in STATE_KEYS]
-    if not isinstance(value, (tuple, list)) or len(value) != len(STATE_KEYS):
-        raise ConfigError(f"initial_state must be 5 numbers or an object, got {value!r}")
-    return plant.EngineState(*(real(v, f"initial_state.{k}") for k, v in zip(STATE_KEYS, value)))
-
-
-def _phi_true(value) -> PhiTrue:
-    """``value`` (a PhiTrue, or an object keyed by loop names) as a PhiTrue."""
-    if isinstance(value, PhiTrue):
+class _Row:
+    def dump(self, value):
         return value
-    if not isinstance(value, dict):
-        raise ConfigError("phi_true must be an object with the four loop names")
-    unknown = sorted(set(value) - set(LOOPS))
-    if unknown:
-        raise ConfigError(f"phi_true has unknown loop(s) {unknown}")
-    return PhiTrue(**{k: real(v, f"phi_true.{k}") for k, v in value.items()})
+
+
+@dataclass(frozen=True)
+class _Real(_Row):
+    """A finite float in ``(low, high)``, or in ``[low, high]`` when ``closed``."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    closed: bool = False
+    rule: str = ""  # the range in words
+
+    def norm(self, value, name: str) -> float:
+        x = real(value, name)
+        if not (self.low <= x <= self.high if self.closed else self.low < x < self.high):
+            raise ConfigError(f"{name} {self.rule}, got {x!r}")
+        return x
+
+
+@dataclass(frozen=True)
+class _Count(_Row):
+    """An integer in ``[low, high]``; a float of integral value is taken."""
+
+    low: int
+    high: float = math.inf
+
+    def norm(self, value, name: str) -> int:
+        x = real(value, name)  # compared as a float: 2**53 + 1 is an integer too
+        if x != int(x) or x < self.low:
+            raise ConfigError(f"{name} must be an integer >= {self.low}, got {value!r}")
+        if x > self.high:
+            raise ConfigError(f"{name} must be in [{self.low}, {self.high}], got {value!r}")
+        return int(value)
+
+
+@dataclass(frozen=True)
+class _Choice(_Row):
+    """One of ``choices``, stored as it is there: ``1`` reads as ``1.0``, but
+    a bool only as a bool."""
+
+    choices: tuple
+    rule: str
+
+    def norm(self, value, name: str):
+        for choice in self.choices:
+            if value == choice and isinstance(value, bool) == isinstance(choice, bool):
+                return choice
+        raise ConfigError(f"{name} {self.rule}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class _Reals:
+    """An array of finite floats, stored as a tuple; with ``pair``, a
+    ``(lo, hi)`` pair with ``lo < hi`` and a finite span, which an ADC divides by."""
+
+    pair: bool = False
+
+    def norm(self, value, name: str) -> tuple[float, ...]:
+        if not isinstance(value, (tuple, list)) or self.pair and len(value) != 2:
+            shape = "a (lo, hi) pair" if self.pair else "an array of numbers"
+            raise ConfigError(f"{name} must be {shape}, got {value!r}")
+        values = tuple(real(v, f"{name}[{i}]") for i, v in enumerate(value))
+        if self.pair and not (values[0] < values[1] and math.isfinite(values[1] - values[0])):
+            raise ConfigError(f"{name} must satisfy lo < hi with hi - lo finite, got {values!r}")
+        return values
+
+    def dump(self, value):
+        return list(value)
+
+
+@dataclass(frozen=True)
+class _Object:
+    """An object keyed by ``items``, each value read by its own row, stored as
+    a dict or ``build(*values)``; partial objects merge with ``defaults``. A
+    dataclass reads as its fields; with ``sequence``, a list of the values."""
+
+    items: dict
+    noun: str  # what a key is, in messages
+    shape: str  # the form wanted, in messages
+    defaults: dict | None = None
+    build: Any = None
+    sequence: bool = False
+    nullable: bool = False
+
+    def _as_object(self, value):
+        if self.sequence and isinstance(value, (tuple, list)) and len(value) == len(self.items):
+            return dict(zip(self.items, value))
+        return vars(value) if is_dataclass(value) else value
+
+    def norm(self, value, name: str):
+        if value is None and self.nullable:
+            return None
+        value = self._as_object(value)
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be {self.shape}")
+        if self.defaults is None and set(value) != set(self.items):  # every key is required
+            raise ConfigError(f"{name} must be an object with {self.noun}s {sorted(self.items)}")
+        unknown = sorted(set(value) - set(self.items), key=str)
+        if unknown:
+            raise ConfigError(f"{name} has unknown {self.noun}(s) {unknown}")
+        value = {**(self.defaults or {}), **value}
+        values = {k: self.items[k].norm(value[k], f"{name}.{k}") for k in self.items if k in value}
+        return values if self.build is None else self.build(*values.values())
+
+    def dump(self, value):
+        if value is None:
+            return None
+        return {k: self.items[k].dump(v) for k, v in self._as_object(value).items()}
+
+
+def _loops(row: _Real, **kw) -> _Object:
+    return _Object(dict.fromkeys(LOOPS, row), "loop", "an object with the four loop names", **kw)
+
+
+_REAL, _POSITIVE, _PAIR = _Real(), _Real(0.0, rule="must be positive"), _Reals(pair=True)
+_BOOL = _Choice((True, False), "must be true or false")
+_FIELDS: dict[str, Any] = {
+    "T": _POSITIVE,
+    "duration": _Real(0.0, closed=True, rule="must be nonnegative"),
+    "quantization_enabled": _BOOL,
+    "quant_bits": _Count(8, 32),
+    "signal_ranges": _Object(
+        dict.fromkeys(DEFAULT_SIGNAL_RANGES, _PAIR), "signal", "an object of pairs",
+        DEFAULT_SIGNAL_RANGES,
+    ),
+    "phi_true": _loops(
+        _Real(0.0, rule="must be a positive number"), defaults=vars(PhiTrue()), build=PhiTrue
+    ),
+    "adaptation_enabled": _BOOL,
+    "adapt_sign": _Choice((1.0, -1.0), "must be +1 or -1"),
+    "phi_hat_init": _REAL,
+    "beta": _loops(_Real(0.0, 1.0, rule="must lie in (0, 1)")),
+    "rho": _loops(_POSITIVE),
+    "bounds": _Object(
+        dict.fromkeys(vars(dsmc.ActuatorBounds()), _PAIR), "bound",
+        "an object with mdot_ai/mdot_fc/delta pairs", vars(dsmc.ActuatorBounds()),
+        dsmc.ActuatorBounds,
+    ),
+    "afi_floor": _REAL,
+    # under their JSON names, in EngineState order
+    "initial_state": _Object(
+        dict.fromkeys(("m_a", "omega_e", "mdot_f", "t_cat", "t_exh"), _REAL), "field",
+        "5 numbers or an object", build=plant.EngineState, sequence=True,
+    ),
+    "delta_initial": _REAL,
+    "substeps": _Count(1, MAX_SUBSTEPS),
+    "feedback_delay_steps": _Count(0),
+    "metrics_window_start": _Real(0.0, closed=True, rule="must be nonnegative"),
+    "hc_mode": _Choice(plant.HC_MODES, f"must be one of {plant.HC_MODES}"),
+    "qgen_grouping": _Choice(plant.QGEN_MODES, f"must be one of {plant.QGEN_MODES}"),
+    "qin_direction": _Choice(plant.QIN_MODES, f"must be one of {plant.QIN_MODES}"),
+    "constants": _Object(
+        {k: _POSITIVE if k in POSITIVE_CONSTANTS else _REAL for k in vars(plant.PlantConstants())},
+        "field", "an object of numbers", defaults={},
+    ),
+    "trajectory": _Object(
+        dict.fromkeys(TRAJECTORY_COLUMNS, _Reals()), "column", "an object of number arrays",
+        build=TrajectoryTable, nullable=True,
+    ),
+}
 
 
 @dataclass
 class ScenarioConfig:
     """Everything one closed-loop run depends on.
 
-    Serializes to plain JSON; ``from_dict`` rejects unknown keys so config
-    typos fail loudly instead of silently running defaults.
+    Each field is read by its ``_FIELDS`` row, so construction and
+    ``from_dict`` take the same forms. Serializes to plain JSON; ``from_dict``
+    rejects unknown keys so config typos fail loudly instead of silently
+    running defaults.
     """
 
     T: float = 0.02
@@ -208,72 +332,11 @@ class ScenarioConfig:
     trajectory: TrajectoryTable | None = None  # None -> shipped default profile
 
     def __post_init__(self):
-        for name in (
-            "T", "duration", "adapt_sign", "phi_hat_init", "afi_floor", "delta_initial",
-            "metrics_window_start",
-        ):
-            real(getattr(self, name), name)
-        if self.adapt_sign not in (-1.0, 1.0):
-            raise ConfigError(f"adapt_sign must be +1 or -1, got {self.adapt_sign!r}")
-        for name in ("quantization_enabled", "adaptation_enabled"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
-        for dict_name in ("beta", "rho", "constants"):
-            values = getattr(self, dict_name)
-            if not isinstance(values, dict):
-                raise ConfigError(f"{dict_name} must be an object")
-            setattr(self, dict_name, {k: real(v, f"{dict_name}.{k}") for k, v in values.items()})
-        if self.T <= 0.0:
-            raise ConfigError(f"T must be positive, got {self.T!r}")
-        for name in ("duration", "metrics_window_start"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        for name, row in _FIELDS.items():
+            setattr(self, name, row.norm(getattr(self, name), name))
         steps = self.duration / self.T
         if steps > MAX_STEPS:
             raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")
-        self.quant_bits = _count(self.quant_bits, "quant_bits", 8)
-        if self.quant_bits > 32:
-            raise ConfigError(f"quant_bits must be in [8, 32], got {self.quant_bits!r}")
-        for name in DEFAULT_SIGNAL_RANGES:
-            if name not in self.signal_ranges:
-                raise ConfigError(f"signal_ranges is missing {name!r}")
-        self.signal_ranges = {
-            name: _pair(value, f"signal_ranges.{name}")
-            for name, value in self.signal_ranges.items()
-        }
-        extra = set(self.signal_ranges) - set(DEFAULT_SIGNAL_RANGES)
-        if extra:
-            raise ConfigError(f"signal_ranges has unknown signal(s) {sorted(extra)}")
-        for loops_dict, name in ((self.beta, "beta"), (self.rho, "rho")):
-            if set(loops_dict) != set(LOOPS):
-                raise ConfigError(f"{name} must have exactly the loops {LOOPS}")
-        for loop, b in self.beta.items():
-            if not 0.0 < b < 1.0:
-                raise ConfigError(f"beta.{loop} must lie in (0, 1), got {b!r}")
-        for loop, r in self.rho.items():
-            if not r > 0.0:
-                raise ConfigError(f"rho.{loop} must be positive, got {r!r}")
-        unknown = set(self.constants) - {f.name for f in fields(plant.PlantConstants)}
-        if unknown:
-            raise ConfigError(f"constants has unknown field(s) {sorted(unknown, key=str)}")
-        for name in POSITIVE_CONSTANTS:
-            value = self.constants.get(name)
-            if value is not None and not value > 0.0:
-                raise ConfigError(f"constants.{name} must be positive, got {value!r}")
-        substeps = _count(self.substeps, "substeps", 1)
-        if substeps > MAX_SUBSTEPS:
-            raise ConfigError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps!r}")
-        self.substeps = substeps
-        self.feedback_delay_steps = _count(self.feedback_delay_steps, "feedback_delay_steps", 0)
-        self.initial_state = _engine_state(self.initial_state)
-        self.phi_true = _phi_true(self.phi_true)
-        if not isinstance(self.bounds, dsmc.ActuatorBounds):
-            raise ConfigError(f"bounds must be ActuatorBounds, got {self.bounds!r}")
-        if self.trajectory is not None and not isinstance(self.trajectory, TrajectoryTable):
-            raise ConfigError(f"trajectory must be a TrajectoryTable, got {self.trajectory!r}")
-        # constructing the conventions validates the three mode strings
-        self.build_conventions()
 
     # -- derived builders ---------------------------------------------------
 
@@ -317,55 +380,18 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """The fields in declaration order, as plain JSON values."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(
-            signal_ranges={k: list(v) for k, v in self.signal_ranges.items()},
-            phi_true={k: getattr(self.phi_true, k) for k in LOOPS},
-            beta=dict(self.beta),
-            rho=dict(self.rho),
-            bounds={f.name: list(getattr(self.bounds, f.name)) for f in fields(self.bounds)},
-            initial_state=dict(zip(STATE_KEYS, self.initial_state)),
-            constants=dict(self.constants),
-            trajectory=None
-            if self.trajectory is None
-            else {k: list(getattr(self.trajectory, k)) for k in TRAJECTORY_COLUMNS},
-        )
-        return data
+        return {name: row.dump(getattr(self, name)) for name, row in _FIELDS.items()}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
+        """A config from its JSON form: every field reads the same forms
+        here as on construction, and a key that names no field is refused."""
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
             raise ConfigError(f"config has unknown key(s) {unknown}")
-        kwargs = dict(data)
-        if "signal_ranges" in kwargs:
-            if not isinstance(kwargs["signal_ranges"], dict):
-                raise ConfigError("signal_ranges must be an object")
-            kwargs["signal_ranges"] = {**DEFAULT_SIGNAL_RANGES, **kwargs["signal_ranges"]}
-        if "bounds" in kwargs:
-            b = kwargs["bounds"]
-            if not isinstance(b, dict) or set(b) - {"mdot_ai", "mdot_fc", "delta"}:
-                raise ConfigError("bounds must be an object with mdot_ai/mdot_fc/delta pairs")
-            kwargs["bounds"] = dsmc.ActuatorBounds(
-                **{k: _pair(v, f"bounds.{k}") for k, v in b.items()}
-            )
-        if kwargs.get("trajectory") is not None:
-            t = kwargs["trajectory"]
-            if not isinstance(t, dict) or set(t) != set(TRAJECTORY_COLUMNS):
-                raise ConfigError(
-                    f"trajectory must be an object with columns {sorted(TRAJECTORY_COLUMNS)}"
-                )
-            if not all(isinstance(t[k], (list, tuple)) for k in TRAJECTORY_COLUMNS):
-                raise ConfigError("trajectory columns must be arrays of numbers")
-            kwargs["trajectory"] = TrajectoryTable(
-                **{
-                    k: tuple(real(v, f"trajectory.{k}[{i}]") for i, v in enumerate(t[k]))
-                    for k in TRAJECTORY_COLUMNS
-                }
-            )
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -497,7 +523,7 @@ class RunRecord:
         header = tables.read_header(text, "run record")
         if tuple(header) != RECORD_COLUMNS:
             raise ConfigError("run record CSV does not have the expected columns")
-        series = tables.read_body(text, "run record", header, text_column="events")
+        series = tables.read_body(text, "run record", header, text_column="events", finite=True)
         events = series.pop("events")
         return cls(series=series, events=events, meta=dict(meta or {}))
 
@@ -604,8 +630,15 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
 
     series = dict(zip(_FLOAT_COLUMNS + _FLAG_COLUMNS, np.array(rows, dtype=float).T))
     hc_tp = series["hc_tp"]
-    increments = 0.5 * (hc_tp[1:] + hc_tp[:-1]) * np.diff(series["time"])
-    series["hc_cum"] = np.concatenate([[0.0], np.cumsum(increments)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows aborts below
+        increments = 0.5 * (hc_tp[1:] + hc_tp[:-1]) * np.diff(series["time"])
+        series["hc_cum"] = np.concatenate([[0.0], np.cumsum(increments)])
+    # the state is checked as the run steps, the rest of the record here
+    finite = np.isfinite(np.stack(list(series.values()))).all(axis=0)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        name = next(name for name, v in series.items() if not math.isfinite(v[step]))
+        raise SimulationAbort(f"non-finite {name} {float(series[name][step])!r}", step=step)
     meta = {"config": config.to_dict()}
     return RunRecord(series=series, events=events, meta=meta)
 

@@ -226,6 +226,8 @@ def engine_out_hc(
         raise ConfigError(f"hc_mode must be one of {HC_MODES}, got {hc_mode!r}")
     ratio = (constants.theta_evo - burn_start(delta)) / burn_duration(afr_value, constants.afr_st)
     powered = ratio**constants.n
+    if isinstance(powered, complex):  # a burn starting past valve opening, to a fractional power
+        raise DegenerateInputError(f"oxidation ratio {ratio!r} to the power {constants.n!r}")
     if hc_mode == "unburned_fraction":
         exponent = -abs(constants.a) * powered
     else:
@@ -289,7 +291,7 @@ class PlantModel:
         try:
             hc_eng = engine_out_hc(mdot_f, delta, afr_value, self.constants, self.hc_mode)
             eta = catalyst_efficiency(afr_value, T_cat, self.afr_cat)
-        except OverflowError:
+        except ArithmeticError:  # a fit overflows, or raises 0 to a negative power
             raise DegenerateInputError(
                 f"emission chain overflows at AFR {afr_value!r}, T_cat {T_cat!r}"
             ) from None

@@ -130,6 +130,22 @@ def test_simulate_trajectory_file_replaces_the_table(tmp_path):
     assert echoed["trajectory"]["omega_d"] == [125.0, 110.0]
 
 
+def test_simulate_trajectory_too_short_for_the_run_names_the_file(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(
+        "time,afr_d,omega_d,t_exh_d\n0.0,12.5,125.0,650.0\n0.5,14.0,110.0,650.0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["simulate", "--out", str(out), "--trajectory", str(traj), "--override", "duration=1.0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {traj}: trajectory ends at 0.5 s but must cover 1.02 s "
+        "(duration plus one sample)\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_trajectory_with_bare_cr_line_ends_exits_2(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_bytes(b"time,afr_d,omega_d,t_exh_d\r0.0,12.5,125.0,650.0\r30.0,14.0,110.0,650.0\r")
@@ -938,6 +954,17 @@ def test_metrics_of_values_that_overflow_a_summary_exits_2(tmp_path, capsys, sho
     assert main(["metrics", "--run", str(run)]) == 2
     assert capsys.readouterr().err == (
         "error: run record values overflow its metrics: overflow encountered in square\n"
+    )
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_metrics_of_a_non_finite_cell_exits_2_naming_it(tmp_path, capsys, short_run, cell):
+    # a row inside the 1 s metrics window, where the cell would reach the summary
+    bad = with_cell(short_run["run.csv"], 90, "s1", cell)
+    run = write_run(tmp_path / "run", short_run, run_csv=bad)
+    assert main(["metrics", "--run", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {run}: run record line 90: column 's1' is not finite: {cell!r}\n"
     )
 
 

@@ -1,6 +1,7 @@
 """Execution-lab checks: quantizer contract, stepping oracle, configs, runs, metrics."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import math
 import multiprocessing
 import re
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -297,6 +299,7 @@ def test_config_validation_messages_name_the_field():
         ("delta_initial", math.nan),
         ("constants.J", math.nan),
         ("signal_ranges.m_a", [0.0, math.inf]),
+        ("signal_ranges.m_a", [-1e308, 1e308]),
         ("initial_state.t_cat", "x"),
         ("quant_bits", 8.5),
         ("substeps", math.nan),
@@ -313,9 +316,21 @@ def test_config_rejects_bad_numbers_with_the_field_path(path, value):
         ScenarioConfig.from_dict(data)
 
 
+def test_the_readme_integer_ranges_are_those_of_the_field_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for name in ("quant_bits", "substeps", "feedback_delay_steps"):
+        cell = re.search(rf"^\| `{name}` \| ([^|]*) \|", readme, re.M).group(1)
+        low, high = re.match(r"(\d[\d ]*) (?:to (\d[\d ]*)|or more)", cell).groups()
+        documented = (int(low.replace(" ", "")), int(high.replace(" ", "")) if high else math.inf)
+        row = looplab._FIELDS[name]
+        assert documented == (row.low, row.high), name
+
+
 def test_config_substeps_are_capped():
     assert ScenarioConfig(substeps=looplab.MAX_SUBSTEPS).substeps == 1000
     assert ScenarioConfig(substeps=2.0).substeps == 2
+    # an int past 2**53 is no float, but still an integer
+    assert ScenarioConfig(feedback_delay_steps=2**53 + 1).feedback_delay_steps == 2**53 + 1
     for value in (1001, 1e300):
         message = f"substeps must be in [1, 1000], got {value!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -401,10 +416,12 @@ def test_config_accepts_an_object_for_phi_true():
         ({"phi_true": {"boost": 0.5}}, "phi_true has unknown loop"),
         ({"phi_true": {"fuel": "x"}}, r"phi_true\.fuel"),
         ({"phi_true": 0.5}, "phi_true must be an object"),
-        ({"bounds": {"mdot_ai": (0.0, 0.1)}}, "bounds must be"),
+        ({"bounds": 0.5}, "bounds must be"),
         ({"trajectory": "x"}, "trajectory must be"),
         ({"adapt_sign": 0.5}, "adapt_sign must be"),
         ({"constants": {"flywheel": 1.0}}, r"constants has unknown field\(s\) \['flywheel'\]"),
+        ({"bounds": dsmc.ActuatorBounds(mdot_ai=("a", "b"))}, r"bounds\.mdot_ai\[0\]"),
+        ({"bounds": dsmc.ActuatorBounds(mdot_ai=(0.0, math.inf))}, r"bounds\.mdot_ai\[1\]"),
     ],
 )
 def test_config_rejects_wrong_types_naming_the_field(kwargs, message):
@@ -515,39 +532,112 @@ def test_config_from_json_like_input_raises_only_config_errors(inputs):
     assert isinstance(cfg, ScenarioConfig)
 
 
-@st.composite
-def short_configs(draw):
-    """Valid configs of at most 0.5 s, over the fields that change a run."""
-    positive = st.floats(0.5, 1.5)
-    kwargs = dict(
-        T=draw(st.sampled_from((0.01, 0.02, 0.05))),
-        duration=draw(st.sampled_from((0.0, 0.1, 0.5))),
-        quantization_enabled=draw(st.booleans()),
-        quant_bits=draw(st.integers(8, 32)),
-        phi_true=PhiTrue(*(draw(positive) for _ in LOOPS)),
-        adaptation_enabled=draw(st.booleans()),
-        phi_hat_init=draw(positive),
-        feedback_delay_steps=draw(st.integers(0, 2)),
-        substeps=draw(st.integers(1, 2)),
-        metrics_window_start=0.0,
-        hc_mode=draw(st.sampled_from(plant.HC_MODES)),
-        qgen_grouping=draw(st.sampled_from(plant.QGEN_MODES)),
-        qin_direction=draw(st.sampled_from(plant.QIN_MODES)),
-        constants=draw(st.fixed_dictionaries({}, optional={"J": st.floats(0.1, 0.2)})),
+# Strategies drawn from the rows of looplab._FIELDS: values inside a row's
+# range, and values with one part pushed outside it.
+
+
+def finite_floats(low=-math.inf, high=math.inf, closed=True):
+    """Finite floats in ``[low, high]``, or ``(low, high)`` when not ``closed``."""
+    return st.floats(
+        None if math.isinf(low) else low,
+        None if math.isinf(high) else high,
+        exclude_min=not closed and math.isfinite(low),
+        exclude_max=not closed and math.isfinite(high),
+        allow_nan=False,
+        allow_infinity=False,
     )
+
+
+def inside(row) -> st.SearchStrategy:
+    """JSON forms of values inside ``row``'s range."""
+    if isinstance(row, looplab._Real):
+        return finite_floats(row.low, row.high, row.closed)
+    if isinstance(row, looplab._Count):
+        return st.integers(row.low, None if math.isinf(row.high) else int(row.high))
+    if isinstance(row, looplab._Choice):
+        return st.sampled_from(row.choices)
+    if isinstance(row, looplab._Reals):
+        if row.pair:  # lo < hi, and a span hi - lo that is finite
+            pairs = st.lists(finite_floats(), min_size=2, max_size=2, unique=True).map(sorted)
+            return pairs.filter(lambda pair: math.isfinite(pair[1] - pair[0]))
+        return st.lists(finite_floats(), max_size=3)
+    items = {key: inside(item) for key, item in row.items.items()}
+    if row.defaults is None:
+        return st.fixed_dictionaries(items)
+    return st.fixed_dictionaries({}, optional=items)
+
+
+NOT_NUMBERS = st.none() | st.booleans() | st.text(max_size=3)
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+
+
+@st.composite
+def pushed(draw, row, path):
+    """``(path, value)``: a JSON form for ``row`` with one part outside its
+    range, and the dotted path of that part."""
+    if isinstance(row, (looplab._Real, looplab._Count)):
+        outside = [NOT_NUMBERS, NOT_FINITE, st.lists(finite_floats(), max_size=2)]
+        closed = isinstance(row, looplab._Count) or row.closed
+        if math.isfinite(row.low):
+            outside.append(finite_floats(high=row.low, closed=not closed))
+        if math.isfinite(row.high):
+            outside.append(finite_floats(low=row.high, closed=not closed))
+        if isinstance(row, looplab._Count):
+            outside.append(st.integers(row.low, row.low + 99).map(lambda i: i + 0.5))
+        return path, draw(st.one_of(outside))
+    if isinstance(row, looplab._Choice):
+        candidates = NOT_NUMBERS | NOT_FINITE | st.floats() | st.integers()
+        return path, draw(candidates.filter(lambda value: value not in row.choices))
+    if isinstance(row, looplab._Reals):
+        good = draw(inside(row))
+        kind = draw(st.sampled_from(["shape", "cell", "order"] if row.pair else ["shape", "cell"]))
+        if kind == "shape":
+            return path, draw(st.none() | finite_floats() | st.text(max_size=3))
+        if kind == "order":
+            return path, draw(st.sampled_from([good[::-1], [good[0]] * 2, [-1e308, 1e308]]))
+        i = draw(st.integers(0, len(good) - 1)) if good else 0
+        return f"{path}[{i}]", [*good[:i], draw(NOT_NUMBERS | NOT_FINITE), *good[i + 1:]]
+    base = draw(inside(row))
+    kinds = ["shape", "unknown key", "item"] + (["missing key"] if row.defaults is None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "shape":
+        return path, draw(finite_floats() | st.text(max_size=3) | st.lists(st.none(), max_size=1))
+    if kind == "unknown key":
+        return path, {**base, "junk": 1.0}
+    key = draw(st.sampled_from(sorted(row.items)))
+    if kind == "missing key":
+        return path, {k: v for k, v in base.items() if k != key}
+    inner_path, value = draw(pushed(row.items[key], f"{path}.{key}"))
+    return inner_path, {**base, key: value}
+
+
+@st.composite
+def valid_configs(draw, max_steps=50):
+    """Configs with every field drawn inside its row's range, in JSON form.
+
+    Runs stay short: at most ``max_steps`` steps, 2 000 plant substeps and
+    2 s, with ``duration`` a whole number of samples. A trajectory table is
+    drawn to the rules of ``TrajectoryTable`` itself (time from 0, strictly
+    increasing; positive AFR) and covers the run and its lookahead sample.
+    """
+    rows = looplab._FIELDS
+    data = {name: draw(inside(row)) for name, row in rows.items() if name != "trajectory"}
+    substeps = data["substeps"]
+    n = draw(st.integers(0, min(max_steps, 2000 // substeps)))
+    T = rows["T"]
+    data["T"] = draw(finite_floats(T.low, min(T.high, 2.0 / max(n, 1)), T.closed))
+    data["duration"] = n * data["T"]
     if draw(st.booleans()):
-        kwargs["bounds"] = dsmc.ActuatorBounds(
-            mdot_ai=(0.0, draw(st.floats(0.05, 0.2))), delta=(-10.0, draw(st.floats(20.0, 45.0)))
-        )
-    if draw(st.booleans()):
-        # ends past the longest run and its lookahead sample
-        kwargs["trajectory"] = TrajectoryTable(
-            time=(0.0, draw(st.floats(0.1, 0.9)), 1.0),
-            afr_d=(draw(st.floats(12.0, 15.0)), 14.7, 14.7),
-            omega_d=(draw(st.floats(100.0, 150.0)), 110.0, 110.0),
-            t_exh_d=(25.0, draw(st.floats(100.0, 600.0)), 600.0),
-        )
-    return ScenarioConfig(**kwargs)
+        horizon = (n + 1) * data["T"]
+        times = sorted({0.0, *draw(st.lists(finite_floats(0.0, closed=False), max_size=3))})
+        if times[-1] < horizon:
+            times.append(horizon)
+        column = st.lists(finite_floats(), min_size=len(times), max_size=len(times))
+        afr = st.lists(finite_floats(0.0, closed=False), min_size=len(times), max_size=len(times))
+        data["trajectory"] = {
+            "time": times, "afr_d": draw(afr), "omega_d": draw(column), "t_exh_d": draw(column)
+        }
+    return ScenarioConfig.from_dict(data)
 
 
 def run_outcome(cfg: ScenarioConfig) -> str:
@@ -559,13 +649,38 @@ def run_outcome(cfg: ScenarioConfig) -> str:
 
 
 @settings(max_examples=10, deadline=None)
-@given(cfg=short_configs())
+@given(cfg=valid_configs())
 def test_config_echo_gives_an_equal_config_and_the_same_run(cfg):
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert again.to_json() == cfg.to_json()
     assert ScenarioConfig.from_json(cfg.to_json()) == cfg
     assert run_outcome(again) == run_outcome(cfg)
+
+
+def test_the_field_table_has_one_row_per_field_in_declaration_order():
+    assert list(looplab._FIELDS) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=valid_configs())
+def test_a_valid_config_runs_or_aborts_and_its_record_reads_back(cfg):
+    try:
+        record = run_scenario(cfg)
+    except SimulationAbort:
+        return
+    again = RunRecord.from_csv(record.to_csv())
+    assert again.to_csv() == record.to_csv()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_config_with_one_field_outside_its_row_names_that_field(data):
+    name = data.draw(st.sampled_from(list(looplab._FIELDS)))
+    path, value = data.draw(pushed(looplab._FIELDS[name], name))
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict({name: value})
+    assert re.match(re.escape(path) + r"(?!\w)", str(err.value)), (path, str(err.value))
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +737,13 @@ def test_run_stall_aborts_with_step_index():
     with pytest.raises(SimulationAbort, match="stalled") as err:
         run_scenario(cfg)
     assert err.value.step >= 1
+
+
+def test_run_whose_record_would_hold_a_non_finite_value_aborts_at_that_step():
+    # a finite state whose engine-out HC overflows: mdot_f * (r_c - 1) is past the largest float
+    state = (0.0, 1.0, 2.247116418577895e307, 0.0, 0.0)
+    with pytest.raises(SimulationAbort, match="^step 0: non-finite hc_eng inf$"):
+        run_scenario(ScenarioConfig(duration=0.0, initial_state=state))
 
 
 def test_run_overflow_in_the_emission_chain_aborts_at_its_step():
@@ -836,6 +958,11 @@ def test_record_csv_matches_a_csv_writer_reference(rec, block_rows):
     with mock.patch.object(fanout, "BLOCK_ROWS", block_rows):
         text = rec.to_csv()
     assert text == reference_csv(rec)
+    if not all(np.isfinite(values).all() for values in rec.series.values()):
+        # a record that run_scenario can write is finite; the reader refuses the rest
+        with pytest.raises(ConfigError, match=r"^run record line \d+: column '\w+' is not finite"):
+            RunRecord.from_csv(text)
+        return
     back = RunRecord.from_csv(text)
     assert back.events == rec.events
     for name in rec.series:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ def test_engine_out_hc_default_mode_bounded_by_unburned_fraction():
         afr_value = float(rng.uniform(8.0, 25.0))
         hc = plant.engine_out_hc(mdot_f, delta, afr_value)
         assert 0.0 <= hc <= mdot_f * (8.0 / 9.0) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "overrides, delta",
+    [
+        ({"n": 1.5}, 120.0),  # a burn past valve opening, to a fractional power: complex
+        ({"n": -1.0}, 100.0),  # no oxidation window, to a negative power: 0 ** -1
+    ],
+)
+def test_emission_chain_without_a_real_value_is_a_degenerate_input(overrides, delta):
+    model = PlantModel(replace(PlantConstants(), **overrides))
+    with pytest.raises(DegenerateInputError):
+        model.emissions(0.004, 125.0, 7.7e-4, 25.0, delta)
 
 
 def test_engine_out_hc_rejects_unknown_mode():
