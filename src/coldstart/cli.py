@@ -235,16 +235,10 @@ def _load_scenario(args) -> ScenarioConfig:
         data = ScenarioConfig().to_dict()
     data = apply_overrides(data, list(args.override or ()))
     cfg = ScenarioConfig.from_dict(data)
-    if getattr(args, "trajectory", None) is not None:
-
-        def with_table(text: str) -> ScenarioConfig:
-            # the table passes its config row and is sampled once, so a table
-            # too short for the run is an error about its file
-            table_cfg = replace(cfg, trajectory=TrajectoryTable.from_csv(text))
-            table_cfg.sampled_trajectory()
-            return table_cfg
-
-        cfg = _parse_file(args.trajectory, with_table)
+    if args.trajectory is not None:  # sampled as it is built: a short table names its file
+        cfg = _parse_file(
+            args.trajectory, lambda text: replace(cfg, trajectory=TrajectoryTable.from_csv(text))
+        )
     return cfg
 
 
@@ -270,7 +264,14 @@ def cmd_metrics(args) -> int:
         sibling = Path(path).parent / "config.json"
         if sibling.exists():  # checked as a config: the metrics read only valid fields
             meta["config"] = _parse_file(sibling, ScenarioConfig.from_json).to_dict()
-        return _parse_file(path, lambda text: RunRecord.from_csv(text, meta=meta))
+
+        def read(text: str) -> RunRecord:
+            record = RunRecord.from_csv(text, meta=meta)
+            if not len(record):  # an error about this file, not about the pair
+                raise ConfigError("run record has no rows to summarize")
+            return record
+
+        return _parse_file(path, read)
 
     record = load(args.run)
     baseline = load(args.baseline) if args.baseline is not None else None

@@ -17,6 +17,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field, is_dataclass, replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -287,14 +288,15 @@ _FIELDS: dict[str, Any] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one closed-loop run depends on.
 
     Each field is read by its ``_FIELDS`` row, so construction and
-    ``from_dict`` take the same forms. Serializes to plain JSON; ``from_dict``
-    rejects unknown keys so config typos fail loudly instead of silently
-    running defaults.
+    ``from_dict`` take the same forms, and the trajectory is sampled once, on
+    construction, so a config that constructs can run. Frozen: derive one with
+    ``dataclasses.replace``. Serializes to plain JSON; ``from_dict`` rejects
+    unknown keys so config typos fail loudly instead of running defaults.
     """
 
     T: float = 0.02
@@ -333,10 +335,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name, row in _FIELDS.items():
-            setattr(self, name, row.norm(getattr(self, name), name))
+            object.__setattr__(self, name, row.norm(getattr(self, name), name))
         steps = self.duration / self.T
-        if steps > MAX_STEPS:
+        if steps > MAX_STEPS:  # checked first: a run this long is never sampled
             raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")
+        self.sampled_trajectory  # an off-grid duration or a short table is refused here
 
     # -- derived builders ---------------------------------------------------
 
@@ -372,6 +375,7 @@ class ScenarioConfig:
             delta_initial=self.delta_initial,
         )
 
+    @cached_property
     def sampled_trajectory(self) -> SampledTrajectory:
         table = self.trajectory if self.trajectory is not None else default_table(self.duration)
         return table.sample(self.T, self.duration)
@@ -539,7 +543,7 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     """
     model = plant.PlantModel(config.build_constants(), config.build_conventions(), config.phi_true)
     controller = config.build_controller()
-    traj = config.sampled_trajectory()
+    traj = config.sampled_trajectory
     n_steps = traj.n_steps
     T = config.T
     quantized = config.quantization_enabled

@@ -24,6 +24,8 @@ from .tables import csv_float
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
+MIN_FIT_SAMPLES = 10  # the fewest samples a first-order fit takes
+EXCITATION_FLOOR = 1e-12  # a variance at most this times max(1, mean**2) is a constant signal
 
 
 @dataclass(frozen=True)
@@ -321,13 +323,7 @@ class FirstOrderFit:
     tau_identifiable: bool = True
 
 
-def identify_first_order(
-    u,
-    y,
-    T: float,
-    excitation_floor: float = 1e-12,
-    min_len: int = 10,
-) -> FirstOrderFit:
+def identify_first_order(u, y, T: float) -> FirstOrderFit:
     """Fit 1/(tau*s + k) to one sampled input/output pair.
 
     The discrete regression picks up the sampled pole and DC gain; the pole is
@@ -340,13 +336,13 @@ def identify_first_order(
         raise IdentificationError(f"step time must be positive, got {T}")
     if len(u) != len(y):
         raise IdentificationError(f"length mismatch: {len(u)} inputs vs {len(y)} outputs")
-    if len(u) < min_len:
-        raise IdentificationError(f"need at least {min_len} samples, got {len(u)}")
+    if len(u) < MIN_FIT_SAMPLES:
+        raise IdentificationError(f"need at least {MIN_FIT_SAMPLES} samples, got {len(u)}")
 
     u_mean = float(np.mean(u))
-    if float(np.var(u)) <= excitation_floor * max(1.0, u_mean * u_mean):
+    if float(np.var(u)) <= EXCITATION_FLOOR * max(1.0, u_mean * u_mean):
         y_mean = float(np.mean(y))
-        if float(np.var(y)) <= excitation_floor * max(1.0, y_mean * y_mean) and y_mean != 0.0:
+        if float(np.var(y)) <= EXCITATION_FLOOR * max(1.0, y_mean * y_mean) and y_mean != 0.0:
             # settled DC record: gain is known, the pole is not
             if u_mean == 0.0:
                 raise IdentificationError(f"output settled at {y_mean!r} with no input")

@@ -9,7 +9,6 @@ two-step lookahead of its target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import tables
 from .errors import ConfigError
+from .plant import real
 
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
 
@@ -47,6 +47,9 @@ class TrajectoryTable:
     t_exh_d: tuple[float, ...]
 
     def __post_init__(self):
+        for name in COLUMNS:  # every cell a finite float, each column a tuple
+            values = tuple(real(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, values)
         n = len(self.time)
         if n < 2:
             raise ConfigError("trajectory needs at least two breakpoints")
@@ -57,10 +60,6 @@ class TrajectoryTable:
         # compared, not subtracted: the step between two huge times overflows
         if not all(a < b for a, b in zip(self.time, self.time[1:])):
             raise ConfigError("trajectory time must be strictly increasing")
-        for name in ("time", "afr_d", "omega_d", "t_exh_d"):
-            values = getattr(self, name)
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"trajectory column {name!r} contains non-finite values")
         if min(self.afr_d) <= 0.0:
             raise ConfigError("desired AFR must be positive everywhere")
 

@@ -66,7 +66,7 @@ def _settled_air_mass(cfg, omega0: float, mdot_f0: float, t_exh0: float) -> floa
     # fixed point where the initial charge already equals the target and the
     # air surface starts at zero.  A fresh controller per probe keeps the
     # delay line and held-spark state out of the fit.
-    straj = cfg.sampled_trajectory()
+    straj = cfg.sampled_trajectory
 
     def gap(m: float) -> float:
         ctl = cfg.build_controller()

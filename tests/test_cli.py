@@ -158,6 +158,11 @@ def test_simulate_validation_failures_exit_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(out), "--override", "nope=1"]) == 2
     assert "no match" in capsys.readouterr().err
     assert main(["simulate", "--out", str(out), "--override", "T=-1"]) == 2
+    capsys.readouterr()
+    assert main(["simulate", "--out", str(out), "--override", "duration=1.01"]) == 2
+    assert capsys.readouterr().err == (
+        "error: duration 1.01 is not an integer number of 0.02 s samples\n"
+    )
     assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
 
 
@@ -944,7 +949,15 @@ def test_metrics_of_a_header_only_record_exits_2(tmp_path, capsys, short_run):
     header = short_run["run.csv"].split("\n")[0] + "\n"
     run = write_run(tmp_path / "run", short_run, run_csv=header)
     assert main(["metrics", "--run", str(run)]) == 2
-    assert capsys.readouterr().err == "error: run record has no rows to summarize\n"
+    assert capsys.readouterr().err == f"error: {run}: run record has no rows to summarize\n"
+
+
+def test_metrics_of_a_header_only_baseline_names_the_baseline_file(tmp_path, capsys, short_run):
+    header = short_run["run.csv"].split("\n")[0] + "\n"
+    run = write_run(tmp_path / "run", short_run)
+    base = write_run(tmp_path / "base", short_run, run_csv=header)
+    assert main(["metrics", "--run", str(run), "--baseline", str(base)]) == 2
+    assert capsys.readouterr().err == f"error: {base}: run record has no rows to summarize\n"
 
 
 def test_metrics_of_values_that_overflow_a_summary_exits_2(tmp_path, capsys, short_run):
@@ -1114,6 +1127,20 @@ def test_sweep_zero_plant_constant_cell_fails_alone(tmp_path):
     assert len(rows) == 3
     assert rows[1][-1] == ""
     assert rows[2][-1] == "constants.J must be positive, got 0.0"
+
+
+def test_sweep_off_grid_duration_cell_fails_alone(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"duration": [2.0, 1.01]}))
+    out = tmp_path / "out"
+    code = main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)])
+    assert code == 4
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 3
+    assert rows[1][-1] == ""
+    assert rows[2][-1] == "duration 1.01 is not an integer number of 0.02 s samples"
 
 
 def test_sweep_single_cell_matches_simulate(tmp_path, capsys):

@@ -232,8 +232,8 @@ CONFIG_ECHO_DIGESTS = {
         "dccb315b7b4b058691dd865c6494e7391d02ada318cb5216c6c125e6d607e1b5",
     ),
     "custom": (
-        "47244b6af868694f43411e83535a3c04dae5134f2d8be8156fe4e8eafa4bf5e4",
-        "31822a1a6da8703502b22e5fbef5e41b5aa227e14e378dc071804ae7e07eb4cd",
+        "74b545a0c504b5f707f904a9b703875f30f371542f8a8f8d3a4f770690da92a7",
+        "f3d8ae6c09d3b43db69b04c9cbe85e4f7a13f617a414e74ce75de8b4159bdd86",
     ),
 }
 
@@ -249,7 +249,7 @@ def test_config_echo_bytes_match_the_recorded_digests(case):
                 mdot_ai=(0.0, 0.08), mdot_fc=(0.0, 0.02), delta=(-5.0, 40.0)
             ),
             trajectory=TrajectoryTable(
-                time=(0.0, 1.0, 3.0), afr_d=(12.0, 13.5, 14.7),
+                time=(0.0, 1.0, 3.5), afr_d=(12.0, 13.5, 14.7),
                 omega_d=(125.0, 150.0, 110.0), t_exh_d=(25.0, 400.0, 600.0),
             ),
             constants={"J": 0.15},
@@ -612,8 +612,8 @@ def pushed(draw, row, path):
 
 
 @st.composite
-def valid_configs(draw, max_steps=50):
-    """Configs with every field drawn inside its row's range, in JSON form.
+def valid_config_data(draw, max_steps=50):
+    """JSON forms of configs with every field drawn inside its row's range.
 
     Runs stay short: at most ``max_steps`` steps, 2 000 plant substeps and
     2 s, with ``duration`` a whole number of samples. A trajectory table is
@@ -637,7 +637,31 @@ def valid_configs(draw, max_steps=50):
         data["trajectory"] = {
             "time": times, "afr_d": draw(afr), "omega_d": draw(column), "t_exh_d": draw(column)
         }
-    return ScenarioConfig.from_dict(data)
+    return data
+
+
+def valid_configs(max_steps=50):
+    return valid_config_data(max_steps).map(ScenarioConfig.from_dict)
+
+
+@st.composite
+def gated_config_data(draw):
+    """``(kind, data)``: ``valid_config_data``, or half the time with its
+    ``duration`` moved off the sample grid by a quarter to three quarters of
+    ``T`` ("off grid", refused when that is over the 1e-9 s tolerance), or
+    with a table that ends short of the run's horizon ("short table")."""
+    data = draw(valid_config_data())
+    kind = draw(st.sampled_from(["valid", "valid", "off grid", "short table"]))
+    T, duration = data["T"], data["duration"]
+    if kind == "off grid":
+        data["duration"] = duration + draw(st.floats(0.25, 0.75)) * T
+    elif kind == "short table":
+        end = (duration + T) * draw(st.floats(0.01, 0.99))
+        data["trajectory"] = {
+            "time": [0.0, end], "afr_d": [14.7, 14.7], "omega_d": [100.0, 100.0],
+            "t_exh_d": [650.0, 650.0],
+        }
+    return kind, data
 
 
 def run_outcome(cfg: ScenarioConfig) -> str:
@@ -671,6 +695,47 @@ def test_a_valid_config_runs_or_aborts_and_its_record_reads_back(cfg):
         return
     again = RunRecord.from_csv(record.to_csv())
     assert again.to_csv() == record.to_csv()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=gated_config_data())
+def test_a_config_that_constructs_can_run(case):
+    kind, data = case
+    try:
+        cfg = ScenarioConfig.from_dict(data)
+    except ConfigError as err:
+        assert kind != "valid" and str(err).startswith(("duration", "trajectory")), str(err)
+        return
+    try:
+        run_scenario(cfg)
+    except SimulationAbort:
+        pass
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"duration": 1.01}, "duration 1.01 is not an integer number of 0.02 s samples"),
+        (
+            {"duration": 3.0, "trajectory": TrajectoryTable(
+                time=(0.0, 3.0), afr_d=(14.7, 14.7), omega_d=(100.0, 100.0),
+                t_exh_d=(650.0, 650.0),
+            )},
+            "trajectory ends at 3.0 s but must cover 3.02 s (duration plus one sample)",
+        ),
+    ],
+    ids=["off grid", "short table"],
+)
+def test_a_config_that_cannot_be_sampled_is_refused_on_construction(kw, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**kw)
+
+
+def test_a_config_is_frozen():
+    cfg = ScenarioConfig(duration=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.T = 1.0
+    assert dataclasses.replace(cfg, duration=2.0).sampled_trajectory.n_steps == 100
 
 
 @settings(max_examples=80, deadline=None)

@@ -95,6 +95,29 @@ def test_time_must_start_at_zero_and_increase():
         TrajectoryTable((0.0, 1e308, -1e308), (12.0,) * 3, (160.0,) * 3, (650.0,) * 3)
 
 
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("afr_d", ("a", "b"), "afr_d[0] must be a number, got 'a'"),
+        ("time", (0.0, "x"), "time[1] must be a number, got 'x'"),
+        ("omega_d", (1.0, None), "omega_d[1] must be a number, got None"),
+        ("t_exh_d", (650.0, float("inf")), "t_exh_d[1] must be a finite number, got inf"),
+    ],
+)
+def test_a_cell_that_is_no_finite_number_is_named(column, values, message):
+    columns = {"time": (0.0, 1.0), "afr_d": (12.0, 12.0), "omega_d": (160.0, 160.0),
+               "t_exh_d": (650.0, 650.0)}
+    with pytest.raises(ConfigError) as err:
+        TrajectoryTable(**{**columns, column: values})
+    assert str(err.value) == message
+
+
+def test_columns_are_stored_as_tuples_of_floats():
+    table = TrajectoryTable([0, 1], [12, 12.5], [160.0, 160.0], [650.0, 650.0])
+    assert table.time == (0.0, 1.0) and type(table.time[1]) is float
+    assert table.afr_d == (12.0, 12.5)
+
+
 def test_afr_must_be_positive():
     with pytest.raises(ConfigError):
         TrajectoryTable((0.0, 1.0), (0.0, 12.0), (160.0, 160.0), (650.0, 650.0))
