@@ -275,7 +275,18 @@ def cmd_metrics(args) -> int:
 
     record = load(args.run)
     baseline = load(args.baseline) if args.baseline is not None else None
-    metrics = compute_metrics(record, baseline=baseline)
+    try:
+        metrics = compute_metrics(record, baseline=baseline)
+    except ConfigError as err:  # such as an overflow: name the run, or else the pair
+        where = args.run
+        if baseline is not None:
+            try:
+                compute_metrics(record)
+            except ConfigError as own:
+                err = own
+            else:
+                where = f"{args.run} with baseline {args.baseline}"
+        raise ConfigError(f"{where}: {err}") from None
     sys.stdout.write(metrics.to_text())
     return 0
 
@@ -333,10 +344,10 @@ def _read_data_table(path: str) -> dict[str, np.ndarray]:
     filling the header, every cell a finite number. It needs a data row."""
     text = _read_text(path)
     header = read_header(text, path)
-    columns = read_body(text, path, header, finite=True)
-    if not len(columns[header[0]]):
+    table, _ = read_body(text, path, header)
+    if not len(table):
         raise ConfigError(f"{path}: data CSV has no data rows")
-    return columns
+    return dict(zip(header, table.T))
 
 
 def _pairing_spec(text: str) -> tuple[float, list[dict]]:

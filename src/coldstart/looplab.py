@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
-from .plant import PhiTrue, real
+from .plant import PhiTrue, real, reals
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import SampledTrajectory, TrajectoryTable, default_table
 
@@ -184,10 +184,9 @@ class _Reals:
     pair: bool = False
 
     def norm(self, value, name: str) -> tuple[float, ...]:
-        if not isinstance(value, (tuple, list)) or self.pair and len(value) != 2:
-            shape = "a (lo, hi) pair" if self.pair else "an array of numbers"
-            raise ConfigError(f"{name} must be {shape}, got {value!r}")
-        values = tuple(real(v, f"{name}[{i}]") for i, v in enumerate(value))
+        if self.pair and not (isinstance(value, (tuple, list)) and len(value) == 2):
+            raise ConfigError(f"{name} must be a (lo, hi) pair, got {value!r}")
+        values = reals(value, name)
         if self.pair and not (values[0] < values[1] and math.isfinite(values[1] - values[0])):
             raise ConfigError(f"{name} must satisfy lo < hi with hi - lo finite, got {values!r}")
         return values
@@ -293,8 +292,9 @@ class ScenarioConfig:
     """Everything one closed-loop run depends on.
 
     Each field is read by its ``_FIELDS`` row, so construction and
-    ``from_dict`` take the same forms, and the trajectory is sampled once, on
-    construction, so a config that constructs can run. Frozen: derive one with
+    ``from_dict`` take the same forms, and the trajectory's grid and coverage
+    are checked on construction, so a config that constructs can run; it is
+    sampled only when a run reads it. Frozen: derive one with
     ``dataclasses.replace``. Serializes to plain JSON; ``from_dict`` rejects
     unknown keys so config typos fail loudly instead of running defaults.
     """
@@ -337,9 +337,10 @@ class ScenarioConfig:
         for name, row in _FIELDS.items():
             object.__setattr__(self, name, row.norm(getattr(self, name), name))
         steps = self.duration / self.T
-        if steps > MAX_STEPS:  # checked first: a run this long is never sampled
+        if steps > MAX_STEPS:
             raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")
-        self.sampled_trajectory  # an off-grid duration or a short table is refused here
+        # an off-grid duration or a short table is refused here; nothing is sampled
+        self._trajectory_table.steps(self.T, self.duration)
 
     # -- derived builders ---------------------------------------------------
 
@@ -375,10 +376,14 @@ class ScenarioConfig:
             delta_initial=self.delta_initial,
         )
 
+    @property
+    def _trajectory_table(self) -> TrajectoryTable:
+        return self.trajectory if self.trajectory is not None else default_table(self.duration)
+
     @cached_property
     def sampled_trajectory(self) -> SampledTrajectory:
-        table = self.trajectory if self.trajectory is not None else default_table(self.duration)
-        return table.sample(self.T, self.duration)
+        """The targets on the controller grid, sampled when a run first reads them."""
+        return self._trajectory_table.sample(self.T, self.duration)
 
     # -- serialization --------------------------------------------------------
 
@@ -457,7 +462,8 @@ _FLOAT_COLUMNS = (
     "hc_eng", "hc_tp", "hc_cum", "eta_cat",
 )
 _FLAG_COLUMNS = ("sat_air", "sat_fuel", "sat_delta")
-RECORD_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS + ("events",)
+_TABLE_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS  # the columns of ``RunRecord.table``
+RECORD_COLUMNS = _TABLE_COLUMNS + ("events",)
 # characters that make a field need quoting
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
@@ -471,28 +477,33 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
-    """Per-sample series of one closed-loop run plus the scenario echo."""
+    """Per-sample values of one closed-loop run plus the scenario echo: one
+    row per sample, one ``table`` column per ``RECORD_COLUMNS`` name but
+    ``events``, and ``series`` maps each name to a view of its column."""
 
-    series: dict[str, np.ndarray]
+    table: np.ndarray
     events: list[str]  # one (possibly empty) ;-joined string per sample
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        lengths = {len(v) for v in self.series.values()}
-        if len(lengths) != 1 or len(self.events) not in lengths:
-            raise ConfigError("all record series must share one grid")
-        missing = [c for c in RECORD_COLUMNS if c != "events" and c not in self.series]
-        if missing:
-            raise ConfigError(f"record is missing column(s) {missing}")
+        if self.table.shape != (len(self.events), len(_TABLE_COLUMNS)):
+            raise ConfigError(
+                f"record table must be {len(self.events)} rows by {len(_TABLE_COLUMNS)} "
+                f"columns, got shape {self.table.shape}"
+            )
 
     def __len__(self) -> int:
         return len(self.events)
 
+    @cached_property
+    def series(self) -> dict[str, np.ndarray]:
+        return {name: self.table[:, i] for i, name in enumerate(_TABLE_COLUMNS)}
+
     @property
     def times(self) -> np.ndarray:
-        return self.series["time"]
+        return self.table[:, 0]
 
     def to_csv(self) -> str:
         """One row per sample in ``RECORD_COLUMNS`` order: float reprs, 0/1
@@ -507,15 +518,11 @@ class RunRecord:
     def _csv_rows(self, block: slice) -> str:
         """The CSV lines of the rows in ``block``, with no per-element numpy
         indexing and no full-size table of strings."""
-        values = np.stack(
-            [self.series[name][block] for name in _FLOAT_COLUMNS], axis=1, dtype=float
-        ).tolist()
-        flags = zip(*(self.series[name][block].tolist() for name in _FLAG_COLUMNS))
         return "".join(
-            f"{','.join(map(repr, row))},{int(sat_air)},{int(sat_fuel)},"
+            f"{','.join(map(repr, values))},{int(sat_air)},{int(sat_fuel)},"
             f"{int(sat_delta)},{_csv_field(event)}\n"
-            for row, (sat_air, sat_fuel, sat_delta), event in zip(
-                values, flags, self.events[block]
+            for (*values, sat_air, sat_fuel, sat_delta), event in zip(
+                self.table[block].tolist(), self.events[block]
             )
         )
 
@@ -527,9 +534,8 @@ class RunRecord:
         header = tables.read_header(text, "run record")
         if tuple(header) != RECORD_COLUMNS:
             raise ConfigError("run record CSV does not have the expected columns")
-        series = tables.read_body(text, "run record", header, text_column="events", finite=True)
-        events = series.pop("events")
-        return cls(series=series, events=events, meta=dict(meta or {}))
+        table, events = tables.read_body(text, "run record", header, text_column="events")
+        return cls(table[:, :-1], events, dict(meta or {}))
 
 
 def run_scenario(config: ScenarioConfig) -> RunRecord:
@@ -557,7 +563,7 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     )
     isfinite = math.isfinite
 
-    rows: list[tuple] = []  # one tuple per sample in _FLOAT_COLUMNS + _FLAG_COLUMNS order
+    rows: list[tuple] = []  # one tuple per sample in _TABLE_COLUMNS order
     events: list[str] = []
 
     def check_state(state: plant.EngineState, step: int) -> None:
@@ -632,19 +638,18 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     ))
     events.append("")
 
-    series = dict(zip(_FLOAT_COLUMNS + _FLAG_COLUMNS, np.array(rows, dtype=float).T))
-    hc_tp = series["hc_tp"]
+    table = np.array(rows, dtype=float)
+    hc_tp = table[:, _TABLE_COLUMNS.index("hc_tp")]
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows aborts below
-        increments = 0.5 * (hc_tp[1:] + hc_tp[:-1]) * np.diff(series["time"])
-        series["hc_cum"] = np.concatenate([[0.0], np.cumsum(increments)])
-    # the state is checked as the run steps, the rest of the record here
-    finite = np.isfinite(np.stack(list(series.values()))).all(axis=0)
+        increments = 0.5 * (hc_tp[1:] + hc_tp[:-1]) * np.diff(table[:, 0])
+        table[1:, _TABLE_COLUMNS.index("hc_cum")] = np.cumsum(increments)
+    # the state is checked as the run steps, the rest of the record here, row by row
+    finite = np.isfinite(table)
     if not finite.all():
-        step = int(np.argmin(finite))
-        name = next(name for name, v in series.items() if not math.isfinite(v[step]))
-        raise SimulationAbort(f"non-finite {name} {float(series[name][step])!r}", step=step)
-    meta = {"config": config.to_dict()}
-    return RunRecord(series=series, events=events, meta=meta)
+        step, column = np.argwhere(~finite)[0]
+        name, value = _TABLE_COLUMNS[column], float(table[step, column])
+        raise SimulationAbort(f"non-finite {name} {value!r}", step=int(step))
+    return RunRecord(table, events, {"config": config.to_dict()})
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ def real(value, name: str) -> float:
     return number
 
 
+def reals(value, name: str) -> tuple[float, ...]:
+    """A list or tuple ``value`` as a tuple of finite floats, each read by
+    ``real`` as ``name[i]``; ConfigError naming ``name`` for anything else."""
+    if not isinstance(value, (tuple, list)):
+        raise ConfigError(f"{name} must be an array of numbers, got {value!r}")
+    return tuple(real(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
 @dataclass(frozen=True)
 class PhiTrue:
     """True multiplicative uncertainty on each controlled state's drift."""

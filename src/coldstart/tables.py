@@ -2,8 +2,8 @@
 the ``identify`` data and trajectory tables.
 
 Each is a header line that names each column once, then rows that fill the
-header; blank lines are skipped.  Every cell is a number that numpy's C
-reader takes (the routine ``float()`` uses, without underscores or
+header; blank lines are skipped.  Every cell is a finite number that numpy's
+C reader takes (the routine ``float()`` uses, without underscores or
 non-ASCII digits), except in a named text column.  The body is read by one
 ``np.loadtxt`` call; where that refuses it, the text is re-read row by row,
 once, to raise a ConfigError naming the first faulty line and column.
@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import re
-from typing import Any, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -52,15 +52,14 @@ def read_header(text: str, where: str) -> list[str]:
 
 def read_body(
     text: str, where: str, header: list[str], text_column: str | None = None,
-    finite: bool = False,
-) -> dict[str, Any]:
-    """The columns of the rows after the header line of ``text``, by name in
-    ``header``: each a row of one contiguous float table, empty when no row
-    holds data, and ``text_column``, if given, as the list of its cells.
+) -> tuple[np.ndarray, list[str]]:
+    """The rows after the header line of ``text`` as one ``(rows, columns)``
+    float table in ``header`` order, with no row when none holds data, and
+    the cells of ``text_column``, if given (its table column holds 0.0).
 
-    Every row must fill the header, and with ``finite`` every number must be
-    finite. Anything else is a ConfigError naming ``where`` and the first
-    faulty line and column.
+    Every row must fill the header, and every number must be finite.
+    Anything else is a ConfigError naming ``where`` and the first faulty line
+    and column.
     """
     texts: list[str] = []
     converters = None
@@ -73,26 +72,21 @@ def read_body(
         converters = {header.index(text_column): keep}
     header_end = text.find("\n")
     if header_end < 0 or _NON_BLANK.search(text, header_end + 1) is None:
-        table = np.empty((0, len(header)))  # checked first: numpy warns on a body with no data
-    else:
-        try:
-            table = np.loadtxt(
-                io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
-                skiprows=1, ndmin=2, encoding=None, converters=converters,
-            )
-        except ValueError as err:
-            _locate_fault(text, where, header, text_column, finite, str(err))
-        if table.shape[1] != len(header) or (finite and not np.isfinite(table).all()):
-            _locate_fault(text, where, header, text_column, finite, "body does not fit its header")
-    columns: dict[str, Any] = dict(zip(header, table.T.copy()))  # one contiguous row per column
-    if text_column is not None:
-        columns[text_column] = texts
-    return columns
+        return np.empty((0, len(header))), texts  # numpy warns on a body with no data
+    try:
+        table = np.loadtxt(
+            io.StringIO(text), dtype=float, delimiter=",", quotechar='"', comments=None,
+            skiprows=1, ndmin=2, encoding=None, converters=converters,
+        )
+    except ValueError as err:
+        _locate_fault(text, where, header, text_column, str(err))
+    if table.shape[1] != len(header) or not np.isfinite(table).all():
+        _locate_fault(text, where, header, text_column, "body does not fit its header")
+    return table, texts
 
 
 def _locate_fault(
-    text: str, where: str, header: list[str], text_column: str | None, finite: bool,
-    reason: str,
+    text: str, where: str, header: list[str], text_column: str | None, reason: str
 ) -> NoReturn:
     """Raise the ConfigError for a body ``read_body`` refused, naming the
     first faulty line and column found by re-reading ``text`` row by row,
@@ -117,7 +111,7 @@ def _locate_fault(
                     value = csv_float(cell)
                 except ValueError:
                     raise ConfigError(f"{at}: column {name!r} is not a number: {cell!r}") from None
-                if finite and not math.isfinite(value):
+                if not math.isfinite(value):
                     raise ConfigError(f"{at}: column {name!r} is not finite: {cell!r}")
     except csv.Error as err:
         raise ConfigError(f"{where} line {reader.line_num}: {err}") from None

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tables
 from .errors import ConfigError
-from .plant import real
+from .plant import reals
 
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
 
@@ -48,8 +48,7 @@ class TrajectoryTable:
 
     def __post_init__(self):
         for name in COLUMNS:  # every cell a finite float, each column a tuple
-            values = tuple(real(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, reals(getattr(self, name), name))
         n = len(self.time)
         if n < 2:
             raise ConfigError("trajectory needs at least two breakpoints")
@@ -71,11 +70,13 @@ class TrajectoryTable:
         missing = [c for c in COLUMNS if c not in header]
         if missing:
             raise ConfigError(f"trajectory file is missing column(s) {missing}")
-        columns = tables.read_body(text, "trajectory", header, finite=True)
-        return cls(**{c: tuple(columns[c].tolist()) for c in COLUMNS})
+        table, _ = tables.read_body(text, "trajectory", header)
+        return cls(**{c: table[:, header.index(c)].tolist() for c in COLUMNS})
 
-    def sample(self, T: float, duration: float) -> "SampledTrajectory":
-        """Linear interpolation onto the controller grid (plus two lookahead points)."""
+    def steps(self, T: float, duration: float) -> int:
+        """The controller steps of a ``duration`` s run sampled every ``T`` s;
+        a ConfigError unless that is a whole number of samples and the table
+        covers one sample past it."""
         if T <= 0.0:
             raise ConfigError(f"sample time must be positive, got {T!r}")
         if duration < 0.0:
@@ -91,7 +92,11 @@ class TrajectoryTable:
                 f"trajectory ends at {self.time[-1]!r} s but must cover {horizon!r} s "
                 "(duration plus one sample)"
             )
-        grid = np.arange(n_steps + 2, dtype=float) * T
+        return n_steps
+
+    def sample(self, T: float, duration: float) -> "SampledTrajectory":
+        """Linear interpolation onto the controller grid (plus two lookahead points)."""
+        grid = np.arange(self.steps(T, duration) + 2, dtype=float) * T
         t = np.asarray(self.time, dtype=float)
 
         def column(values: tuple[float, ...]) -> tuple[float, ...]:

@@ -19,12 +19,14 @@ import coldstart
 from coldstart import cli, fanout, looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
+from coldstart.trajectory import TrajectoryTable
 from lab_helpers import (
     default_coupling_matrix,
     from_gain_time_constant,
     log_block_pids,
     simulate_first_order,
     tf_matrix_csv,
+    wait_for,
 )
 
 
@@ -128,6 +130,30 @@ def test_simulate_trajectory_file_replaces_the_table(tmp_path):
     assert code == 0
     echoed = json.loads((out / "config.json").read_text(encoding="utf-8"))
     assert echoed["trajectory"]["omega_d"] == [125.0, 110.0]
+
+
+def test_a_trajectory_is_sampled_only_for_a_run(tmp_path, monkeypatch):
+    sampled = []
+    sample = TrajectoryTable.sample
+    monkeypatch.setattr(
+        TrajectoryTable, "sample", lambda self, *grid: sampled.append(grid) or sample(self, *grid)
+    )
+    ScenarioConfig()
+    assert sampled == []
+    traj = tmp_path / "traj.csv"
+    traj.write_text(
+        "time,afr_d,omega_d,t_exh_d\n0.0,12.5,125.0,650.0\n30.0,14.0,110.0,650.0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = [
+        "simulate", "--out", str(out), "--trajectory", str(traj),
+        "--override", "duration=1.0", "--override", "metrics_window_start=0.5",
+    ]
+    assert main(argv) == 0
+    assert sampled == [(0.02, 1.0)]
+    assert main(["metrics", "--run", str(out / "run.csv")]) == 0  # echoes its config.json
+    assert sampled == [(0.02, 1.0)]
 
 
 def test_simulate_trajectory_too_short_for_the_run_names_the_file(tmp_path, capsys):
@@ -966,7 +992,36 @@ def test_metrics_of_values_that_overflow_a_summary_exits_2(tmp_path, capsys, sho
     run = write_run(tmp_path / "run", short_run, run_csv=bad)
     assert main(["metrics", "--run", str(run)]) == 2
     assert capsys.readouterr().err == (
-        "error: run record values overflow its metrics: overflow encountered in square\n"
+        f"error: {run}: run record values overflow its metrics: overflow encountered in square\n"
+    )
+
+
+def test_metrics_of_a_run_that_overflows_alone_names_the_run_not_its_baseline(
+    tmp_path, capsys, short_run
+):
+    bad = with_cell(short_run["run.csv"], 90, "s1", "1e200")
+    run = write_run(tmp_path / "run", short_run, run_csv=bad)
+    base = write_run(tmp_path / "base", short_run)
+    assert main(["metrics", "--run", str(run), "--baseline", str(base)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {run}: run record values overflow its metrics: overflow encountered in square\n"
+    )
+
+
+def test_metrics_of_a_pair_that_overflows_only_together_names_both_files(
+    tmp_path, capsys, short_run
+):
+    # the baseline's removal residual (phi_hat - phi) * f, read only for a pair, overflows
+    bad = with_cell(short_run["run.csv"], 90, "phi_hat_fuel", "1e200")
+    bad = with_cell(bad, 90, "f_fuel", "1e200")
+    run = write_run(tmp_path / "run", short_run)
+    base = write_run(tmp_path / "base", short_run, run_csv=bad)
+    assert main(["metrics", "--run", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--run", str(run), "--baseline", str(base)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {run} with baseline {base}: run record values overflow its metrics: "
+        "overflow encountered in multiply\n"
     )
 
 
@@ -1207,13 +1262,6 @@ def sweep_argv(template, grid, out):
     return ["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)]
 
 
-def wait_for(path, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while not path.exists():
-        assert time.monotonic() < deadline, f"{path.name} never appeared"
-        time.sleep(0.005)
-
-
 def record_pids(monkeypatch, path, before=None):
     """Wrap the sweep's run_scenario to append the pid of every process that
     runs a cell to ``path``, after calling ``before(cfg, pid)`` if given."""
@@ -1229,6 +1277,28 @@ def record_pids(monkeypatch, path, before=None):
     monkeypatch.setattr(cli, "run_scenario", run)
 
 
+def share_both_ways(pids, caller_started):
+    """A ``record_pids`` hook under which both this process and a helper run
+    a cell: this process runs none before a helper has started one (the
+    ``caller_waits`` rule of ``log_block_pids``), and a helper none before
+    this process has reached its first cell. Each of the three helpers claims
+    at most one cell before it waits, so this process reaches one of the six
+    cells that run, whatever the scheduling."""
+    caller = os.getpid()
+
+    def helper_started() -> bool:
+        return pids.exists() and any(p != str(caller) for p in pids.read_text().split())
+
+    def before(cfg, pid):
+        if pid == caller:
+            caller_started.touch()
+            wait_for(helper_started)
+        else:
+            wait_for(caller_started.exists)
+
+    return before
+
+
 def test_sweep_with_helpers_is_byte_identical_to_the_serial_loop(tmp_path, monkeypatch):
     template, grid = write_mixed_sweep(tmp_path)
     results = {}
@@ -1237,7 +1307,8 @@ def test_sweep_with_helpers_is_byte_identical_to_the_serial_loop(tmp_path, monke
         with monkeypatch.context() as patch:
             if cpus is not None:
                 patch.setattr(fanout, "_usable_cpus", lambda cpus=cpus: cpus)
-            record_pids(patch, pids)
+            before = share_both_ways(pids, tmp_path / "caller") if name == "helpers" else None
+            record_pids(patch, pids, before)
             out = tmp_path / name
             code = main(sweep_argv(template, grid, out))
         results[name] = code, (out / "sweep.csv").read_bytes()
@@ -1273,9 +1344,9 @@ def test_sweep_cell_raising_outside_the_contract_escapes_main(tmp_path, monkeypa
                 fh.write(f"{role}\n")
             raise RuntimeError("cell outside the contract")
         if role == "helper" != claimant:
-            wait_for(tmp_path / "never")  # until terminated
+            wait_for((tmp_path / "never").exists)  # until terminated
         if role == "caller" != claimant:
-            wait_for(raised)
+            wait_for(raised.exists)
 
     record_pids(monkeypatch, tmp_path / "pids", before)
     start = time.monotonic()
@@ -1298,7 +1369,7 @@ def test_sweep_survives_a_helper_that_dies_mid_cell(tmp_path, monkeypatch):
 
     def before(cfg, pid):
         if pid == caller:
-            wait_for(died)
+            wait_for(died.exists)
             return
         try:
             fd = os.open(died, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

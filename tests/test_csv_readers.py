@@ -172,7 +172,8 @@ def test_record_reader_matches_the_reference_reader(texts):
     assert got.events == events
     for name in series:
         assert_bits_equal(got.series[name], series[name], name)
-        assert got.series[name].flags.c_contiguous, name
+        # a view of the one table; a table of no rows holds no memory to share
+        assert np.shares_memory(got.series[name], got.table) or not len(got), name
 
 
 @pytest.fixture(scope="module")

@@ -990,13 +990,11 @@ def reference_csv(rec):
 def columns_record(values, flags, events):
     """A record from per-row float values, 0/1 flags and event strings."""
     n = len(events)
-    float_names = [c for c in looplab.RECORD_COLUMNS if c != "events" and not c.startswith("sat_")]
-    table = np.asarray(values, dtype=float).reshape(n, len(float_names))
-    series = {name: table[:, i] for i, name in enumerate(float_names)}
-    flag_table = np.asarray(flags, dtype=float).reshape(n, 3)
-    for i, name in enumerate(("sat_air", "sat_fuel", "sat_delta")):
-        series[name] = flag_table[:, i]
-    return RunRecord(series=series, events=list(events))
+    table = np.hstack([
+        np.asarray(values, dtype=float).reshape(n, N_FLOAT_COLUMNS),
+        np.asarray(flags, dtype=float).reshape(n, 3),
+    ])
+    return RunRecord(table, list(events))
 
 
 N_FLOAT_COLUMNS = len(looplab.RECORD_COLUMNS) - 4
@@ -1146,12 +1144,27 @@ def test_record_csv_rejects_foreign_tables():
         RunRecord.from_csv("")
 
 
-def test_record_requires_complete_series():
-    rec = run_scenario(short_config(duration=0.0))
-    series = dict(rec.series)
-    series.pop("s1")
-    with pytest.raises(ValueError, match="s1"):
-        RunRecord(series=series, events=list(rec.events))
+def test_record_requires_a_table_of_one_row_per_event_and_one_column_per_name():
+    rec = run_scenario(short_config(duration=0.02))
+    assert rec.table.shape == (2, len(looplab.RECORD_COLUMNS) - 1)
+    for table, events in (
+        (rec.table[:, 1:], rec.events),  # a column short
+        (rec.table[:1], rec.events),  # a row short
+        (rec.table, rec.events + [""]),  # an event too many
+        (rec.table.ravel(), rec.events),
+    ):
+        with pytest.raises(ConfigError, match="record table must be"):
+            RunRecord(table, list(events))
+
+
+def test_record_series_are_views_of_its_table():
+    rec = run_scenario(short_config(duration=1.0))
+    for i, name in enumerate(looplab.RECORD_COLUMNS[:-1]):
+        assert np.shares_memory(rec.series[name], rec.table), name
+        np.testing.assert_array_equal(rec.series[name], rec.table[:, i], err_msg=name)
+    assert np.shares_memory(rec.times, rec.table)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.events = []
 
 
 # ---------------------------------------------------------------------------
@@ -1161,18 +1174,20 @@ def test_record_requires_complete_series():
 def synthetic_record(times, phi_true=None, window_start=5.0, **series_overrides):
     """Minimal well-formed record: zeros everywhere unless overridden."""
     n = len(times)
-    series = {c: np.zeros(n) for c in looplab.RECORD_COLUMNS if c != "events"}
-    series["time"] = np.asarray(times, dtype=float)
+    columns = looplab.RECORD_COLUMNS[:-1]
+    table = np.zeros((n, len(columns)))
+    table[:, 0] = times
     for loop in LOOPS:
-        series[f"phi_hat_{loop}"] = np.full(n, 1.0)
-    series.update({k: np.asarray(v, dtype=float) for k, v in series_overrides.items()})
+        table[:, columns.index(f"phi_hat_{loop}")] = 1.0
+    for name, values in series_overrides.items():
+        table[:, columns.index(name)] = values
     meta = {
         "config": {
             "phi_true": dict(phi_true or {}),
             "metrics_window_start": window_start,
         }
     }
-    return RunRecord(series=series, events=[""] * n, meta=meta)
+    return RunRecord(table, [""] * n, meta)
 
 
 def test_metrics_perfect_tracking_is_all_zero():

@@ -112,6 +112,17 @@ def test_a_cell_that_is_no_finite_number_is_named(column, values, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "column, values", [("time", 5), ("time", None), ("afr_d", "ab"), ("omega_d", {0: 1.0})]
+)
+def test_a_column_that_is_no_array_is_named(column, values):
+    columns = {"time": (0.0, 1.0), "afr_d": (12.0, 12.0), "omega_d": (160.0, 160.0),
+               "t_exh_d": (650.0, 650.0)}
+    with pytest.raises(ConfigError) as err:
+        TrajectoryTable(**{**columns, column: values})
+    assert str(err.value) == f"{column} must be an array of numbers, got {values!r}"
+
+
 def test_columns_are_stored_as_tuples_of_floats():
     table = TrajectoryTable([0, 1], [12, 12.5], [160.0, 160.0], [650.0, 650.0])
     assert table.time == (0.0, 1.0) and type(table.time[1]) is float
