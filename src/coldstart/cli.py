@@ -244,11 +244,15 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
+    cfg.check_metrics_window()
     out = _out_dir(args.out)
     log.info("running %.3g s scenario (T = %.3g s)", cfg.duration, cfg.T)
-    record = run_scenario(cfg)
-    metrics = compute_metrics(record)
-    (out / "run.csv").write_text(record.to_csv(), encoding="utf-8")
+    # run.csv is formatted while the loop steps, by a helper forked before it
+    with RunRecord.csv_stream() as stream:
+        record = run_scenario(cfg, sink=stream.hand_over)
+        metrics = compute_metrics(record)
+        text = record.to_csv(stream)
+    (out / "run.csv").write_text(text, encoding="utf-8")
     (out / "metrics.txt").write_text(metrics.to_text(), encoding="utf-8")
     (out / "config.json").write_text(cfg.to_json(), encoding="utf-8")
     if args.plots:
@@ -449,6 +453,7 @@ def cmd_sweep(args) -> int:
         values = [json.dumps(v) for v in cells[idx]]
         try:
             cfg = ScenarioConfig.from_dict(apply_overrides(template, overrides(idx)))
+            cfg.check_metrics_window()
             metrics = compute_metrics(run_scenario(cfg))
         except (ConfigError, SimulationAbort) as err:
             return [str(idx), *values, *[""] * n_metrics, str(err)], str(err)

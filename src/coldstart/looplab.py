@@ -36,10 +36,13 @@ POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat", "mdot_f_floor")
 # Euler substeps per sample at most: a run's cost is linear in them, and at
 # the shipped T of 20 ms this is a 20 us plant step
 MAX_SUBSTEPS = 1000
-# samples per run at most: a record row peaks near 1.5 KB while the run
-# builds it (a tuple of 38 floats, then the float table) and near 2 KB while
-# run.csv is written (the table plus its text), so this run peaks near 2 GB:
-# 5.5 h of engine time at the shipped T, whose shipped run is 2 000 steps.
+# samples per run at most: a record row is 304 B of float table and about
+# 680 B of run.csv text, which simulate formats while the run steps, so a row
+# peaks near 1.3 KB while the run builds it (its text, and its table block
+# copied into the whole table at the end) and near 1.7 KB while run.csv is
+# written (the table, the block texts and the joined text; tracemalloc over
+# 18 000 rows), so this run peaks near 1.7 GB: 5.5 h of engine time at the
+# shipped T, whose shipped run is 2 000 steps.
 MAX_STEPS = 1_000_000
 
 # ADC spans per signal; command spans default to the actuator bounds.
@@ -380,6 +383,13 @@ class ScenarioConfig:
     def _trajectory_table(self) -> TrajectoryTable:
         return self.trajectory if self.trajectory is not None else default_table(self.duration)
 
+    def check_metrics_window(self) -> None:
+        """The ConfigError ``compute_metrics`` gives the record of this
+        config when its metrics window holds no sample, raised before a run:
+        the window is checked against the record's last time."""
+        n_steps = self._trajectory_table.steps(self.T, self.duration)
+        _window(np.array([n_steps * self.T]), self.metrics_window_start)
+
     @cached_property
     def sampled_trajectory(self) -> SampledTrajectory:
         """The targets on the controller grid, sampled when a run first reads them."""
@@ -505,15 +515,25 @@ class RunRecord:
     def times(self) -> np.ndarray:
         return self.table[:, 0]
 
-    def to_csv(self) -> str:
+    def to_csv(self, stream: fanout.Stream | None = None) -> str:
         """One row per sample in ``RECORD_COLUMNS`` order: float reprs, 0/1
         flags, then the events text, quoted only where CSV needs it.
 
         Rows are converted a block of ``fanout.BLOCK_ROWS`` at a time, the
-        blocks shared across CPUs by ``fanout.join_blocks``.
+        blocks shared across CPUs by ``fanout.join_blocks``, or, with the
+        ``csv_stream`` that ``run_scenario`` fed this record's blocks to,
+        taken from it as its helper formatted them during the run.
         """
         header = ",".join(RECORD_COLUMNS) + "\n"
-        return header + fanout.join_blocks(len(self), self._csv_rows)
+        if stream is None:
+            return header + fanout.join_blocks(len(self), self._csv_rows)
+        return header + stream.join_blocks(len(self), self._csv_rows)
+
+    @staticmethod
+    def csv_stream() -> fanout.Stream:
+        """A stream that formats each block record handed to it, as
+        ``run_scenario`` hands them to its ``sink``, while the run steps."""
+        return fanout.Stream(lambda block: block._csv_rows(slice(None)))
 
     def _csv_rows(self, block: slice) -> str:
         """The CSV lines of the rows in ``block``, with no per-element numpy
@@ -538,7 +558,7 @@ class RunRecord:
         return cls(table[:, :-1], events, dict(meta or {}))
 
 
-def run_scenario(config: ScenarioConfig) -> RunRecord:
+def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     """Execute one closed-loop scenario on the sample grid.
 
     Per step: sample (and quantize) feedback, run the cascade, quantize the
@@ -546,6 +566,11 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     the emission chain the Euler step evaluated at its start state, so the
     chain runs once per step.  The record gets one row per grid instant
     including the final state, where the last issued commands are shown held.
+
+    ``sink``, if given, is called with each full block of
+    ``fanout.BLOCK_ROWS`` rows, as a ``RunRecord`` without meta, as soon as
+    the loop has made it; its rows are those of the record returned.  The
+    rows are checked as finite only when the run ends.
     """
     model = plant.PlantModel(config.build_constants(), config.build_conventions(), config.phi_true)
     controller = config.build_controller()
@@ -563,8 +588,14 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
     )
     isfinite = math.isfinite
 
-    rows: list[tuple] = []  # one tuple per sample in _TABLE_COLUMNS order
+    rows: list[tuple] = []  # one tuple per sample in _TABLE_COLUMNS order, this block's
+    blocks: list[np.ndarray] = []  # the float tables of the full blocks
     events: list[str] = []
+    block_rows = fanout.BLOCK_ROWS
+    # the trapezoid integral of hc_tp, summed in row order as np.cumsum sums
+    # it: from -0.0, which adds nothing to any value, -0.0 included, while
+    # the first row records 0.0
+    hc_cum, prev_hc_tp, prev_t = -0.0, 0.0, 0.0
 
     def check_state(state: plant.EngineState, step: int) -> None:
         m_a, omega_e, mdot_f, t_cat, t_exh = state
@@ -607,16 +638,25 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
         except DegenerateInputError as err:
             raise SimulationAbort(f"plant: {err}", step=k) from None
         _, afr_value, hc_eng, eta_cat, hc_tp = emission
+        t = k * T
+        if k:
+            hc_cum += 0.5 * (hc_tp + prev_hc_tp) * (t - prev_t)
         rows.append((
-            k * T, *state, *applied,
+            t, *state, *applied,
             out.m_a_d, out.s1, out.s2, out.s3, out.s4, out.xi1, out.xi2, out.xi3, out.xi4,
             out.phi_hat_fuel, out.phi_hat_speed, out.phi_hat_exh, out.phi_hat_air,
             out.f_fuel, out.f_speed, out.f_exh, out.f_air,
             afr_value, targets.afr_d, targets.omega_d, targets.t_exh_d, out.afr_error,
-            hc_eng, hc_tp, 0.0, eta_cat,  # hc_cum filled below
+            hc_eng, hc_tp, hc_cum if k else 0.0, eta_cat,
             out.sat_air, out.sat_fuel, out.sat_delta,
         ))
         events.append(";".join(e.replace(",", ";") for e in out.events) if out.events else "")
+        prev_hc_tp, prev_t = hc_tp, t
+        if len(rows) == block_rows:
+            blocks.append(np.array(rows, dtype=float))
+            rows = []
+            if sink is not None:
+                sink(RunRecord(blocks[-1], events[-block_rows:]))
         state = next_state
         check_state(state, k + 1)
         fb_queue.append(state)
@@ -626,23 +666,22 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
         _, afr_value, hc_eng, eta_cat, hc_tp = model.emissions(*state[:4], applied[2])
     except DegenerateInputError as err:
         raise SimulationAbort(f"emission chain: {err}", step=n_steps) from None
+    t = n_steps * T
+    if n_steps:
+        hc_cum += 0.5 * (hc_tp + prev_hc_tp) * (t - prev_t)
     rows.append((
-        n_steps * T, *state, *applied,
+        t, *state, *applied,
         *(0.0,) * 9,  # m_a_d, s1..s4, xi1..xi4
         controller.loop_fuel.phi_hat, controller.loop_speed.phi_hat,
         controller.loop_exh.phi_hat, controller.loop_air.phi_hat,
         *(0.0,) * 4,  # f_fuel..f_air
         afr_value, traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps], 0.0,
-        hc_eng, hc_tp, 0.0, eta_cat,
+        hc_eng, hc_tp, hc_cum if n_steps else 0.0, eta_cat,
         0.0, 0.0, 0.0,
     ))
     events.append("")
 
-    table = np.array(rows, dtype=float)
-    hc_tp = table[:, _TABLE_COLUMNS.index("hc_tp")]
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows aborts below
-        increments = 0.5 * (hc_tp[1:] + hc_tp[:-1]) * np.diff(table[:, 0])
-        table[1:, _TABLE_COLUMNS.index("hc_cum")] = np.cumsum(increments)
+    table = np.concatenate([*blocks, np.array(rows, dtype=float)])
     # the state is checked as the run steps, the rest of the record here, row by row
     finite = np.isfinite(table)
     if not finite.all():
@@ -755,6 +794,18 @@ def compute_metrics(
         raise ConfigError(f"run record values overflow its metrics: {err}") from None
 
 
+def _window(times: np.ndarray, window_start: float) -> np.ndarray:
+    """Which of a record's sample ``times`` the metrics window starting at
+    ``window_start`` holds; a ConfigError when it holds none."""
+    mask = times >= window_start - 1e-12
+    if not mask.any():
+        raise ConfigError(
+            f"metrics window starting at {window_start!r} s is empty for a "
+            f"{float(times[-1])!r} s record"
+        )
+    return mask
+
+
 def _summarize(record, baseline, window_start) -> MetricsSummary:
     config = record.meta.get("config", {})
     if window_start is None:
@@ -762,13 +813,7 @@ def _summarize(record, baseline, window_start) -> MetricsSummary:
     times = record.times
     if not len(times):
         raise ConfigError("run record has no rows to summarize")
-    duration = float(times[-1])
-    mask = times >= window_start - 1e-12
-    if not mask.any():
-        raise ConfigError(
-            f"metrics window starting at {window_start!r} s is empty for a "
-            f"{duration!r} s record"
-        )
+    mask = _window(times, window_start)
     if baseline is not None and not np.array_equal(times, baseline.times):
         raise ConfigError("paired records do not share the same time grid")
 
@@ -829,7 +874,7 @@ def _summarize(record, baseline, window_start) -> MetricsSummary:
             tracking[loop] = mean_abs[loop] / base_abs if base_abs > 0.0 else None
 
     return MetricsSummary(
-        duration=duration,
+        duration=float(times[-1]),
         window_start=float(window_start),
         mean_err=mean_err,
         std_err=std_err,

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import coldstart
-from coldstart import cli, fanout, looplab, rga
+from coldstart import cli, dsmc, fanout, looplab, rga
 from coldstart.cli import main
 from coldstart.looplab import PhiTrue, RunRecord, ScenarioConfig
 from coldstart.trajectory import TrajectoryTable
 from lab_helpers import (
     default_coupling_matrix,
     from_gain_time_constant,
+    kill_first_helper_mid_block,
     log_block_pids,
     simulate_first_order,
     tf_matrix_csv,
@@ -336,6 +337,89 @@ def assert_block_pids(pids, cpus):
     if cpus == 4:
         assert len(set(runs)) > 1
     assert not multiprocessing.active_children()
+
+
+def test_simulate_digests_hold_when_the_stream_helper_dies_mid_block(tmp_path, monkeypatch):
+    refs = json.loads(
+        (Path(__file__).parents[1] / "bench" / "refs" / "references.json").read_text(
+            encoding="utf-8"
+        )
+    )["cold_start"]
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    kill_first_helper_mid_block(monkeypatch, RunRecord, tmp_path / "died")
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert (tmp_path / "died").exists()
+    for name in ("run.csv", "metrics.txt"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == refs[name], name
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_abort_mid_run_exits_3_and_writes_no_record(tmp_path, monkeypatch, capsys, cpus):
+    """The fuel law goes NaN at step 1000, after the loop has handed three
+    blocks to the stream; its helper is stopped with the run."""
+    real = dsmc.control_fuel
+    calls = []
+
+    def nan_from_step_1000(*args, **kwargs):
+        calls.append(None)
+        value = real(*args, **kwargs)
+        return math.nan if len(calls) > 1000 else value
+
+    monkeypatch.setattr(dsmc, "control_fuel", nan_from_step_1000)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: runtime abort: step 1000: controller: command is NaN; "
+        "cannot saturate to (0.0, 0.01)\n"
+    )
+    assert list(out.iterdir()) == []
+    assert not multiprocessing.active_children()
+
+
+def count_controller_steps(monkeypatch) -> list:
+    """A list that grows by one at each controller step of this process."""
+    steps = []
+    inner = dsmc.CascadeController.step
+
+    def step(self, *args, **kwargs):
+        steps.append(None)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(dsmc.CascadeController, "step", step)
+    return steps
+
+
+def test_simulate_refuses_an_empty_metrics_window_before_it_steps(tmp_path, monkeypatch, capsys):
+    steps = count_controller_steps(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--override", "duration=4.0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: metrics window starting at 5.0 s is empty for a 4.0 s record\n"
+    )
+    assert steps == []
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_cell_with_an_empty_metrics_window_fails_alone_before_it_steps(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)  # every step in this process
+    steps = count_controller_steps(monkeypatch)
+    template = tmp_path / "template.json"
+    write_short_config(template)  # a 1 s metrics window start
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"duration": [0.5, 2.0]}))
+    out = tmp_path / "out"
+    assert main(sweep_argv(template, grid, out)) == 4
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row[-1] for row in rows[1:]] == [
+        "metrics window starting at 1.0 s is empty for a 0.5 s record", ""
+    ]
+    assert len(steps) == 100  # the 2 s cell's, and none of the 0.5 s cell's
 
 
 def test_log_level_defaults_to_quiet(tmp_path):

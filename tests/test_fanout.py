@@ -1,5 +1,6 @@
 """The fan-out itself: results equal a serial loop's, a helper's result pipe
-holds a whole CSV block, and each share logs one DEBUG line."""
+holds a whole CSV block, a fed stream never waits on its helper, and each
+share or stream logs one DEBUG line."""
 
 import errno
 import logging
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,11 @@ LARGE = 300 << 10
 SHARE_LINE = re.compile(
     r"share of (\d+) items: caller (\d+), helpers (\d+) \((\d+) forked\); "
     r"pipe bytes \[(.*)\]; caller waited \d+\.\d ms after its last item"
+)
+STREAM_LINE = re.compile(
+    r"stream of (\d+) items: helper (\d+) during the feed and (\d+) after it, "
+    r"caller (\d+) \((\d+) forked\); pipe bytes \[(.*)\]; "
+    r"caller waited \d+\.\d ms after its last item"
 )
 
 
@@ -44,9 +51,9 @@ def require_wide_pipes() -> None:
         os.close(writer)
 
 
-def share_lines(caplog) -> list[re.Match]:
+def share_lines(caplog, pattern=SHARE_LINE) -> list[re.Match]:
     lines = [r.getMessage() for r in caplog.records if r.name == "coldstart.fanout"]
-    return [SHARE_LINE.fullmatch(line) for line in lines]
+    return [pattern.fullmatch(line) for line in lines]
 
 
 def test_a_helper_does_not_wait_for_the_caller_to_read_a_large_result(
@@ -121,8 +128,9 @@ def test_results_are_the_same_on_any_cpu_count(monkeypatch, caplog, cpus):
     assert not multiprocessing.active_children()
 
 
-def test_simulate_logs_one_share_line_at_debug_and_none_at_info(tmp_path):
-    """The 2 001-row record is 8 blocks of ``fanout.BLOCK_ROWS`` rows."""
+def test_simulate_logs_one_stream_line_at_debug_and_none_at_info(tmp_path):
+    """The 2 001-row record is 8 blocks of ``fanout.BLOCK_ROWS`` rows, each
+    formatted once, by the helper or by the caller."""
     src = str(Path(coldstart.__file__).parents[1])
     stderr = {}
     for level in ("info", "debug"):
@@ -136,7 +144,113 @@ def test_simulate_logs_one_share_line_at_debug_and_none_at_info(tmp_path):
     assert not [line for line in stderr["info"] if "coldstart.fanout" in line]
     shares = [line for line in stderr["debug"] if line.startswith("DEBUG coldstart.fanout: ")]
     assert len(shares) == 1
-    assert SHARE_LINE.fullmatch(shares[0].split(": ", 1)[1]).group(1) == "8"
+    line = STREAM_LINE.fullmatch(shares[0].split(": ", 1)[1])
+    count, during, after, by_caller = map(int, line.group(1, 2, 3, 4))
+    assert (count, during + after + by_caller) == (8, 8)
     assert (tmp_path / "info" / "run.csv").read_bytes() == (
         tmp_path / "debug" / "run.csv"
     ).read_bytes()
+
+
+def item_text(idx: int) -> str:
+    """The result of item ``idx`` of a fed stream: as large as a CSV block."""
+    return f"{idx:x}" * (200 << 10)
+
+
+def feed(stream, count: int) -> None:
+    for idx in range(count):
+        stream.hand_over(idx)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_fed_stream_gives_the_serial_results_on_any_cpu_count(monkeypatch, caplog, cpus):
+    caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    with fanout.Stream(item_text) as stream:
+        feed(stream, 9)
+        done = stream.join(item_text, 10)  # the tenth item is never handed over
+    assert done == {idx: item_text(idx) for idx in range(10)}
+    (line,) = share_lines(caplog, STREAM_LINE)
+    count, during, after, by_caller, forked = map(int, line.group(1, 2, 3, 4, 5))
+    assert (count, during + after + by_caller, forked) == (10, 10, min(cpus - 1, 1))
+    if cpus == 1:
+        assert (by_caller, line.group(6)) == (10, "")
+    assert not multiprocessing.active_children()
+
+
+def test_a_fed_stream_does_not_wait_on_a_helper_that_is_behind(tmp_path, monkeypatch, caplog):
+    """The helper takes no item before the feed is over, so every item
+    handed over after the item pipe is half full must be kept back: were
+    it sent, this process would sit in send while the helper waits."""
+    require_wide_pipes()
+    caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    fed = tmp_path / "fed"
+    items = [f"{idx:x}" * (300 << 10) for idx in range(12)]  # pickled, 300 KiB each
+
+    def run_item(item):
+        wait_for(fed.exists, timeout=20.0)
+        return item.upper()
+
+    start = time.monotonic()
+    with fanout.Stream(run_item) as stream:
+        for item in items:
+            stream.hand_over(item)
+        fed.touch()
+        done = stream.join(lambda idx: items[idx].upper(), len(items))
+    assert time.monotonic() - start < 15.0
+    assert done == {idx: item.upper() for idx, item in enumerate(items)}
+    (line,) = share_lines(caplog, STREAM_LINE)
+    during, after, by_caller = map(int, line.group(2, 3, 4))
+    assert during + after + by_caller == 12
+    # the item it waits in, and those that fit in half the item pipe
+    assert 1 <= during + after <= 1 + fanout.PIPE_BYTES // 2 // (300 << 10)
+    assert not multiprocessing.active_children()
+
+
+def test_a_fed_stream_whose_item_pipe_will_not_widen_forks_no_helper(monkeypatch, caplog):
+    import fcntl
+
+    def refuse(fd, cmd, arg=0):
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+    caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    with fanout.Stream(item_text) as stream:
+        feed(stream, 3)
+        done = stream.join(item_text, 3)
+    assert done == {idx: item_text(idx) for idx in range(3)}
+    (line,) = share_lines(caplog, STREAM_LINE)
+    assert line.group(4, 5, 6) == ("3", "0", "None")
+    assert not multiprocessing.active_children()
+
+
+def test_a_fed_stream_outlives_its_helper(tmp_path, monkeypatch):
+    """The helper dies on its first item; the items handed over after that
+    go into a pipe nobody reads, and the caller runs every one."""
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    died = tmp_path / "died"
+
+    def run_item(idx):
+        died.touch()
+        os._exit(1)
+
+    with fanout.Stream(run_item) as stream:
+        stream.hand_over(0)
+        wait_for(died.exists)
+        wait_for(lambda: not multiprocessing.active_children())
+        feed(stream, 8)
+        done = stream.join(item_text, 9)
+    assert done == {idx: item_text(idx) for idx in range(1, 9)}  # 0 is the caller's to redo
+    assert not multiprocessing.active_children()
+
+
+def test_a_stream_stops_its_helper_when_the_feed_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    never = tmp_path / "never"
+    with pytest.raises(RuntimeError, match="the run aborted"):
+        with fanout.Stream(lambda item: wait_for(never.exists, timeout=60.0)) as stream:
+            stream.hand_over(0)
+            raise RuntimeError("the run aborted")
+    assert not multiprocessing.active_children()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldstart import dsmc, fanout, looplab, plant
+from coldstart import cli, dsmc, fanout, looplab, plant
 from coldstart.errors import ConfigError, DegenerateInputError, SimulationAbort
 from coldstart.looplab import (
     LOOPS,
@@ -904,6 +904,73 @@ def test_run_csv_bytes_match_the_recorded_variant_digests(variant):
     rec = run_scenario(ScenarioConfig.from_dict(overrides))
     assert sum(1 for e in rec.events if e) == event_rows
     assert hashlib.sha256(rec.to_csv().encode("utf-8")).hexdigest() == digest
+
+
+def override_args(overrides: dict, prefix: str = "") -> list[str]:
+    """The ``--override`` arguments that set each leaf of ``overrides``."""
+    args = []
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            args += override_args(value, f"{prefix}{key}.")
+        else:
+            args += ["--override", f"{prefix}{key}={json.dumps(value)}"]
+    return args
+
+
+@pytest.mark.parametrize("variant", sorted(RUN_CSV_VARIANTS))
+def test_streamed_run_csv_matches_the_recorded_variant_digests(
+    tmp_path, monkeypatch, capsys, variant
+):
+    """``simulate`` formats the blocks while the loop steps, with a helper."""
+    overrides, _, digest = RUN_CSV_VARIANTS[variant]
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--out", str(out), *override_args(overrides)]) == 0
+    assert hashlib.sha256((out / "run.csv").read_bytes()).hexdigest() == digest
+    assert not multiprocessing.active_children()
+
+
+HC_CUM = looplab.RECORD_COLUMNS.index("hc_cum")
+HC_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 8e307, -8e307, 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, 1e-6]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.sampled_from([0.02, 0.01, 0.025]),
+    n_steps=st.integers(0, 300),
+    pool=st.lists(st.one_of(st.floats(), st.sampled_from(HC_EXTREMES)), min_size=1, max_size=6),
+)
+def test_the_running_hc_cum_has_the_bits_of_a_cumsum(T, n_steps, pool):
+    """The loop sums the trapezoids of the ``hc_tp`` it is given in row
+    order; ``np.cumsum`` of the numpy increments gives the same bits, NaN
+    aside, whose sign and payload the record does not show.  A record that
+    goes non-finite aborts, so its rows are read as they were handed over."""
+    hc_tp = [pool[i % len(pool)] for i in range(n_steps + 1)]  # one per row
+    values = iter(hc_tp)
+    inner = plant.PlantModel.emissions
+
+    def emissions(self, *args):  # once per row at one substep
+        *chain, _ = inner(self, *args)
+        return (*chain, next(values))
+
+    blocks = []
+    config = ScenarioConfig(T=T, duration=n_steps * T)
+    with mock.patch.object(plant.PlantModel, "emissions", emissions), \
+            mock.patch.object(fanout, "BLOCK_ROWS", 1):
+        try:
+            table = run_scenario(config, sink=blocks.append).table
+        except SimulationAbort:
+            table = np.concatenate([np.empty((0, 38)), *(block.table for block in blocks)])
+    times = np.arange(n_steps + 1) * T
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = 0.5 * (np.array(hc_tp[1:]) + np.array(hc_tp[:-1])) * np.diff(times)
+        want = np.concatenate([[0.0], np.cumsum(increments)])[:len(table)]
+    got = table[:, HC_CUM]
+    np.testing.assert_array_equal(table[:, 0], times[:len(table)])
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def test_run_cumulative_hc_matches_trapezoid_and_is_nondecreasing():
