@@ -245,13 +245,13 @@ def _load_scenario(args) -> ScenarioConfig:
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     cfg.check_metrics_window()
-    out = _out_dir(args.out)
     log.info("running %.3g s scenario (T = %.3g s)", cfg.duration, cfg.T)
     # run.csv is formatted while the loop steps, by a helper forked before it
     with RunRecord.csv_stream() as stream:
         record = run_scenario(cfg, sink=stream.hand_over)
         metrics = compute_metrics(record)
         text = record.to_csv(stream)
+    out = _out_dir(args.out)  # made only for a run that has its record and metrics
     (out / "run.csv").write_text(text, encoding="utf-8")
     (out / "metrics.txt").write_text(metrics.to_text(), encoding="utf-8")
     (out / "config.json").write_text(cfg.to_json(), encoding="utf-8")

@@ -105,19 +105,15 @@ def euler_step(
     T: float,
     substeps: int = 1,
 ) -> tuple[plant.EngineState, plant.EmissionOutputs]:
-    """One fixed-step Euler advance of ``model`` over ``T`` with ``inputs`` held.
+    """One fixed-step Euler advance of ``model`` over ``T`` with ``inputs``
+    held: ``PlantModel.advance``, the run loop's plant step, as named tuples.
 
     Returns the next state and the emission chain evaluated at the start
     state, which is the record row of this step.  ``substeps > 1``
     subdivides the interval (stiffness check only; the shipped scenarios
     use a single step).
     """
-    if substeps < 1:
-        raise ConfigError(f"substeps must be a positive integer, got {substeps!r}")
-    h = T / substeps
-    state, emission = model.step(state, inputs, h)
-    for _ in range(substeps - 1):
-        state, _ = model.step(state, inputs, h)
+    state, emission = model.advance(state, inputs, T, substeps)
     return plant.EngineState(*state), plant.EmissionOutputs(*emission)
 
 
@@ -597,7 +593,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     # the first row records 0.0
     hc_cum, prev_hc_tp, prev_t = -0.0, 0.0, 0.0
 
-    def check_state(state: plant.EngineState, step: int) -> None:
+    def check_state(state: tuple, step: int) -> None:
         m_a, omega_e, mdot_f, t_cat, t_exh = state
         if not (
             isfinite(m_a) and isfinite(omega_e) and isfinite(mdot_f)
@@ -614,10 +610,10 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     # A delay of n_steps or more only ever shows the initial state, so the
     # line is sized by the run, not by the configured delay.
     depth = min(config.feedback_delay_steps, n_steps) + 1
-    fb_queue: deque[plant.EngineState] = deque([state] * depth, maxlen=depth)
+    fb_queue: deque[tuple] = deque([state] * depth, maxlen=depth)
+    advance, substeps = model.advance, config.substeps
 
-    for k in range(n_steps):
-        targets = traj.window(k)
+    for k, targets in enumerate(traj.windows()):
         feedback = fb_queue[0]
         if quantized:
             m_a, omega_e, mdot_f, t_cat, t_exh = feedback
@@ -634,18 +630,17 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         else:
             applied = (out.mdot_ai, out.mdot_fc, out.delta)
         try:
-            next_state, emission = euler_step(state, applied, model, T, config.substeps)
+            next_state, (_, afr_value, hc_eng, eta_cat, hc_tp) = advance(
+                state, applied, T, substeps
+            )
         except DegenerateInputError as err:
             raise SimulationAbort(f"plant: {err}", step=k) from None
-        _, afr_value, hc_eng, eta_cat, hc_tp = emission
         t = k * T
         if k:
             hc_cum += 0.5 * (hc_tp + prev_hc_tp) * (t - prev_t)
         rows.append((
             t, *state, *applied,
-            out.m_a_d, out.s1, out.s2, out.s3, out.s4, out.xi1, out.xi2, out.xi3, out.xi4,
-            out.phi_hat_fuel, out.phi_hat_speed, out.phi_hat_exh, out.phi_hat_air,
-            out.f_fuel, out.f_speed, out.f_exh, out.f_air,
+            *out[3:20],  # m_a_d .. f_air, the columns between the commands and afr
             afr_value, targets.afr_d, targets.omega_d, targets.t_exh_d, out.afr_error,
             hc_eng, hc_tp, hc_cum if k else 0.0, eta_cat,
             out.sat_air, out.sat_fuel, out.sat_delta,
@@ -658,7 +653,10 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
             if sink is not None:
                 sink(RunRecord(blocks[-1], events[-block_rows:]))
         state = next_state
-        check_state(state, k + 1)
+        # a finite sum means five finite values; a failed test (an overflowing
+        # sum of finite values too) goes to the full check, which names the fault
+        if not (isfinite(sum(state)) and state[1] > 0.0):
+            check_state(state, k + 1)
         fb_queue.append(state)
     # the final grid point gets no controller pass, so no Euler step either:
     # the commands show held, the estimates as left, other controller columns 0

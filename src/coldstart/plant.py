@@ -7,11 +7,11 @@ burn duration, engine-out HC, catalyst conversion efficiency) are exposed
 as pure functions so they can be checked in isolation.
 
 The four controlled states are control-affine, x' = phi*f(x) + g(x)*u.
-f(x) lives in ``PlantModel``, built once per run: its Euler step runs the
-emission chain once, then the drift, the brick heat balance and the update.
-``emissions`` is a face over it for callers that hold the frozen parameter
-objects, and the controller reads the drift and speed-row input gain from
-its own model.
+f(x) lives in ``PlantModel``, built once per run: its Euler advance runs the
+emission chain once per substep, then the drift, the brick heat balance and
+the update.  ``emissions`` is a face over it for callers that hold the
+frozen parameter objects, and the controller reads the drift and speed-row
+input gain from its own model.
 
 Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 """
@@ -265,7 +265,7 @@ def tailpipe_hc(hc_eng: float, eta_cat: float) -> float:
 
 
 class PlantModel:
-    """The plant of one run: f(x), the emission chain and the Euler step.
+    """The plant of one run: f(x), the emission chain and the Euler advance.
 
     The constants are read and the convention branches resolved once, here;
     the per-step methods take and give plain floats and tuples, in
@@ -349,17 +349,27 @@ class PlantModel:
             self.phi_exh * f_exh + (SPARK_TEMP_GAIN * afi_value / alpha_e) * delta,
         ), chain
 
-    def step(self, state: tuple, inputs: tuple, h: float) -> tuple[tuple, tuple]:
-        """One Euler substep x + h*x' with ``inputs`` held, and the chain at ``state``."""
-        (d_m_a, d_omega_e, d_mdot_f, d_T_cat, d_T_exh), chain = self.rates(state, inputs)
-        m_a, omega_e, mdot_f, T_cat, T_exh = state
-        return (
-            m_a + h * d_m_a,
-            omega_e + h * d_omega_e,
-            mdot_f + h * d_mdot_f,
-            T_cat + h * d_T_cat,
-            T_exh + h * d_T_exh,
-        ), chain
+    def advance(
+        self, state: tuple, inputs: tuple, T: float, substeps: int = 1
+    ) -> tuple[tuple, tuple]:
+        """The state ``T`` later by ``substeps`` Euler substeps x + h*x' of
+        h = T/substeps with ``inputs`` held, and the chain at ``state``."""
+        if substeps < 1:
+            raise ConfigError(f"substeps must be a positive integer, got {substeps!r}")
+        h = T / substeps
+        chain = None
+        for _ in range(substeps):
+            (d_m_a, d_omega_e, d_mdot_f, d_T_cat, d_T_exh), at = self.rates(state, inputs)
+            chain = chain or at  # the first substep's, at ``state``
+            m_a, omega_e, mdot_f, T_cat, T_exh = state
+            state = (
+                m_a + h * d_m_a,
+                omega_e + h * d_omega_e,
+                mdot_f + h * d_mdot_f,
+                T_cat + h * d_T_cat,
+                T_exh + h * d_T_exh,
+            )
+        return state, chain
 
 
 def emissions(

@@ -9,7 +9,9 @@ two-step lookahead of its target.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +128,17 @@ class SampledTrajectory:
     @property
     def n_steps(self) -> int:
         return len(self.afr_d) - 2
+
+    def windows(self) -> Iterator[TargetWindow]:
+        """``window(k)`` for k = 0 .. n_steps - 1, in order: the run loop's
+        targets, with no bounds check or indexing per step.  Each window is
+        made by ``tuple.__new__``, as ``TargetWindow._make`` makes it, with
+        no Python call per step."""
+        afr_d, omega_d, t_exh_d = self.afr_d, self.omega_d, self.t_exh_d
+        return map(
+            partial(tuple.__new__, TargetWindow),
+            zip(afr_d, afr_d[1:], omega_d, omega_d[1:], omega_d[2:], t_exh_d, t_exh_d[1:]),
+        )
 
     def window(self, k: int) -> TargetWindow:
         if not 0 <= k < self.n_steps:

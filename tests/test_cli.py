@@ -375,7 +375,17 @@ def test_simulate_abort_mid_run_exits_3_and_writes_no_record(tmp_path, monkeypat
         "error: runtime abort: step 1000: controller: command is NaN; "
         "cannot saturate to (0.0, 0.01)\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_simulate_out_naming_a_file_exits_2_with_the_path(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main(["simulate", "--out", str(out), "--override", "duration=6.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
     assert not multiprocessing.active_children()
 
 

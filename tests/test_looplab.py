@@ -829,15 +829,34 @@ def test_run_feedback_delay_past_the_run_matches_a_delay_of_the_run_length():
 
 
 def test_run_non_finite_state_abort_names_the_state(monkeypatch):
-    def nan_step(state, *args, **kwargs):
-        nan_state = plant.EngineState(math.nan, 140.0, 8e-4, 25.0, 25.0)
-        return nan_state, plant.emissions(state, 0.0)
+    def nan_advance(self, state, *args, **kwargs):
+        return (math.nan, 140.0, 8e-4, 25.0, 25.0), self.emissions(*state[:4], 0.0)
 
-    monkeypatch.setattr(looplab, "euler_step", nan_step)
+    monkeypatch.setattr(plant.PlantModel, "advance", nan_advance)
     message = "step 1: non-finite state (nan, 140.0, 0.0008, 25.0, 25.0)"
     with pytest.raises(SimulationAbort, match=f"^{re.escape(message)}$") as err:
         run_scenario(short_config())
     assert err.value.step == 1
+
+
+def test_run_state_check_passes_finite_values_whose_sum_overflows(monkeypatch):
+    # the loop's fast test sums the state; a sum that overflows is not a
+    # non-finite state, so the plant is the one to refuse the next step
+    real = plant.PlantModel.advance
+
+    def hot(self, *args):
+        (m_a, omega_e, mdot_f, _, _), chain = real(self, *args)
+        return (m_a, omega_e, mdot_f, 1e308, 1e308), chain
+
+    monkeypatch.setattr(plant.PlantModel, "advance", hot)
+    with pytest.raises(SimulationAbort, match=r"^step 1: plant: emission chain overflows") as err:
+        run_scenario(short_config())
+    assert err.value.step == 1
+
+
+def test_run_row_reads_the_controller_telemetry_as_one_slice():
+    # the row copies ControllerOutput fields 3..19 as record columns 9..25
+    assert dsmc.ControllerOutput._fields[3:20] == looplab._FLOAT_COLUMNS[9:26]
 
 
 # run.csv of variants of the shipped scenario: (overrides, rows with an

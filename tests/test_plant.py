@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coldstart import plant
-from coldstart.errors import DegenerateInputError
+from coldstart.errors import ConfigError, DegenerateInputError
 from coldstart.looplab import euler_step
 from coldstart.plant import (
     ControlInput,
@@ -434,6 +434,46 @@ def test_euler_step_matches_flat_transcription(conventions, substeps):
         for name, a, b in zip(EngineState._fields, got, want):
             assert rel_diff(a, b) <= 1e-12, f"{name}: {a} vs {b}"
         assert emission == plant.emissions(state, inputs.delta, PlantConstants(), conventions)
+
+
+def bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 4])
+def test_advance_is_its_substeps_chained(substeps):
+    # one call over T has the bits of n single-substep calls over T/n, and
+    # the chain of the first one
+    T = 0.02
+    model = PlantModel(PlantConstants(), PlantConventions(qin_direction="heats_catalyst"), PHI)
+    for state, inputs in random_states_and_inputs(300, seed=77):
+        got, chain = model.advance(state, inputs, T, substeps)
+        want, want_chain = model.advance(state, inputs, T / substeps, 1)
+        for _ in range(substeps - 1):
+            want, _ = model.advance(want, inputs, T / substeps, 1)
+        assert type(got) is tuple and type(chain) is tuple
+        assert bits(got) == bits(want)
+        assert bits(chain) == bits(want_chain) == bits(model.rates(state, inputs)[1])
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_euler_step_is_advance_as_named_tuples(substeps):
+    model = PlantModel(phi=PHI)
+    for state, inputs in random_states_and_inputs(50, seed=78):
+        x, chain = model.advance(state, inputs, 0.02, substeps)
+        got_state, got_chain = euler_step(state, inputs, model, 0.02, substeps)
+        assert type(got_state) is EngineState and type(got_chain) is plant.EmissionOutputs
+        assert bits(got_state) == bits(EngineState(*x))
+        assert bits(got_chain) == bits(plant.EmissionOutputs(*chain))
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_advance_refuses_substeps_below_one(substeps):
+    state, inputs = next(random_states_and_inputs(1))
+    with pytest.raises(ConfigError, match="substeps must be a positive integer"):
+        PlantModel().advance(state, inputs, 0.02, substeps)
+    with pytest.raises(ConfigError, match="substeps must be a positive integer"):
+        euler_step(state, inputs, PlantModel(), 0.02, substeps)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coldstart.errors import ConfigError
-from coldstart.trajectory import SampledTrajectory, TrajectoryTable, default_table
+from coldstart.trajectory import SampledTrajectory, TargetWindow, TrajectoryTable, default_table
 from lab_helpers import trajectory_csv
 
 
@@ -158,3 +158,17 @@ def test_window_bounds_and_lookahead():
         s.window(s.n_steps)
     with pytest.raises(IndexError):
         s.window(-1)
+
+
+def test_windows_are_the_checked_windows_in_order():
+    custom = TrajectoryTable(
+        time=(0.0, 0.03, 0.1),
+        afr_d=(12.0, 13.0, 14.5),
+        omega_d=(120.0, 150.0, 110.0),
+        t_exh_d=(600.0, 640.0, 700.0),
+    )
+    for s in (default_table().sample(T=0.02, duration=40.0), custom.sample(T=0.02, duration=0.06)):
+        windows = list(s.windows())
+        assert windows == [s.window(k) for k in range(s.n_steps)]
+        assert all(type(w) is TargetWindow for w in windows)
+    assert len(windows) == 3
