@@ -89,6 +89,16 @@ def _json_value(text: str) -> object:
         raise ConfigError(f"not valid JSON: {err}") from None
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that is, or lies below, an existing non-directory:
+    checked before any work, though the directory is made only after it."""
+    for part in (Path(path), *Path(path).parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"--out {path}: {part} is not a directory")
+            return
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -396,7 +406,7 @@ def cmd_identify(args) -> int:
         for i, col in enumerate(exp["outputs"]):
             y_series[i, j] = data[col]
 
-    ident = identify_mimo(u_series, y_series, T, on_error="hole")
+    ident = identify_mimo(u_series, y_series, T)
     out = _out_dir(args.out)
     (out / "model.json").write_text(ident.tfm.to_json() + "\n", encoding="utf-8")
 
@@ -461,7 +471,8 @@ def cmd_sweep(args) -> int:
 
     # rows, log lines and the first escaping exception are those of a serial
     # loop: a cell the shared run left without a result is run here, in order
-    done = fanout.share_items(len(cells), run_cell)
+    with fanout.Stream(run_cell, len(cells)) as stream:
+        done = stream.join(run_cell)
     n_failed = 0
     for idx in range(len(cells)):
         log.info("cell %d/%d: %s", idx + 1, len(cells), ", ".join(overrides(idx)) or "-")
@@ -533,6 +544,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _configure_logging()
+        if "out" in args:
+            _check_out(args.out)
         return args.func(args)
     except SimulationAbort as err:
         print(f"error: runtime abort: {err}", file=sys.stderr)

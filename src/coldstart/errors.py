@@ -25,12 +25,6 @@ class SingularMatrixError(ColdstartError):
 class IdentificationError(ColdstartError):
     """Time-series fit failed; message carries regression diagnostics."""
 
-    def __init__(self, message, pair=None):
-        if pair is not None:
-            message = f"pair {pair}: {message}"
-        super().__init__(message)
-        self.pair = pair
-
 
 class SimulationAbort(ColdstartError):
     """Closed-loop run left the valid state region and was stopped."""

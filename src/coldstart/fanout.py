@@ -3,21 +3,20 @@
 A ``Stream`` is a ``with`` block whose helpers run items while this process
 goes on; ``join`` collects their results and has this process run the items
 no helper took.  Its items are either ready before the helpers are forked,
-as ``sweep`` shares its cells (``share_items``) and the ``run.csv`` and
-``rga.csv`` writers their blocks of rows (``join_blocks``), or handed over
-one by one while this process is still making them, as ``simulate`` hands
-over the blocks of its record while the loop steps.
+as ``sweep`` shares its cells and the ``run.csv`` and ``rga.csv`` writers
+their blocks of rows (``join_blocks``), or handed over one by one while this
+process is still making them, as ``simulate`` hands over the blocks of its
+record while the loop steps.
 
-Each item is claimed once: helpers take the front, and this process the
-front or, where it joins a stream, the back, so that it formats the tail of a
-record while the helper finishes the head.  Helpers are forked, never
-spawned, and talk over one-way pipes.  No thread is started, and no helper is
-forked from a process that has other threads, because forking a process with
-threads is unsafe.  Helpers never outlive the ``with`` block, and an item a
-helper did not deliver is the caller's to redo, so the result is always that
-of a serial loop.  ``multiprocessing`` and ``fcntl`` are imported only when a
-helper is forked, and ``logging`` only when a stream ends: it logs one DEBUG
-line.
+Each item is claimed once: helpers take the front and this process the back,
+so that it formats the tail of a record while the helpers finish the head.
+Helpers are forked, never spawned, and talk over one-way pipes.  No thread is
+started, and no helper is forked from a process that has other threads,
+because forking a process with threads is unsafe.  Helpers never outlive the
+``with`` block, and an item a helper did not deliver is the caller's to redo,
+so the result is always that of a serial loop.  ``multiprocessing`` and
+``fcntl`` are imported only when a helper is forked, and ``logging`` only
+when a stream ends: it logs one DEBUG line.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ def _widen(conn) -> int | None:
 
 class _Claims:
     """Which process runs each item of ``0 <= i < back``: helpers claim from
-    the front, the caller from the front or the back, and no item twice.  The
-    two ends are shared with forked helpers under one lock."""
+    the front, the caller from the back, and no item twice.  The two ends are
+    shared with forked helpers under one lock."""
 
     def __init__(self, ctx, back: int):
         if ctx is None:
@@ -116,9 +115,9 @@ class Stream:
         self._inbox = None  # writing end of a fed helper's item pipe
         self._unread: deque = deque()  # (index, pickled bytes) of items in the item pipe
         self._handed = 0
-        self._by_helpers: list[int] = []  # the items helpers delivered
+        self._by_helpers = 0  # items the helpers delivered
         self._by_caller = 0
-        self._fed_claims = _OPEN  # items the fed helper claimed before the join, if any
+        self._before_join = 0  # items helpers claimed before the join
         self._waited_ms = 0.0  # after the caller's last item
         self._joined = False
 
@@ -228,24 +227,22 @@ class Stream:
                 self._readers.remove(reader)
             else:
                 self._done[idx] = result
-                self._by_helpers.append(idx)
+                self._by_helpers += 1
 
-    def join(self, run_own, count: int | None = None, from_back: bool = True) -> dict:
+    def join(self, run_own, count: int | None = None) -> dict:
         """The results by item: the helpers', and ``run_own(i)`` of each item
-        ``i`` this process claims, from the back or else from the front,
-        until none is left; ``count`` is the length of a fed stream.
+        ``i`` this process claims from the back until none is left; ``count``
+        is the length of a fed stream.
 
         An item is missing when its run raised, here or in a helper, or when
         its helper died; the caller runs it again.  After an exception here
         no further item is claimed, and the helpers are stopped.
         """
         self._end_feed()
-        self._fed_claims = self._claims.taken_from_front()
+        self._before_join = self._claims.taken_from_front()
         count = self._count if count is None else count
         try:
-            while (
-                idx := self._claims.back(count) if from_back else self._claims.front()
-            ) is not None:
+            while (idx := self._claims.back(count)) is not None:
                 self._done[idx] = run_own(idx)
                 self._by_caller += 1
                 self._receive(0)
@@ -282,36 +279,13 @@ class Stream:
             reader.close()
         import logging  # here, like multiprocessing: 5-7 ms off ``import coldstart``
 
-        log = logging.getLogger(__name__)
-        if self._fed:
-            during = sum(idx < self._fed_claims for idx in self._by_helpers)
-            log.debug(
-                "stream of %d items: helper %d during the feed and %d after it, "
-                "caller %d (%d forked); pipe bytes %s; caller waited %.1f ms after its last item",
-                self._handed if self._count is None else self._count, during,
-                len(self._by_helpers) - during, self._by_caller,
-                len(self._helpers), self._pipe_bytes, self._waited_ms,
-            )
-        else:
-            log.debug(
-                "share of %d items: caller %d, helpers %d (%d forked); pipe bytes %s; "
-                "caller waited %.1f ms after its last item",
-                self._count, self._by_caller, len(self._by_helpers), len(self._helpers),
-                self._pipe_bytes, self._waited_ms,
-            )
-
-
-def share_items(count: int, run_item) -> dict:
-    """``run_item(i)`` for the items ``0 <= i < count``, shared between this
-    process and ``min(count, usable CPUs) - 1`` forked helpers: each takes
-    the next unclaimed item until none is left.
-
-    Returns the results by item.  An item is missing when its run raised, in
-    this process or in a helper, or when its helper died; the caller runs it
-    again.  A failed fork forks no further helper.
-    """
-    with Stream(run_item, count) as stream:
-        return stream.join(run_item, from_back=False)
+        logging.getLogger(__name__).debug(
+            "stream of %d items (%s): helpers %d (%d before the join), caller %d (%d forked); "
+            "pipe bytes %s; caller waited %.1f ms after its last item",
+            self._handed if self._count is None else self._count, "fed" if self._fed else "ready",
+            self._by_helpers, self._before_join, self._by_caller, len(self._helpers),
+            self._pipe_bytes, self._waited_ms,
+        )
 
 
 def join_blocks(n_rows: int, format_rows) -> str:

@@ -774,20 +774,16 @@ class MetricsSummary:
 _S_OF_LOOP = {"fuel": "s1", "speed": "s2", "exh": "s3", "air": "s4"}
 
 
-def compute_metrics(
-    record: RunRecord,
-    baseline: RunRecord | None = None,
-    window_start: float | None = None,
-) -> MetricsSummary:
+def compute_metrics(record: RunRecord, baseline: RunRecord | None = None) -> MetricsSummary:
     """Summarize one run; pair with a non-adaptive baseline for the ratios.
 
-    The evaluation window starts at the configured post-adaptation time and
-    runs to the end.  Paired records must share the exact time grid. A
+    The evaluation window runs from the ``metrics_window_start`` of the
+    record's config echo (5 s without one) to the end.  Paired records must share the exact time grid. A
     record whose values overflow a float in a summary is a ConfigError.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _summarize(record, baseline, window_start)
+            return _summarize(record, baseline)
     except FloatingPointError as err:
         raise ConfigError(f"run record values overflow its metrics: {err}") from None
 
@@ -804,10 +800,9 @@ def _window(times: np.ndarray, window_start: float) -> np.ndarray:
     return mask
 
 
-def _summarize(record, baseline, window_start) -> MetricsSummary:
+def _summarize(record, baseline) -> MetricsSummary:
     config = record.meta.get("config", {})
-    if window_start is None:
-        window_start = float(config.get("metrics_window_start", 5.0))
+    window_start = float(config.get("metrics_window_start", 5.0))
     times = record.times
     if not len(times):
         raise ConfigError("run record has no rows to summarize")

@@ -387,13 +387,13 @@ class MimoIdentification:
     holes: dict      # (i, j) 1-based -> reason string ("zero response" or error text)
 
 
-def identify_mimo(u_series, y_series, T: float, on_error: str = "raise") -> MimoIdentification:
+def identify_mimo(u_series, y_series, T: float) -> MimoIdentification:
     """Identify every channel of a square system, one input excited at a time.
 
     ``u_series`` is (n, N): row j is input j's trace during its experiment.
     ``y_series`` is (n, n, N): [i, j] is output i's response in experiment j.
-    A flat output becomes an explicit zero-coupling entry.  With
-    ``on_error="hole"`` failed fits leave holes instead of raising.
+    A flat output becomes an explicit zero-coupling entry, and a failed fit
+    a hole whose reason starts with "fit failed".
     """
     u_series = np.asarray(u_series, dtype=float)
     y_series = np.asarray(y_series, dtype=float)
@@ -404,8 +404,6 @@ def identify_mimo(u_series, y_series, T: float, on_error: str = "raise") -> Mimo
         raise IdentificationError(
             f"y_series shape {y_series.shape} incompatible with u_series {u_series.shape}"
         )
-    if on_error not in ("raise", "hole"):
-        raise ConfigError("on_error must be 'raise' or 'hole'")
 
     entries = [[None] * n for _ in range(n)]
     fits, holes = {}, {}
@@ -422,8 +420,6 @@ def identify_mimo(u_series, y_series, T: float, on_error: str = "raise") -> Mimo
                         continue
                     fit = identify_first_order(u, y, T)
             except (IdentificationError, ConfigError, FloatingPointError) as exc:
-                if on_error == "raise":
-                    raise IdentificationError(str(exc), pair=(i + 1, j + 1)) from exc
                 holes[(i + 1, j + 1)] = f"fit failed: {exc}"
                 continue
             fits[(i + 1, j + 1)] = fit

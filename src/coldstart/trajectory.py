@@ -9,6 +9,7 @@ two-step lookahead of its target.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -79,10 +80,12 @@ class TrajectoryTable:
         """The controller steps of a ``duration`` s run sampled every ``T`` s;
         a ConfigError unless that is a whole number of samples and the table
         covers one sample past it."""
-        if T <= 0.0:
-            raise ConfigError(f"sample time must be positive, got {T!r}")
-        if duration < 0.0:
-            raise ConfigError(f"duration must be nonnegative, got {duration!r}")
+        if not 0.0 < T < math.inf:
+            raise ConfigError(f"sample time must be positive and finite, got {T!r}")
+        if not 0.0 <= duration < math.inf:
+            raise ConfigError(f"duration must be nonnegative and finite, got {duration!r}")
+        if duration / T == math.inf:
+            raise ConfigError(f"duration {duration!r} holds too many {T!r} s samples to count")
         n_steps = int(round(duration / T))
         if abs(n_steps * T - duration) > 1e-9:
             raise ConfigError(

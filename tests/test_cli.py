@@ -402,6 +402,41 @@ def count_controller_steps(monkeypatch) -> list:
     return steps
 
 
+def out_argv(tmp_path, subcommand) -> list[str]:
+    """The arguments of a ``subcommand`` run that would succeed, but for --out."""
+    if subcommand == "simulate":
+        return ["simulate", "--override", "duration=6.0"]
+    if subcommand == "sweep":
+        template, grid = write_mixed_sweep(tmp_path)
+        return sweep_argv(template, grid, tmp_path / "unused")[:-2]
+    if subcommand == "rga":
+        return ["rga", "--model", str(diag_model(tmp_path)), "--points", "2000"]
+    data, pairs, _ = write_ident_fixture(tmp_path)
+    return ["identify", "--data", str(data), "--pairs", str(pairs)]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("subcommand", ["simulate", "sweep", "rga", "identify"])
+def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, subcommand, below
+):
+    argv = out_argv(tmp_path, subcommand)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
+    steps = count_controller_steps(monkeypatch)
+    forks = []
+    fork = fanout.Stream._fork
+    monkeypatch.setattr(fanout.Stream, "_fork", lambda *args: forks.append(fork(*args)))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "run" if below else taken
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: {taken} is not a directory\n"
+    assert (steps, forks) == ([], [])
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+    assert not multiprocessing.active_children()
+
+
 def test_simulate_refuses_an_empty_metrics_window_before_it_steps(tmp_path, monkeypatch, capsys):
     steps = count_controller_steps(monkeypatch)
     out = tmp_path / "out"
@@ -1430,10 +1465,13 @@ def test_sweep_cell_raising_outside_the_contract_escapes_main(tmp_path, monkeypa
     caller = os.getpid()
     raised = tmp_path / "raised"
 
+    # of the six cells that run, the caller claims the last first and the
+    # helpers the first: the chosen role's end is the cell that raises
+    raising = (3, 1.0) if claimant == "caller" else (0, 0.5)
+
     def before(cfg, pid):
         role = "caller" if pid == caller else "helper"
-        if not cfg.constants and cfg.feedback_delay_steps == 3 and cfg.phi_true.fuel == 1.0:
-            # the last cell, which only a run of the chosen role reaches first
+        if not cfg.constants and (cfg.feedback_delay_steps, cfg.phi_true.fuel) == raising:
             with open(raised, "a", encoding="utf-8") as fh:
                 fh.write(f"{role}\n")
             raise RuntimeError("cell outside the contract")

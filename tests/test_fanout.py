@@ -1,6 +1,6 @@
 """The fan-out itself: results equal a serial loop's, a helper's result pipe
 holds a whole CSV block, a fed stream never waits on its helper, and each
-share or stream logs one DEBUG line."""
+stream, ready or fed, logs one DEBUG line."""
 
 import errno
 import logging
@@ -21,12 +21,10 @@ from lab_helpers import wait_for
 # about a pickled 256-row block of rga.csv, and more than a default pipe holds
 LARGE = 300 << 10
 
-SHARE_LINE = re.compile(
-    r"share of (\d+) items: caller (\d+), helpers (\d+) \((\d+) forked\); "
-    r"pipe bytes \[(.*)\]; caller waited \d+\.\d ms after its last item"
-)
+# groups: items, form, by helpers, claimed by helpers before the join, by the
+# caller, helpers forked, pipe bytes
 STREAM_LINE = re.compile(
-    r"stream of (\d+) items: helper (\d+) during the feed and (\d+) after it, "
+    r"stream of (\d+) items \((ready|fed)\): helpers (\d+) \((\d+) before the join\), "
     r"caller (\d+) \((\d+) forked\); pipe bytes \[(.*)\]; "
     r"caller waited \d+\.\d ms after its last item"
 )
@@ -51,17 +49,24 @@ def require_wide_pipes() -> None:
         os.close(writer)
 
 
-def share_lines(caplog, pattern=SHARE_LINE) -> list[re.Match]:
+def stream_lines(caplog) -> list[re.Match]:
     lines = [r.getMessage() for r in caplog.records if r.name == "coldstart.fanout"]
-    return [pattern.fullmatch(line) for line in lines]
+    return [STREAM_LINE.fullmatch(line) for line in lines]
+
+
+def share(count: int, run_item) -> dict:
+    """The results of a ready stream of ``count`` items, as ``sweep`` runs it."""
+    with fanout.Stream(run_item, count) as stream:
+        return stream.join(run_item)
 
 
 def test_a_helper_does_not_wait_for_the_caller_to_read_a_large_result(
     tmp_path, monkeypatch, caplog
 ):
-    """The caller's item does not end before the helper has started its second
-    item, so the helper's first result, larger than a default pipe, must
-    have gone into the pipe while the caller read nothing."""
+    """The caller's item, the last, does not end before the helper has
+    started its second item, so the helper's first result, larger than a
+    default pipe, must have gone into the pipe while the caller read
+    nothing."""
     require_wide_pipes()
     caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
@@ -86,11 +91,11 @@ def test_a_helper_does_not_wait_for_the_caller_to_read_a_large_result(
                 helper_second.touch()
         return large_result(idx)
 
-    done = fanout.share_items(3, run_item)
+    done = share(3, run_item)
     assert not stalled, "the helper sat in send until the caller gave up"
     assert done == {idx: large_result(idx) for idx in range(3)}
-    (line,) = share_lines(caplog)
-    assert line.group(1, 2, 3, 4, 5) == ("3", "1", "2", "1", str(fanout.PIPE_BYTES))
+    (line,) = stream_lines(caplog)
+    assert line.group(1, 2, 3, 5, 6, 7) == ("3", "ready", "2", "1", "1", str(fanout.PIPE_BYTES))
     assert not multiprocessing.active_children()
 
 
@@ -106,11 +111,11 @@ def test_a_pipe_the_kernel_will_not_widen_gives_the_serial_results(monkeypatch, 
     caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(fcntl, "fcntl", refuse)
-    done = fanout.share_items(6, large_result)
+    done = share(6, large_result)
     assert done == {idx: large_result(idx) for idx in range(6)}
     assert refused == [fcntl.F_SETPIPE_SZ]
-    (line,) = share_lines(caplog)
-    assert line.group(4, 5) == ("1", "None")
+    (line,) = stream_lines(caplog)
+    assert line.group(6, 7) == ("1", "None")
     assert not multiprocessing.active_children()
 
 
@@ -118,13 +123,14 @@ def test_a_pipe_the_kernel_will_not_widen_gives_the_serial_results(monkeypatch, 
 def test_results_are_the_same_on_any_cpu_count(monkeypatch, caplog, cpus):
     caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
-    done = fanout.share_items(9, large_result)
+    done = share(9, large_result)
     assert done == {idx: large_result(idx) for idx in range(9)}
-    (line,) = share_lines(caplog)
-    count, by_caller, by_helpers, forked = map(int, line.group(1, 2, 3, 4))
+    (line,) = stream_lines(caplog)
+    count, by_helpers, before_join, by_caller, forked = map(int, line.group(1, 3, 4, 5, 6))
     assert (count, by_caller + by_helpers, forked) == (9, 9, cpus - 1)
+    assert line.group(2) == "ready" and before_join <= by_helpers
     if cpus == 1:
-        assert (by_caller, line.group(5)) == (9, "")
+        assert (by_caller, line.group(7)) == (9, "")
     assert not multiprocessing.active_children()
 
 
@@ -145,8 +151,8 @@ def test_simulate_logs_one_stream_line_at_debug_and_none_at_info(tmp_path):
     shares = [line for line in stderr["debug"] if line.startswith("DEBUG coldstart.fanout: ")]
     assert len(shares) == 1
     line = STREAM_LINE.fullmatch(shares[0].split(": ", 1)[1])
-    count, during, after, by_caller = map(int, line.group(1, 2, 3, 4))
-    assert (count, during + after + by_caller) == (8, 8)
+    count, by_helpers, by_caller = map(int, line.group(1, 3, 5))
+    assert (count, line.group(2), by_helpers + by_caller) == (8, "fed", 8)
     assert (tmp_path / "info" / "run.csv").read_bytes() == (
         tmp_path / "debug" / "run.csv"
     ).read_bytes()
@@ -170,11 +176,11 @@ def test_a_fed_stream_gives_the_serial_results_on_any_cpu_count(monkeypatch, cap
         feed(stream, 9)
         done = stream.join(item_text, 10)  # the tenth item is never handed over
     assert done == {idx: item_text(idx) for idx in range(10)}
-    (line,) = share_lines(caplog, STREAM_LINE)
-    count, during, after, by_caller, forked = map(int, line.group(1, 2, 3, 4, 5))
-    assert (count, during + after + by_caller, forked) == (10, 10, min(cpus - 1, 1))
+    (line,) = stream_lines(caplog)
+    count, by_helpers, by_caller, forked = map(int, line.group(1, 3, 5, 6))
+    assert (count, by_helpers + by_caller, forked) == (10, 10, min(cpus - 1, 1))
     if cpus == 1:
-        assert (by_caller, line.group(6)) == (10, "")
+        assert (by_caller, line.group(7)) == (10, "")
     assert not multiprocessing.active_children()
 
 
@@ -200,11 +206,11 @@ def test_a_fed_stream_does_not_wait_on_a_helper_that_is_behind(tmp_path, monkeyp
         done = stream.join(lambda idx: items[idx].upper(), len(items))
     assert time.monotonic() - start < 15.0
     assert done == {idx: item.upper() for idx, item in enumerate(items)}
-    (line,) = share_lines(caplog, STREAM_LINE)
-    during, after, by_caller = map(int, line.group(2, 3, 4))
-    assert during + after + by_caller == 12
+    (line,) = stream_lines(caplog)
+    by_helpers, by_caller = map(int, line.group(3, 5))
+    assert by_helpers + by_caller == 12
     # the item it waits in, and those that fit in half the item pipe
-    assert 1 <= during + after <= 1 + fanout.PIPE_BYTES // 2 // (300 << 10)
+    assert 1 <= by_helpers <= 1 + fanout.PIPE_BYTES // 2 // (300 << 10)
     assert not multiprocessing.active_children()
 
 
@@ -221,8 +227,8 @@ def test_a_fed_stream_whose_item_pipe_will_not_widen_forks_no_helper(monkeypatch
         feed(stream, 3)
         done = stream.join(item_text, 3)
     assert done == {idx: item_text(idx) for idx in range(3)}
-    (line,) = share_lines(caplog, STREAM_LINE)
-    assert line.group(4, 5, 6) == ("3", "0", "None")
+    (line,) = stream_lines(caplog)
+    assert line.group(5, 6, 7) == ("3", "0", "None")
     assert not multiprocessing.active_children()
 
 
@@ -246,11 +252,15 @@ def test_a_fed_stream_outlives_its_helper(tmp_path, monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def test_a_stream_stops_its_helper_when_the_feed_raises(tmp_path, monkeypatch):
+def test_a_stream_stops_its_helper_when_the_feed_raises(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
     never = tmp_path / "never"
     with pytest.raises(RuntimeError, match="the run aborted"):
         with fanout.Stream(lambda item: wait_for(never.exists, timeout=60.0)) as stream:
             stream.hand_over(0)
+            stream.hand_over(1)
             raise RuntimeError("the run aborted")
     assert not multiprocessing.active_children()
+    (line,) = stream_lines(caplog)  # one line, though the stream was never joined
+    assert line.group(1, 2, 3, 5) == ("2", "fed", "0", "0")

@@ -1295,7 +1295,7 @@ def test_metrics_window_masks_early_samples():
     m = compute_metrics(synthetic_record(t, s2=s2))
     assert m.mean_abs_s["speed"] == pytest.approx(2.0)
     with pytest.raises(ConfigError, match="empty"):
-        compute_metrics(synthetic_record(t), window_start=50.0)
+        compute_metrics(synthetic_record(t, window_start=50.0))
 
 
 def test_metrics_light_off_first_crossing():

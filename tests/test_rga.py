@@ -538,9 +538,8 @@ def test_identify_mimo_attaches_pair_to_errors():
     y[0, 1] = simulate_first_order(FirstOrderTF(0.5, 1.0), u2, T=0.02)
     y[1, 1] = simulate_first_order(FirstOrderTF(0.5, 2.0), u2, T=0.02)
     with pytest.raises(IdentificationError) as err:
-        identify_mimo(np.stack([u1, u2]), y, T=0.02)
-    assert err.value.pair == (2, 1)
-
-    partial = identify_mimo(np.stack([u1, u2]), y, T=0.02, on_error="hole")
-    assert (2, 1) in partial.holes and "fit failed" in partial.holes[(2, 1)]
-    assert (1, 1) in partial.fits and (2, 2) in partial.fits
+        identify_first_order(u1, bad, T=0.02)
+    partial = identify_mimo(np.stack([u1, u2]), y, T=0.02)  # a failed fit is a hole
+    assert partial.holes == {(2, 1): f"fit failed: {err.value}"}
+    assert set(partial.fits) == {(1, 1), (1, 2), (2, 2)}
+    assert partial.tfm.entries[1][0] is None

@@ -147,6 +147,22 @@ def test_sample_rejects_off_grid_duration():
         table.sample(T=0.02, duration=1.0101)
 
 
+@pytest.mark.parametrize(
+    "T, duration, message",
+    [
+        (1e-320, 1e10, "too many"),  # duration / T overflows a float
+        (float("nan"), 1.0, "sample time must be positive and finite, got nan"),
+        (0.02, float("nan"), "duration must be nonnegative and finite, got nan"),
+        (0.02, float("inf"), "duration must be nonnegative and finite, got inf"),
+    ],
+)
+def test_steps_and_sample_refuse_a_step_count_that_is_no_number(T, duration, message):
+    table = default_table()
+    for count in (table.steps, table.sample):
+        with pytest.raises(ConfigError, match=message):
+            count(T, duration)
+
+
 def test_window_bounds_and_lookahead():
     table = default_table()
     s = table.sample(T=0.02, duration=1.0)
