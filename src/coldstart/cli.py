@@ -31,6 +31,8 @@ import numpy as np
 from . import fanout
 from .errors import ColdstartError, ConfigError, SimulationAbort
 from .looplab import (
+    LOOPS,
+    S_OF_LOOP,
     MetricsSummary,
     RunRecord,
     ScenarioConfig,
@@ -207,13 +209,11 @@ def _write_run_plots(out: Path, record: RunRecord) -> None:
     charts = {
         "tracking.svg": _line_chart(
             "sliding surfaces", "time [s]", "s_i",
-            t, [(name, record.series[col]) for name, col in
-                (("fuel", "s1"), ("speed", "s2"), ("exh", "s3"), ("air", "s4"))],
+            t, [(loop, record.series[col]) for loop, col in S_OF_LOOP.items()],
         ),
         "estimates.svg": _line_chart(
             "uncertainty estimates", "time [s]", "phi_hat",
-            t, [(loop, record.series[f"phi_hat_{loop}"]) for loop in
-                ("fuel", "speed", "exh", "air")],
+            t, [(loop, record.series[f"phi_hat_{loop}"]) for loop in LOOPS],
         ),
         "hc_rates.svg": _line_chart(
             "hydrocarbon flow", "time [s]", "kg/s",

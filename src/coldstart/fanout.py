@@ -39,9 +39,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block(idx: int) -> slice:
-    """The rows of block ``idx`` of a CSV table."""
-    return slice(idx * BLOCK_ROWS, (idx + 1) * BLOCK_ROWS)
+def _blocks(n_rows: int, format_rows):
+    """The number of ``BLOCK_ROWS`` blocks of a CSV table of ``n_rows`` rows,
+    and the function that gives ``format_rows`` of the rows of block ``idx``."""
+
+    def run_block(idx: int) -> str:
+        return format_rows(slice(idx * BLOCK_ROWS, (idx + 1) * BLOCK_ROWS))
+
+    return -(-n_rows // BLOCK_ROWS), run_block
 
 
 def _widen(conn) -> int | None:
@@ -262,11 +267,7 @@ class Stream:
         a serial loop over the blocks, whichever process formatted each one.
         This process formats any block it got no text for, in order, so a
         block that raises raises here."""
-
-        def run_block(idx: int) -> str:
-            return format_rows(_block(idx))
-
-        n_blocks = -(-n_rows // BLOCK_ROWS)
+        n_blocks, run_block = _blocks(n_rows, format_rows)
         done = self.join(run_block, n_blocks)
         return "".join(done.pop(idx) if idx in done else run_block(idx) for idx in range(n_blocks))
 
@@ -292,5 +293,6 @@ def join_blocks(n_rows: int, format_rows) -> str:
     """``Stream.join_blocks`` of a stream whose blocks are all ready: shared
     between this process, from the back, and forked helpers, from the
     front."""
-    with Stream(lambda idx: format_rows(_block(idx)), -(-n_rows // BLOCK_ROWS)) as stream:
+    n_blocks, run_block = _blocks(n_rows, format_rows)
+    with Stream(run_block, n_blocks) as stream:
         return stream.join_blocks(n_rows, format_rows)

@@ -26,9 +26,11 @@ from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
 from .plant import PhiTrue, real, reals
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
-from .trajectory import SampledTrajectory, TrajectoryTable, default_table
+from .trajectory import MAX_STEPS, SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
+# the loops that track a desired output; air tracks the speed loop's target
+TRACKED_LOOPS = ("fuel", "speed", "exh")
 # plant constants the model divides by, or that keep the fuel flow it
 # divides by off zero; zero or negative values are rejected
 POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat", "mdot_f_floor")
@@ -36,25 +38,14 @@ POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat", "mdot_f_floor")
 # Euler substeps per sample at most: a run's cost is linear in them, and at
 # the shipped T of 20 ms this is a 20 us plant step
 MAX_SUBSTEPS = 1000
-# samples per run at most: a record row is 304 B of float table and about
-# 680 B of run.csv text, which simulate formats while the run steps, so a row
-# peaks near 1.3 KB while the run builds it (its text, and its table block
-# copied into the whole table at the end) and near 1.7 KB while run.csv is
-# written (the table, the block texts and the joined text; tracemalloc over
-# 18 000 rows), so this run peaks near 1.7 GB: 5.5 h of engine time at the
-# shipped T, whose shipped run is 2 000 steps.
-MAX_STEPS = 1_000_000
 
-# ADC spans per signal; command spans default to the actuator bounds.
+# the state's names in the record and in the config's JSON, in EngineState order
+STATE_COLUMNS = ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
+# ADC spans per signal: the state's, then the commands', which default to the
+# actuator bounds
 DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
-    "m_a": (0.0, 0.05),
-    "omega_e": (0.0, 600.0),
-    "mdot_f": (0.0, 0.01),
-    "t_cat": (0.0, 1000.0),
-    "t_exh": (0.0, 1000.0),
-    "mdot_ai": (0.0, 0.1),
-    "mdot_fc": (0.0, 0.01),
-    "delta": (-10.0, 45.0),
+    **dict(zip(STATE_COLUMNS, [(0.0, 0.05), (0.0, 600.0), (0.0, 0.01), (0.0, 1e3), (0.0, 1e3)])),
+    **vars(dsmc.ActuatorBounds()),
 }
 
 
@@ -263,9 +254,8 @@ _FIELDS: dict[str, Any] = {
         dsmc.ActuatorBounds,
     ),
     "afi_floor": _REAL,
-    # under their JSON names, in EngineState order
     "initial_state": _Object(
-        dict.fromkeys(("m_a", "omega_e", "mdot_f", "t_cat", "t_exh"), _REAL), "field",
+        dict.fromkeys(STATE_COLUMNS, _REAL), "field",
         "5 numbers or an object", build=plant.EngineState, sequence=True,
     ),
     "delta_initial": _REAL,
@@ -335,10 +325,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, row in _FIELDS.items():
             object.__setattr__(self, name, row.norm(getattr(self, name), name))
-        steps = self.duration / self.T
-        if steps > MAX_STEPS:
-            raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")
-        # an off-grid duration or a short table is refused here; nothing is sampled
+        # too many steps, an off-grid duration or a short table: refused, not sampled
         self._trajectory_table.steps(self.T, self.duration)
 
     # -- derived builders ---------------------------------------------------
@@ -456,18 +443,12 @@ def apply_overrides(data: dict[str, Any], overrides: list[str]) -> dict[str, Any
 # fixed column order of the serialized record: the float columns, the three
 # saturation flags (written as 0/1), then the free-text events column
 _FLOAT_COLUMNS = (
-    "time",
-    "m_a", "omega_e", "mdot_f", "t_cat", "t_exh",
-    "mdot_ai", "mdot_fc", "delta",
-    "m_a_d",
-    "s1", "s2", "s3", "s4",
-    "xi1", "xi2", "xi3", "xi4",
-    "phi_hat_fuel", "phi_hat_speed", "phi_hat_exh", "phi_hat_air",
-    "f_fuel", "f_speed", "f_exh", "f_air",
+    "time", *STATE_COLUMNS,
+    *dsmc.ControllerOutput._fields[:20],  # the commands, then m_a_d .. f_air
     "afr", "afr_d", "omega_d", "t_exh_d", "afr_error",
     "hc_eng", "hc_tp", "hc_cum", "eta_cat",
 )
-_FLAG_COLUMNS = ("sat_air", "sat_fuel", "sat_delta")
+_FLAG_COLUMNS = dsmc.ControllerOutput._fields[21:24]  # sat_air, sat_fuel, sat_delta
 _TABLE_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS  # the columns of ``RunRecord.table``
 RECORD_COLUMNS = _TABLE_COLUMNS + ("events",)
 # characters that make a field need quoting
@@ -554,6 +535,14 @@ class RunRecord:
         return cls(table[:, :-1], events, dict(meta or {}))
 
 
+def _check_state(state: tuple, step: int) -> None:
+    """SimulationAbort at ``step`` unless ``state`` is finite with the engine turning."""
+    if not all(map(math.isfinite, state)):
+        raise SimulationAbort(f"non-finite state {tuple(state)!r}", step=step)
+    if state[1] <= 0.0:
+        raise SimulationAbort(f"engine stalled: speed {state[1]!r} rad/s", step=step)
+
+
 def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     """Execute one closed-loop scenario on the sample grid.
 
@@ -593,18 +582,8 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     # the first row records 0.0
     hc_cum, prev_hc_tp, prev_t = -0.0, 0.0, 0.0
 
-    def check_state(state: tuple, step: int) -> None:
-        m_a, omega_e, mdot_f, t_cat, t_exh = state
-        if not (
-            isfinite(m_a) and isfinite(omega_e) and isfinite(mdot_f)
-            and isfinite(t_cat) and isfinite(t_exh)
-        ):
-            raise SimulationAbort(f"non-finite state {tuple(state)!r}", step=step)
-        if omega_e <= 0.0:
-            raise SimulationAbort(f"engine stalled: speed {omega_e!r} rad/s", step=step)
-
     state = config.initial_state
-    check_state(state, 0)
+    _check_state(state, 0)
     applied = (0.0, 0.0, config.delta_initial)  # commands in ControlInput order
     # optional sensor transport delay: the controller sees an older sample.
     # A delay of n_steps or more only ever shows the initial state, so the
@@ -656,7 +635,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         # a finite sum means five finite values; a failed test (an overflowing
         # sum of finite values too) goes to the full check, which names the fault
         if not (isfinite(sum(state)) and state[1] > 0.0):
-            check_state(state, k + 1)
+            _check_state(state, k + 1)
         fb_queue.append(state)
     # the final grid point gets no controller pass, so no Euler step either:
     # the commands show held, the estimates as left, other controller columns 0
@@ -720,7 +699,7 @@ _METRIC_COLUMNS: tuple[tuple[str, str, str | None], ...] = (
     ("final_eta_cat", "final_eta_cat", None),
     *((f"removal_ratio_{loop}", "removal_ratio", loop) for loop in LOOPS),
     ("removal_ratio_overall", "removal_ratio_overall", None),
-    *((f"tracking_ratio_{loop}", "tracking_ratio", loop) for loop in ("fuel", "speed", "exh")),
+    *((f"tracking_ratio_{loop}", "tracking_ratio", loop) for loop in TRACKED_LOOPS),
 )
 
 
@@ -771,7 +750,7 @@ class MetricsSummary:
         return [_csv_cell(value) for _, value in self._values()]
 
 
-_S_OF_LOOP = {"fuel": "s1", "speed": "s2", "exh": "s3", "air": "s4"}
+S_OF_LOOP = {"fuel": "s1", "speed": "s2", "exh": "s3", "air": "s4"}  # each loop's surface
 
 
 def compute_metrics(record: RunRecord, baseline: RunRecord | None = None) -> MetricsSummary:
@@ -811,7 +790,7 @@ def _summarize(record, baseline) -> MetricsSummary:
         raise ConfigError("paired records do not share the same time grid")
 
     mean_err, std_err, mean_abs = {}, {}, {}
-    for loop, col in _S_OF_LOOP.items():
+    for loop, col in S_OF_LOOP.items():
         s = record.series[col][mask]
         mean_err[loop] = float(np.mean(s))
         std_err[loop] = float(np.std(s))
@@ -820,11 +799,11 @@ def _summarize(record, baseline) -> MetricsSummary:
     afr_err = record.series["afr_error"][mask]
 
     phi_true = config.get("phi_true", {})
+    phi = {loop: float(phi_true.get(loop, 1.0)) for loop in LOOPS}
     conv_time: dict[str, float | None] = {}
     converged: dict[str, bool] = {}
     for loop in LOOPS:
-        phi = float(phi_true.get(loop, 1.0))
-        normalized = record.series[f"phi_hat_{loop}"] / phi
+        normalized = record.series[f"phi_hat_{loop}"] / phi[loop]
         inside = np.abs(normalized - 1.0) <= 0.05
         if inside.all():
             conv_time[loop] = None  # never left the band: already nominal
@@ -849,9 +828,8 @@ def _summarize(record, baseline) -> MetricsSummary:
         base_phi = base_config.get("phi_true", {})
         removal = {}
         for loop in LOOPS:
-            phi = float(phi_true.get(loop, 1.0))
             f_col = record.series[f"f_{loop}"]
-            resid = np.abs((record.series[f"phi_hat_{loop}"] - phi) * f_col)[mask]
+            resid = np.abs((record.series[f"phi_hat_{loop}"] - phi[loop]) * f_col)[mask]
             phi_b = float(base_phi.get(loop, 1.0))
             resid_b = np.abs(
                 (baseline.series[f"phi_hat_{loop}"] - phi_b) * baseline.series[f"f_{loop}"]
@@ -861,9 +839,8 @@ def _summarize(record, baseline) -> MetricsSummary:
         defined = [v for v in removal.values() if v is not None]
         removal_overall = min(defined) if defined else None
         tracking = {}
-        for loop in ("fuel", "speed", "exh"):
-            col = _S_OF_LOOP[loop]
-            base_abs = float(np.mean(np.abs(baseline.series[col][mask])))
+        for loop in TRACKED_LOOPS:
+            base_abs = float(np.mean(np.abs(baseline.series[S_OF_LOOP[loop]][mask])))
             tracking[loop] = mean_abs[loop] / base_abs if base_abs > 0.0 else None
 
     return MetricsSummary(

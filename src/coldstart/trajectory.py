@@ -23,6 +23,15 @@ from .plant import reals
 
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
 
+# samples per run at most: a record row is 304 B of float table and about
+# 680 B of run.csv text, which simulate formats while the run steps, so a row
+# peaks near 1.3 KB while the run builds it (its text, and its table block
+# copied into the whole table at the end) and near 1.7 KB while run.csv is
+# written (the table, the block texts and the joined text; tracemalloc over
+# 18 000 rows), so this run peaks near 1.7 GB: 5.5 h of engine time at the
+# shipped T, whose shipped run is 2 000 steps.
+MAX_STEPS = 1_000_000
+
 
 class TargetWindow(NamedTuple):
     """Desired values one controller step consumes.
@@ -78,15 +87,16 @@ class TrajectoryTable:
 
     def steps(self, T: float, duration: float) -> int:
         """The controller steps of a ``duration`` s run sampled every ``T`` s;
-        a ConfigError unless that is a whole number of samples and the table
-        covers one sample past it."""
+        a ConfigError unless that is a whole number of at most ``MAX_STEPS``
+        samples and the table covers one sample past it."""
         if not 0.0 < T < math.inf:
             raise ConfigError(f"sample time must be positive and finite, got {T!r}")
         if not 0.0 <= duration < math.inf:
             raise ConfigError(f"duration must be nonnegative and finite, got {duration!r}")
-        if duration / T == math.inf:
-            raise ConfigError(f"duration {duration!r} holds too many {T!r} s samples to count")
-        n_steps = int(round(duration / T))
+        steps = duration / T
+        if steps > MAX_STEPS:  # an infinite quotient too
+            raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")
+        n_steps = int(round(steps))
         if abs(n_steps * T - duration) > 1e-9:
             raise ConfigError(
                 f"duration {duration!r} is not an integer number of {T!r} s samples"

@@ -868,6 +868,61 @@ def test_identify_pairing_spec_int_too_large_for_a_float_exits_2(tmp_path, capsy
         assert not out.exists()
 
 
+TWO_EXPERIMENTS = [
+    {"input": "u1", "outputs": ["y1_1", "y2_1"]},
+    {"input": "u2", "outputs": ["y1_2", "y2_2"]},
+]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--pairs", {"T": 0, "experiments": TWO_EXPERIMENTS}, "T must be positive, got 0.0"),
+        ("--pairs", {"T": 0.02, "experiments": []}, "experiments must be a non-empty array"),
+        (
+            "--pairs", {"T": 0.02, "experiments": {"input": "u1"}},
+            "experiments must be a non-empty array",
+        ),
+        (
+            "--pairs", {"T": 0.02, "experiments": [TWO_EXPERIMENTS[0], ["u2"]]},
+            "experiment 2 needs exactly the keys input and outputs",
+        ),
+        (
+            "--pairs", {"T": 0.02, "experiments": [{"input": 1, "outputs": ["y1_1"]}]},
+            "experiment 1: input must be a column name",
+        ),
+        (
+            "--pairs",
+            {"T": 0.02, "experiments": [TWO_EXPERIMENTS[0], {"input": "u2", "outputs": ["y1_2"]}]},
+            "experiment 2 must list 2 output column names (one per channel row)",
+        ),
+        ("--config", [], "config root must be an object"),
+        ("--template", "duration", "config root must be an object"),
+    ],
+    ids=[
+        "T", "experiments-empty", "experiments-object", "experiment-keys", "input",
+        "outputs", "config-root", "template-root",
+    ],
+)
+def test_an_input_file_of_the_wrong_shape_exits_2_naming_it(
+    tmp_path, capsys, option, value, message
+):
+    data, _, _ = write_ident_fixture(tmp_path, n_samples=50)
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"substeps": [1]}', encoding="utf-8")
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    subcommand = {
+        "--pairs": ["identify", "--data", str(data)],
+        "--config": ["simulate"],
+        "--template": ["sweep", "--grid", str(grid)],
+    }[option]
+    out = tmp_path / "out"
+    assert main([*subcommand, option, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 def rewrite_data_lines(data, edit):
     """Apply ``edit`` to the data CSV's list of lines."""
     lines = data.read_text(encoding="utf-8").splitlines()

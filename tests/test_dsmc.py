@@ -1,11 +1,12 @@
 """Sliding-mode loop laws: hand-evaluated cases plus cascade behavior."""
 
 import math
+import re
 
 import pytest
 
 from coldstart import dsmc, plant
-from coldstart.errors import DegenerateInputError, SingularGainError
+from coldstart.errors import ConfigError, DegenerateInputError, SingularGainError
 from coldstart.trajectory import TargetWindow
 from lab_helpers import with_default_gains
 
@@ -46,6 +47,20 @@ def test_rho_must_be_positive():
 def test_phi_hat_must_be_finite():
     with pytest.raises(ValueError):
         dsmc.AdaptiveLoop(beta=0.5, rho=1.0, phi_hat=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_loop(adapt_sign=0.5), "adapt_sign must be +1 or -1, got 0.5"),
+        (lambda: with_default_gains(T=0.0), "sample time must be positive, got 0.0"),
+        (lambda: with_default_gains(T=-0.02), "sample time must be positive, got -0.02"),
+    ],
+    ids=["adapt-sign", "T-zero", "T-negative"],
+)
+def test_a_loop_or_controller_out_of_its_domain_is_refused(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------

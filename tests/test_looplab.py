@@ -1375,6 +1375,13 @@ def test_metrics_paired_grid_must_match():
         compute_metrics(synthetic_record(t), baseline=synthetic_record(other))
 
 
+@pytest.mark.parametrize("paired", [False, True], ids=["alone", "paired"])
+def test_metrics_of_a_record_with_no_rows_is_refused(paired):
+    empty = synthetic_record(np.empty(0))
+    with pytest.raises(ConfigError, match="^run record has no rows to summarize$"):
+        compute_metrics(empty, baseline=empty if paired else None)
+
+
 def test_metrics_text_and_csv_shapes():
     t = np.arange(0.0, 10.0 + 1e-9, 0.02)
     m = compute_metrics(synthetic_record(t))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coldstart import fanout, rga
+from coldstart.cli import main
 from coldstart.errors import (
     ConfigError, IdentificationError, SingularGainError, SingularMatrixError,
 )
@@ -543,3 +544,41 @@ def test_identify_mimo_attaches_pair_to_errors():
     assert partial.holes == {(2, 1): f"fit failed: {err.value}"}
     assert set(partial.fits) == {(1, 1), (1, 2), (2, 2)}
     assert partial.tfm.entries[1][0] is None
+
+
+@pytest.mark.parametrize(
+    "call, value, error, message",
+    [
+        (TFMatrix.from_json, '{"n": 1}', ConfigError,
+         "transfer matrix JSON must be an object with an 'entries' array"),
+        (TFMatrix.from_json, "[]", ConfigError,
+         "transfer matrix JSON must be an object with an 'entries' array"),
+        (TFMatrix.from_json, '{"n": 1, "entries": [[{"tau": 0, "k": 0}]]}', ConfigError,
+         "channel (1,1): tau and k cannot both be zero"),
+        (TFMatrix.from_csv, "label,tau1,k1\nout1,0.5,\n", ConfigError,
+         "channel (1,1) on line 2: tau and k must both be set or both blank"),
+        (lambda u: identify_mimo(u, np.zeros((1, 1, 3)), 0.02), np.zeros(3),
+         IdentificationError, "u_series must be 2-d, got shape (3,)"),
+        (lambda y: identify_mimo(np.zeros((1, 3)), y, 0.02), np.zeros((1, 1, 2)),
+         IdentificationError, "y_series shape (1, 1, 2) incompatible with u_series (1, 3)"),
+        (lambda y: identify_mimo(np.zeros((2, 3)), y, 0.02), np.zeros((1, 2, 3)),
+         IdentificationError, "y_series shape (1, 2, 3) incompatible with u_series (2, 3)"),
+    ],
+    ids=[
+        "json-no-entries", "json-root-array", "json-tau-k-zero", "csv-one-blank",
+        "u-not-2d", "y-samples", "y-rows",
+    ],
+)
+def test_each_model_and_shape_refusal_has_its_message(
+    tmp_path, capsys, call, value, error, message
+):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
+    # the rga command reads its model file as JSON if it starts with "{", else as CSV
+    if isinstance(value, str) and (call == TFMatrix.from_json) == value.startswith("{"):
+        path = tmp_path / "model"
+        path.write_text(value, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["rga", "--model", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()

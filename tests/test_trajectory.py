@@ -1,8 +1,11 @@
 """Trajectory table validation, CSV round trip, grid sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
+from coldstart.cli import main
 from coldstart.errors import ConfigError
 from coldstart.trajectory import SampledTrajectory, TargetWindow, TrajectoryTable, default_table
 from lab_helpers import trajectory_csv
@@ -150,7 +153,10 @@ def test_sample_rejects_off_grid_duration():
 @pytest.mark.parametrize(
     "T, duration, message",
     [
-        (1e-320, 1e10, "too many"),  # duration / T overflows a float
+        # duration / T overflows a float
+        (1e-320, 1e10, "^duration / T must be at most 1000000 steps, got inf$"),
+        # finite, but too many steps for np.arange to allocate
+        (1e-300, 1.0, r"^duration / T must be at most 1000000 steps, got 9.999999999999999e\+299$"),
         (float("nan"), 1.0, "sample time must be positive and finite, got nan"),
         (0.02, float("nan"), "duration must be nonnegative and finite, got nan"),
         (0.02, float("inf"), "duration must be nonnegative and finite, got inf"),
@@ -161,6 +167,23 @@ def test_steps_and_sample_refuse_a_step_count_that_is_no_number(T, duration, mes
     for count in (table.steps, table.sample):
         with pytest.raises(ConfigError, match=message):
             count(T, duration)
+
+
+@pytest.mark.parametrize("short", ["afr_d", "omega_d", "t_exh_d"])
+def test_a_column_shorter_than_time_is_refused(tmp_path, capsys, short):
+    columns = {
+        "time": [0.0, 50.0], "afr_d": [14.7, 14.7], "omega_d": [100.0, 100.0],
+        "t_exh_d": [650.0, 650.0],
+    }
+    columns[short] = columns[short][:1]
+    message = "trajectory columns must all match the time column length"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        TrajectoryTable(**columns)
+    out = tmp_path / "out"
+    argv = ["simulate", "--out", str(out), "--override", f"trajectory={json.dumps(columns)}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_window_bounds_and_lookahead():
