@@ -320,7 +320,8 @@ def cmd_rga(args) -> int:
     _check_grid_flags(args)
 
     def parse_model(text: str) -> TFMatrix:
-        return (TFMatrix.from_json if text.lstrip().startswith("{") else TFMatrix.from_csv)(text)
+        is_json = text.lstrip().startswith(("{", "["))
+        return (TFMatrix.from_json if is_json else TFMatrix.from_csv)(text)
 
     model = _parse_file(args.model, parse_model)
     try:

@@ -3,14 +3,29 @@
 Each loop drives a sliding surface s and its one-step difference to zero
 (xi(k) = s(k+1) + beta*s(k) -> 0), which under an exact model yields the
 geometric closed-loop decay s(k+1) = -beta*s(k).  A scalar multiplicative
-uncertainty on each drift term is estimated online; the control laws always
-use the freshly updated estimate.
+uncertainty on each drift term is estimated online; the control law always
+uses the freshly updated estimate.
 
 Loop layout:
   fuel   — in-cylinder fuel flow tracks the AFR target (fuel-flow domain)
   speed  — crankshaft speed; emits a synthetic manifold-air-mass target
   exh    — exhaust temperature via spark retard
   air    — manifold air mass tracks the speed loop's synthetic target
+
+All four loops run one law, ``control_law``: before saturation,
+
+  u = gain_inv * (phi_hat*a*b - (beta + 1)*s + d_next - d_now)
+
+where phi_hat*a*b is the estimated drift of the loop's surface s, d its
+target, and gain_inv the inverse of the input gain:
+
+  loop   gain_inv                           a * b
+  speed  J / (TORQUE_AIR_GAIN * T)          (T / J) * load_torque(omega_pred)
+  air    1 / T                              mdot_ao * T
+  fuel   alpha_f / T                        (T / alpha_f) * mdot_f
+  exh    alpha_e / (SPARK_TEMP_GAIN*afi*T)  -(T / alpha_e) * (SPARK_TEMP_BASE*afi - T_exh)
+
+Below the AFI floor the spark gain is singular: the exhaust loop holds its command.
 
 The speed loop's synthetic target is evaluated at the one-step-ahead
 predicted speed state, not the current one.  The inner air loop can only
@@ -29,7 +44,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import plant
-from .errors import ConfigError, DegenerateInputError, SingularGainError
+from .errors import ConfigError, DegenerateInputError
 
 AFI_FLOOR_DEFAULT = 0.05
 
@@ -107,87 +122,15 @@ def saturate(value: float, bound: tuple[float, float]) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# pure control laws (one call = one step; all series indexed at the call step)
+# the control law (one call = one step; all series indexed at the call step)
 
 
-def control_fuel(
-    mdot_f: float,
-    s1: float,
-    mdot_fd_now: float,
-    mdot_fd_next: float,
-    loop: AdaptiveLoop,
-    T: float,
-    alpha_f: float,
+def control_law(
+    gain_inv: float, a: float, b: float, s: float, d_now: float, d_next: float, loop: AdaptiveLoop
 ) -> float:
-    """Fuel-flow command [kg/s] before saturation."""
-    return (alpha_f / T) * (
-        loop.phi_hat * (T / alpha_f) * mdot_f
-        - (loop.beta + 1.0) * s1
-        + mdot_fd_next
-        - mdot_fd_now
-    )
-
-
-def synthetic_air_mass(
-    omega_e: float,
-    s2: float,
-    omega_d_now: float,
-    omega_d_next: float,
-    loop: AdaptiveLoop,
-    T: float,
-    J: float,
-) -> float:
-    """Manifold air mass [kg] the speed loop wants; consumed by the air loop."""
-    return (J / (plant.TORQUE_AIR_GAIN * T)) * (
-        loop.phi_hat * (T / J) * plant.load_torque(omega_e)
-        - (loop.beta + 1.0) * s2
-        + omega_d_next
-        - omega_d_now
-    )
-
-
-def control_airflow(
-    mdot_ao: float,
-    s4: float,
-    m_a_d_now: float,
-    m_a_d_next: float,
-    loop: AdaptiveLoop,
-    T: float,
-) -> float:
-    """Throttle air-flow command [kg/s] before saturation."""
-    return (1.0 / T) * (
-        loop.phi_hat * mdot_ao * T - (loop.beta + 1.0) * s4 + m_a_d_next - m_a_d_now
-    )
-
-
-def control_spark(
-    t_exh: float,
-    afi_value: float,
-    alpha_e: float,
-    s3: float,
-    t_exh_d_now: float,
-    t_exh_d_next: float,
-    loop: AdaptiveLoop,
-    T: float,
-    afi_floor: float = AFI_FLOOR_DEFAULT,
-) -> float:
-    """Spark retard command [deg] before saturation.
-
-    The input gain is proportional to the AFR influence factor; below the
-    floor the plant barely responds to spark and the division blows up, so
-    the step is refused instead.
-    """
-    if abs(afi_value) < afi_floor:
-        raise SingularGainError(
-            f"AFR influence factor {afi_value!r} below floor {afi_floor!r}; "
-            "spark input gain is singular"
-        )
-    return (alpha_e / (plant.SPARK_TEMP_GAIN * afi_value * T)) * (
-        -loop.phi_hat * (T / alpha_e) * (plant.SPARK_TEMP_BASE * afi_value - t_exh)
-        - (loop.beta + 1.0) * s3
-        + t_exh_d_next
-        - t_exh_d_now
-    )
+    """The second-order DSMC law all four loops run, before saturation; the
+    module doc gives each loop's coefficients."""
+    return gain_inv * (loop.phi_hat * a * b - (loop.beta + 1.0) * s + d_next - d_now)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +194,7 @@ class CascadeController:
         self.loop_air = loop_air
         self.T = T
         self.constants = constants if constants is not None else plant.PlantConstants()
-        self._plant = plant.PlantModel(self.constants)  # the drift the laws read
+        self._plant = plant.PlantModel(self.constants)  # the drift the law reads
         self.bounds = bounds if bounds is not None else ActuatorBounds()
         self.afi_floor = afi_floor
         self._m_a_target: float | None = None  # target the air loop tracks next step
@@ -304,14 +247,10 @@ class CascadeController:
         # synthetic target for the NEXT step, from the one-step speed
         # prediction with the freshly updated drag estimate
         omega_pred = omega_e + T * (self.loop_speed.phi_hat * f_speed + model.speed_gain * m_a)
-        m_a_d_next = synthetic_air_mass(
-            omega_pred,
-            omega_pred - targets.omega_d_next,
-            targets.omega_d_next,
-            targets.omega_d_next2,
+        m_a_d_next = control_law(
+            model.J / (plant.TORQUE_AIR_GAIN * T), T / model.J, plant.load_torque(omega_pred),
+            omega_pred - targets.omega_d_next, targets.omega_d_next, targets.omega_d_next2,
             self.loop_speed,
-            T,
-            model.J,
         )
         if self._m_a_target is None:
             self._m_a_target = m_a_d_next  # first step: duplicate the first target
@@ -322,7 +261,7 @@ class CascadeController:
         if not hold_air:
             adapt(self.loop_air, s4, f_air, T)
 
-        u_air = control_airflow(mdot_ao, s4, m_a_d_now, m_a_d_next, self.loop_air, T)
+        u_air = control_law(1.0 / T, mdot_ao, T, s4, m_a_d_now, m_a_d_next, self.loop_air)
         mdot_ai, sat_air = saturate(u_air, self.bounds.mdot_ai)
 
         # fuel-flow target lookahead: propagate air mass and speed one step
@@ -330,29 +269,22 @@ class CascadeController:
         m_a_pred = m_a + T * (self.loop_air.phi_hat * f_air + mdot_ai)
         mdot_ao_pred = plant.air_outflow(m_a_pred, omega_pred)
         mdot_fd_next = mdot_ao_pred / targets.afr_d_next
-        u_fuel = control_fuel(
-            mdot_f, s1, mdot_fd_now, mdot_fd_next, self.loop_fuel, T, model.alpha_f
+        u_fuel = control_law(
+            model.alpha_f / T, T / model.alpha_f, mdot_f,
+            s1, mdot_fd_now, mdot_fd_next, self.loop_fuel,
         )
         mdot_fc, sat_fuel = saturate(u_fuel, self.bounds.mdot_fc)
 
-        try:
-            u_delta = control_spark(
-                T_exh,
-                afi_value,
-                alpha_e,
-                s3,
-                targets.t_exh_d,
-                targets.t_exh_d_next,
-                self.loop_exh,
-                T,
-                self.afi_floor,
-            )
-        except SingularGainError:
+        spark_singular = abs(afi_value) < self.afi_floor
+        if spark_singular:
             u_delta = self._delta_held
-            spark_singular = True
             events = ("spark gain below AFI floor; holding previous command",)
         else:
-            spark_singular = False
+            u_delta = control_law(
+                alpha_e / (plant.SPARK_TEMP_GAIN * afi_value * T), -(T / alpha_e),
+                plant.SPARK_TEMP_BASE * afi_value - T_exh,
+                s3, targets.t_exh_d, targets.t_exh_d_next, self.loop_exh,
+            )
             events = ()
         delta, sat_delta = saturate(u_delta, self.bounds.delta)
 

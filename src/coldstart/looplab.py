@@ -56,23 +56,15 @@ DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
 def quantize(value: float, bits: int, lo: float, hi: float) -> float:
     """Uniform mid-tread quantizer over [lo, hi]; out-of-range values clamp.
 
-    NaN has no code and raises DegenerateInputError.
+    NaN has no code and raises DegenerateInputError.  One value through
+    ``adc_channel``, the loop's form.
     """
-    if bits < 1:
-        raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
-    if not lo < hi:
-        raise ConfigError(f"quantizer range must satisfy lo < hi, got ({lo!r}, {hi!r})")
-    if math.isnan(value):
-        raise DegenerateInputError(f"cannot quantize NaN over ({lo!r}, {hi!r})")
-    clamped = min(max(value, lo), hi)
-    levels = (1 << bits) - 1
-    code = round((clamped - lo) / (hi - lo) * levels)
-    return lo + code * (hi - lo) / levels
+    return adc_channel(bits, lo, hi)(value)
 
 
 def adc_channel(bits: int, lo: float, hi: float):
-    """``quantize`` bound to one word length and span, checked once: the same
-    expression order gives the same float for every input, and NaN raises."""
+    """``quantize`` bound to one word length and span, its arguments checked
+    once: the quantizer the loop runs on each sampled signal."""
     if bits < 1:
         raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
     if not lo < hi:

@@ -1,6 +1,7 @@
 """Model builders and data generators that only the tests use: the
-gain/time-constant form of a first-order channel, a cascade controller with
-the default gains, the illustrative coupling matrix whose
+gain/time-constant form of a first-order channel, the quantizer's plain
+arithmetic that each ADC channel is checked against, a cascade controller
+with the default gains, the illustrative coupling matrix whose
 ``rga.csv`` digest is pinned, the exact sampled response of a first-order
 channel that identification round trips are checked against, the
 closed-loop channel gains that the RGA is checked against, and CSV writers
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from coldstart.dsmc import BETA_DEFAULT, RHO_DEFAULTS, AdaptiveLoop, CascadeController
-from coldstart.errors import SingularGainError
+from coldstart.errors import ConfigError, DegenerateInputError, SingularGainError
 from coldstart.rga import DEFAULT_COND_LIMIT, FirstOrderTF, TFMatrix, _check_invertible
 from coldstart.trajectory import COLUMNS, TrajectoryTable
 
@@ -35,6 +36,21 @@ def from_gain_time_constant(gain: float, time_constant: float) -> FirstOrderTF:
     if gain == 0.0:
         raise ValueError("zero gain has no first-order inverse form")
     return FirstOrderTF(tau=time_constant / gain, k=1.0 / gain)
+
+
+def reference_quantize(value: float, bits: int, lo: float, hi: float) -> float:
+    """Uniform mid-tread quantizer over [lo, hi], written out plainly: the
+    oracle ``looplab.adc_channel`` is checked against bit for bit."""
+    if bits < 1:
+        raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
+    if not lo < hi:
+        raise ConfigError(f"quantizer range must satisfy lo < hi, got ({lo!r}, {hi!r})")
+    if math.isnan(value):
+        raise DegenerateInputError(f"cannot quantize NaN over ({lo!r}, {hi!r})")
+    clamped = min(max(value, lo), hi)
+    levels = (1 << bits) - 1
+    code = round((clamped - lo) / (hi - lo) * levels)
+    return lo + code * (hi - lo) / levels
 
 
 def with_default_gains(T: float = 0.02, **kwargs) -> CascadeController:

@@ -359,15 +359,17 @@ def test_simulate_digests_hold_when_the_stream_helper_dies_mid_block(tmp_path, m
 def test_simulate_abort_mid_run_exits_3_and_writes_no_record(tmp_path, monkeypatch, capsys, cpus):
     """The fuel law goes NaN at step 1000, after the loop has handed three
     blocks to the stream; its helper is stopped with the run."""
-    real = dsmc.control_fuel
+    real = dsmc.control_law
     calls = []
 
-    def nan_from_step_1000(*args, **kwargs):
+    def nan_from_step_1000(*args):
+        value = real(*args)
+        if args[-1].rho != dsmc.RHO_DEFAULTS["fuel"]:
+            return value
         calls.append(None)
-        value = real(*args, **kwargs)
         return math.nan if len(calls) > 1000 else value
 
-    monkeypatch.setattr(dsmc, "control_fuel", nan_from_step_1000)
+    monkeypatch.setattr(dsmc, "control_law", nan_from_step_1000)
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out)]) == 3

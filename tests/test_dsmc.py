@@ -4,9 +4,11 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldstart import dsmc, plant
-from coldstart.errors import ConfigError, DegenerateInputError, SingularGainError
+from coldstart.errors import ConfigError, DegenerateInputError
 from coldstart.trajectory import TargetWindow
 from lab_helpers import with_default_gains
 
@@ -136,68 +138,90 @@ def test_surfaces_reject_degenerate_afr_target():
 
 
 # ---------------------------------------------------------------------------
-# control laws, hand values
+# the control law: each loop's coefficients, hand values, and the longhand laws
+
+
+def fuel_row(mdot_f, T, alpha_f):
+    return alpha_f / T, T / alpha_f, mdot_f
+
+
+def speed_row(omega_e, T, J):
+    return J / (plant.TORQUE_AIR_GAIN * T), T / J, plant.load_torque(omega_e)
+
+
+def air_row(mdot_ao, T):
+    return 1.0 / T, mdot_ao, T
+
+
+def exh_row(t_exh, afi_value, alpha_e, T):
+    return (
+        alpha_e / (plant.SPARK_TEMP_GAIN * afi_value * T),
+        -(T / alpha_e),
+        plant.SPARK_TEMP_BASE * afi_value - t_exh,
+    )
 
 
 def test_fuel_law_pure_feedforward_holds_equilibrium():
     loop = make_loop()
-    got = dsmc.control_fuel(1e-3, 0.0, 5e-4, 5e-4, loop, 0.02, 0.06)
+    got = dsmc.control_law(*fuel_row(1e-3, 0.02, 0.06), 0.0, 5e-4, 5e-4, loop)
     assert got == pytest.approx(1e-3, rel=1e-15)
 
 
 def test_fuel_law_zero_estimate_zero_surface():
     loop = make_loop(phi_hat=0.0)
-    assert dsmc.control_fuel(1e-3, 0.0, 5e-4, 5e-4, loop, 0.02, 0.06) == 0.0
+    assert dsmc.control_law(*fuel_row(1e-3, 0.02, 0.06), 0.0, 5e-4, 5e-4, loop) == 0.0
 
 
 def test_fuel_law_hand_value():
     # 3*(0.02/0.06*0.001 - 1.5*2e-4) = 1e-4
     loop = make_loop(beta=0.5)
-    got = dsmc.control_fuel(1e-3, 2e-4, 7e-4, 7e-4, loop, 0.02, 0.06)
+    got = dsmc.control_law(*fuel_row(1e-3, 0.02, 0.06), 2e-4, 7e-4, 7e-4, loop)
     assert got == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_synthetic_air_mass_equilibrium():
     loop = make_loop()
-    got = dsmc.synthetic_air_mass(140.0, 0.0, 140.0, 140.0, loop, 0.02, 0.1454)
+    got = dsmc.control_law(*speed_row(140.0, 0.02, 0.1454), 0.0, 140.0, 140.0, loop)
     assert got == pytest.approx((100.0 + 0.4 * 140.0) / 30000.0, rel=1e-12)
 
 
 def test_synthetic_air_mass_zero_speed():
     loop = make_loop()
-    got = dsmc.synthetic_air_mass(0.0, 0.0, 100.0, 100.0, loop, 0.02, 0.1454)
+    got = dsmc.control_law(*speed_row(0.0, 0.02, 0.1454), 0.0, 100.0, 100.0, loop)
     assert got == pytest.approx(100.0 / 30000.0, rel=1e-12)
 
 
 def test_synthetic_air_mass_zero_estimate():
     loop = make_loop(phi_hat=0.0)
-    assert dsmc.synthetic_air_mass(140.0, 0.0, 140.0, 140.0, loop, 0.02, 0.1454) == 0.0
+    assert dsmc.control_law(*speed_row(140.0, 0.02, 0.1454), 0.0, 140.0, 140.0, loop) == 0.0
 
 
 def test_airflow_law_holds_air_mass():
     loop = make_loop()
-    got = dsmc.control_airflow(0.01, 0.0, 0.004, 0.004, loop, 0.02)
+    got = dsmc.control_law(*air_row(0.01, 0.02), 0.0, 0.004, 0.004, loop)
     assert got == pytest.approx(0.01, rel=1e-15)
 
 
 def test_airflow_law_hand_value():
     # 50*(0.01*0.02 + 1.5e-4) = 0.0175
     loop = make_loop(beta=0.5)
-    got = dsmc.control_airflow(0.01, -1e-4, 0.004, 0.004, loop, 0.02)
+    got = dsmc.control_law(*air_row(0.01, 0.02), -1e-4, 0.004, 0.004, loop)
     assert got == pytest.approx(0.0175, rel=1e-12)
 
 
 def test_spark_law_zero_at_consistent_exhaust_temp():
     loop = make_loop()
     afi_v = 0.9
-    got = dsmc.control_spark(600.0 * afi_v, afi_v, plant.exhaust_time_constant(140.0), 0.0, 540.0, 540.0, loop, 0.02)
+    row = exh_row(600.0 * afi_v, afi_v, plant.exhaust_time_constant(140.0), 0.02)
+    got = dsmc.control_law(*row, 0.0, 540.0, 540.0, loop)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spark_law_static_inverse():
     loop = make_loop()
     afi_v, t_exh = 0.95, 640.0
-    got = dsmc.control_spark(t_exh, afi_v, plant.exhaust_time_constant(140.0), 0.0, t_exh, t_exh, loop, 0.02)
+    row = exh_row(t_exh, afi_v, plant.exhaust_time_constant(140.0), 0.02)
+    got = dsmc.control_law(*row, 0.0, t_exh, t_exh, loop)
     assert got == pytest.approx((t_exh - 600.0 * afi_v) / (7.5 * afi_v), rel=1e-12)
 
 
@@ -205,20 +229,90 @@ def test_spark_law_beta_two_point_difference():
     # with s3 = 10 the beta term contributes (beta+1)*10 inside the bracket
     afi_v, omega, t_exh, s3, T = 0.9, 140.0, 620.0, 10.0, 0.02
     alpha_e = 2.0 * math.pi / omega
-    lo = dsmc.control_spark(
-        t_exh, afi_v, plant.exhaust_time_constant(omega), s3, 650.0, 650.0, make_loop(beta=0.05), T
-    )
-    hi = dsmc.control_spark(
-        t_exh, afi_v, plant.exhaust_time_constant(omega), s3, 650.0, 650.0, make_loop(beta=0.9), T
-    )
+    row = exh_row(t_exh, afi_v, plant.exhaust_time_constant(omega), T)
+    lo = dsmc.control_law(*row, s3, 650.0, 650.0, make_loop(beta=0.05))
+    hi = dsmc.control_law(*row, s3, 650.0, 650.0, make_loop(beta=0.9))
     want = alpha_e / (7.5 * afi_v * T) * (0.9 - 0.05) * s3
     assert lo - hi == pytest.approx(want, rel=1e-12)
 
 
-def test_spark_law_raises_below_afi_floor():
-    loop = make_loop()
-    with pytest.raises(SingularGainError):
-        dsmc.control_spark(650.0, 0.01, plant.exhaust_time_constant(140.0), 0.0, 650.0, 650.0, loop, 0.02)
+# Each loop's law written out longhand, in its own expression order: the
+# oracles that control_law at that loop's coefficients is checked against,
+# bit for bit.  The spark law's AFI floor is the controller's (step tests).
+
+
+def longhand_fuel(mdot_f, s1, mdot_fd_now, mdot_fd_next, loop, T, alpha_f):
+    return (alpha_f / T) * (
+        loop.phi_hat * (T / alpha_f) * mdot_f
+        - (loop.beta + 1.0) * s1
+        + mdot_fd_next
+        - mdot_fd_now
+    )
+
+
+def longhand_speed(omega_e, s2, omega_d_now, omega_d_next, loop, T, J):
+    return (J / (plant.TORQUE_AIR_GAIN * T)) * (
+        loop.phi_hat * (T / J) * plant.load_torque(omega_e)
+        - (loop.beta + 1.0) * s2
+        + omega_d_next
+        - omega_d_now
+    )
+
+
+def longhand_air(mdot_ao, s4, m_a_d_now, m_a_d_next, loop, T):
+    return (1.0 / T) * (
+        loop.phi_hat * mdot_ao * T - (loop.beta + 1.0) * s4 + m_a_d_next - m_a_d_now
+    )
+
+
+def longhand_exh(t_exh, afi_value, alpha_e, s3, t_exh_d_now, t_exh_d_next, loop, T):
+    return (alpha_e / (plant.SPARK_TEMP_GAIN * afi_value * T)) * (
+        -loop.phi_hat * (T / alpha_e) * (plant.SPARK_TEMP_BASE * afi_value - t_exh)
+        - (loop.beta + 1.0) * s3
+        + t_exh_d_next
+        - t_exh_d_now
+    )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# bounded so that no product of sample time, plant constant and influence
+# factor underflows to a zero divisor
+positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=finite, s=finite, d_now=finite, d_next=finite, T=positive, p=positive,
+    afi_value=st.floats(min_value=1e-3, max_value=1.0) | st.floats(min_value=-1.0, max_value=-1e-3),
+    phi_hat=st.sampled_from((0.0, -0.0, -1.0)) | finite,
+    beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_control_law_is_each_longhand_law_bit_for_bit(
+    x, s, d_now, d_next, T, p, afi_value, phi_hat, beta
+):
+    """``x`` is the loop's drift input, ``p`` its J, alpha_f or alpha_e."""
+    loop = make_loop(beta=beta, phi_hat=phi_hat)
+    law = dsmc.control_law
+    pairs = {
+        "fuel": (
+            law(*fuel_row(x, T, p), s, d_now, d_next, loop),
+            longhand_fuel(x, s, d_now, d_next, loop, T, p),
+        ),
+        "speed": (
+            law(*speed_row(x, T, p), s, d_now, d_next, loop),
+            longhand_speed(x, s, d_now, d_next, loop, T, p),
+        ),
+        "air": (
+            law(*air_row(x, T), s, d_now, d_next, loop),
+            longhand_air(x, s, d_now, d_next, loop, T),
+        ),
+        "exh": (
+            law(*exh_row(x, afi_value, p, T), s, d_now, d_next, loop),
+            longhand_exh(x, afi_value, p, s, d_now, d_next, loop, T),
+        ),
+    }
+    for name, (got, want) in pairs.items():
+        assert got.hex() == want.hex(), name
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +398,19 @@ def test_controller_step_afi_floor_holds_previous_delta():
     assert out.delta == 7.5
     assert any("holding previous" in e for e in out.events)
     assert not out.sat_delta
+
+
+def test_controller_step_afi_floor_is_strict():
+    # the spark law runs at a floor equal to |afi|, and one ulp above it holds
+    state = equilibrium_state()
+    floor = abs(plant.afi(plant.air_outflow(state.m_a, state.omega_e) / state.mdot_f))
+    ran = with_default_gains(afi_floor=floor, delta_initial=7.5).step(state, constant_targets())
+    held = with_default_gains(afi_floor=math.nextafter(floor, math.inf), delta_initial=7.5).step(
+        state, constant_targets()
+    )
+    assert ran.events == () and ran.delta != 7.5
+    assert held.events == ("spark gain below AFI floor; holding previous command",)
+    assert held.delta == 7.5
 
 
 def test_controller_step_saturation_flags():

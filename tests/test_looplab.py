@@ -33,7 +33,7 @@ from coldstart.looplab import (
 )
 from coldstart.trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from coldstart.trajectory import TrajectoryTable
-from lab_helpers import kill_first_helper_mid_block
+from lab_helpers import kill_first_helper_mid_block, reference_quantize
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_adc_channel_matches_quantize_bit_for_bit(name):
 
     def check(value, bits):
         got = looplab.adc_channel(bits, lo, hi)(value)
-        assert got.hex() == quantize(value, bits, lo, hi).hex(), (value, bits)
+        assert got.hex() == reference_quantize(value, bits, lo, hi).hex(), (value, bits)
 
     for value in edges:
         for bits in (8, 32):
@@ -1023,18 +1023,28 @@ def test_run_feedback_delay_shifts_the_loop():
 
 
 @pytest.mark.parametrize("quantization_enabled", [True, False])
-@pytest.mark.parametrize("law", ["control_fuel", "control_airflow", "control_spark"])
-def test_run_nan_control_law_aborts_at_its_step(monkeypatch, law, quantization_enabled):
-    real = getattr(dsmc, law)
+@pytest.mark.parametrize(
+    "loop, bound",
+    [("fuel", (0.0, 0.01)), ("air", (0.0, 0.1)), ("exh", (-10.0, 45.0)), ("speed", (0.0, 0.1))],
+    # named by what the law computes for the loop; a NaN synthetic air-mass
+    # target aborts through the air command it feeds
+    ids=["control_fuel", "control_airflow", "control_spark", "synthetic_air_mass"],
+)
+def test_run_nan_control_law_aborts_at_its_step(monkeypatch, loop, bound, quantization_enabled):
+    real = dsmc.control_law
+    rho = dsmc.RHO_DEFAULTS[loop]  # distinct per loop, so it tells the loops apart
     calls = []
 
-    def nan_from_step_7(*args, **kwargs):
+    def nan_from_step_7(*args):
+        value = real(*args)
+        if args[-1].rho != rho:
+            return value
         calls.append(None)
-        value = real(*args, **kwargs)
         return math.nan if len(calls) > 7 else value
 
-    monkeypatch.setattr(dsmc, law, nan_from_step_7)
-    with pytest.raises(SimulationAbort, match="NaN") as err:
+    monkeypatch.setattr(dsmc, "control_law", nan_from_step_7)
+    message = f"command is NaN; cannot saturate to {bound!r}"
+    with pytest.raises(SimulationAbort, match=re.escape(message)) as err:
         run_scenario(short_config(quantization_enabled=quantization_enabled))
     assert err.value.step == 7
 

@@ -574,8 +574,8 @@ def test_each_model_and_shape_refusal_has_its_message(
 ):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
-    # the rga command reads its model file as JSON if it starts with "{", else as CSV
-    if isinstance(value, str) and (call == TFMatrix.from_json) == value.startswith("{"):
+    # the rga command reads its model file as JSON if it starts with "{" or "[", else as CSV
+    if isinstance(value, str) and (call == TFMatrix.from_json) == value.startswith(("{", "[")):
         path = tmp_path / "model"
         path.write_text(value, encoding="utf-8")
         out = tmp_path / "out"
