@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fanout
+from . import fanout, rga
 from .errors import ColdstartError, ConfigError, SimulationAbort
 from .looplab import (
     LOOPS,
@@ -42,10 +42,15 @@ from .looplab import (
 )
 from .plant import real
 from .rga import TFMatrix, identify_mimo, rga_sweep
-from .tables import read_body, read_header
+from .tables import json_value, read_body, read_header
 from .trajectory import TrajectoryTable
 
 log = logging.getLogger("coldstart.cli")
+
+# cells per sweep at most, checked before any is built: a cell of a two-axis
+# grid peaks near 2.1 KB (tracemalloc over 8 000 cells on two CPUs), so the
+# largest sweep peaks near 1.7 GB, as the longest run does (MAX_STEPS)
+MAX_CELLS = 800_000
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -83,12 +88,12 @@ def _parse_file(path, parse):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _json_value(text: str) -> object:
-    """The JSON value in ``text``; ConfigError when the text is not JSON."""
-    try:
-        return json.loads(text)
-    except ValueError as err:  # not JSON, or an int of more digits than int() takes
-        raise ConfigError(f"not valid JSON: {err}") from None
+def _config_document(path: str) -> dict:
+    """The JSON object of a ``--config`` or ``--template`` file; it may be partial."""
+    data = _parse_file(path, lambda text: json_value(text, "config"))
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config root must be an object")
+    return data
 
 
 def _check_out(path: str) -> None:
@@ -182,7 +187,8 @@ def _line_chart(title, x_label, y_label, x, series, width=760, height=380) -> st
         color = _PALETTE[s_idx % len(_PALETTE)]
         ys = np.asarray(ys, dtype=float)
         run: list[str] = []
-        for xv, yv in zip(x, ys):
+        # a NaN past the last point ends the last run of finite points
+        for xv, yv in itertools.chain(zip(x, ys), [(x_lo, math.nan)]):
             if math.isfinite(yv):
                 run.append(f"{px(xv):.2f},{py(max(min(yv, y_hi), y_lo)):.2f}")
             elif run:
@@ -191,11 +197,6 @@ def _line_chart(title, x_label, y_label, x, series, width=760, height=380) -> st
                     f'stroke-width="1.2"/>'
                 )
                 run = []
-        if run:
-            parts.append(
-                f'<polyline points="{" ".join(run)}" fill="none" stroke="{color}" '
-                f'stroke-width="1.2"/>'
-            )
         parts.append(
             f'<text x="{ml + pw - 8}" y="{mt + 14 + 13 * s_idx}" text-anchor="end" '
             f'font-family="monospace" font-size="11" fill="{color}">{label}</text>'
@@ -237,12 +238,7 @@ def _write_run_plots(out: Path, record: RunRecord) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if args.config is not None:
-        data = _parse_file(args.config, _json_value)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: config root must be an object")
-    else:
-        data = ScenarioConfig().to_dict()
+    data = _config_document(args.config) if args.config is not None else ScenarioConfig().to_dict()
     data = apply_overrides(data, list(args.override or ()))
     cfg = ScenarioConfig.from_dict(data)
     if args.trajectory is not None:  # sampled as it is built: a short table names its file
@@ -307,13 +303,15 @@ def cmd_metrics(args) -> int:
 
 def _check_grid_flags(args) -> None:
     """ConfigError naming the flag unless ``0 < --wmin < --wmax``, both
-    finite, and ``--points >= 1``."""
+    finite, and ``1 <= --points <= rga.MAX_POINTS``."""
     if not (math.isfinite(args.wmin) and args.wmin > 0.0):
         raise ConfigError(f"--wmin must be a finite positive number, got {args.wmin!r}")
     if not (math.isfinite(args.wmax) and args.wmax > args.wmin):
         raise ConfigError(f"--wmax must be finite and above --wmin, got {args.wmax!r}")
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points!r}")
+    if args.points > rga.MAX_POINTS:
+        raise ConfigError(f"--points must be at most {rga.MAX_POINTS}, got {args.points!r}")
 
 
 def cmd_rga(args) -> int:
@@ -366,7 +364,7 @@ def _read_data_table(path: str) -> dict[str, np.ndarray]:
 
 
 def _pairing_spec(text: str) -> tuple[float, list[dict]]:
-    spec = _json_value(text)
+    spec = json_value(text, "pairing spec")
     if not isinstance(spec, dict) or set(spec) != {"T", "experiments"}:
         raise ConfigError("pairing spec needs exactly the keys T and experiments")
     T = real(spec["T"], "T")
@@ -412,7 +410,6 @@ def cmd_identify(args) -> int:
     (out / "model.json").write_text(ident.tfm.to_json() + "\n", encoding="utf-8")
 
     lines = []
-    failed = 0
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if (i, j) in ident.fits:
@@ -425,27 +422,26 @@ def cmd_identify(args) -> int:
                     line += "  [tau unidentifiable: settled DC record]"
                 lines.append(line)
             else:
-                reason = ident.holes[(i, j)]
-                lines.append(f"pair ({i},{j}): {reason}")
-                if reason.startswith("fit failed"):
-                    failed += 1
-                    log.warning("pair (%d,%d): %s", i, j, reason)
+                lines.append(f"pair ({i},{j}): {ident.holes[(i, j)]}")
+                if (i, j) in ident.failed:
+                    log.warning("pair (%d,%d): %s", i, j, ident.holes[(i, j)])
     report = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(report, encoding="utf-8")
     sys.stdout.write(report)
-    if failed:
-        log.warning("%d of %d channels could not be fitted", failed, n * n)
+    if ident.failed:
+        log.warning("%d of %d channels could not be fitted", len(ident.failed), n * n)
         return 4
     return 0
 
 
 def cmd_sweep(args) -> int:
-    template = _parse_file(args.template, _json_value)
-    if not isinstance(template, dict):
-        raise ConfigError(f"{args.template}: config root must be an object")
-    grid = _parse_file(args.grid, _json_value)
+    template = _config_document(args.template)
+    grid = _parse_file(args.grid, lambda text: json_value(text, "grid"))
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"{args.grid}: grid must map override paths to value arrays")
+    n_cells = math.prod(map(len, grid.values()))
+    if n_cells > MAX_CELLS:
+        raise ConfigError(f"--grid {args.grid}: {n_cells} cells, more than {MAX_CELLS}")
 
     axes = sorted(grid)
     header = ["cell", *axes, *MetricsSummary.csv_header(), "error"]
@@ -514,9 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     rga_p = sub.add_parser("rga", help="relative-gain-array frequency sweep")
     rga_p.add_argument("--model", required=True, help="channel-model file (JSON or CSV)")
-    rga_p.add_argument("--wmin", type=float, default=1e-2, help="sweep start [rad/s]")
-    rga_p.add_argument("--wmax", type=float, default=1e2, help="sweep end [rad/s]")
-    rga_p.add_argument("--points", type=int, default=200, help="number of frequencies")
+    w_min, w_max, n_points = rga.DEFAULT_GRID
+    rga_p.add_argument("--wmin", type=float, default=w_min, help="sweep start [rad/s]")
+    rga_p.add_argument("--wmax", type=float, default=w_max, help="sweep end [rad/s]")
+    rga_p.add_argument("--points", type=int, default=n_points, help="number of frequencies")
     rga_p.add_argument("--out", required=True, help="output directory")
     rga_p.add_argument("--plots", action="store_true", help="also write an SVG chart")
     rga_p.set_defaults(func=cmd_rga)

@@ -15,7 +15,7 @@ class DegenerateInputError(ColdstartError):
 
 
 class SingularGainError(ColdstartError):
-    """An input gain collapsed; the affected control channel cannot be inverted."""
+    """A channel response 1/(j*omega*tau + k) is singular (``rga.freq_response``)."""
 
 
 class SingularMatrixError(ColdstartError):
@@ -23,7 +23,7 @@ class SingularMatrixError(ColdstartError):
 
 
 class IdentificationError(ColdstartError):
-    """Time-series fit failed; message carries regression diagnostics."""
+    """A time-series fit could not be made; message carries regression diagnostics."""
 
 
 class SimulationAbort(ColdstartError):

@@ -306,8 +306,8 @@ class ScenarioConfig:
     substeps: int = 1
     feedback_delay_steps: int = 0
     metrics_window_start: float = 5.0
-    hc_mode: str = "unburned_fraction"
-    qgen_grouping: str = "as_printed"
+    hc_mode: str = plant.PlantConventions.hc_mode
+    qgen_grouping: str = plant.PlantConventions.qgen_grouping
     # shipped default differs from the plant-level default: feed-gas heat
     # warms the brick, otherwise the catalyst can never light off
     qin_direction: str = "heats_catalyst"
@@ -324,13 +324,6 @@ class ScenarioConfig:
 
     def build_constants(self) -> plant.PlantConstants:
         return replace(plant.PlantConstants(), **self.constants)
-
-    def build_conventions(self) -> plant.PlantConventions:
-        return plant.PlantConventions(
-            hc_mode=self.hc_mode,
-            qgen_grouping=self.qgen_grouping,
-            qin_direction=self.qin_direction,
-        )
 
     def build_controller(self) -> dsmc.CascadeController:
         def loop(name: str) -> dsmc.AdaptiveLoop:
@@ -392,33 +385,30 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            data = json.loads(text)
-        except ValueError as err:  # not JSON, or an int of more digits than int() takes
-            raise ConfigError(f"config is not valid JSON: {err}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(tables.json_value(text, "config"))
 
 
 def apply_overrides(data: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
     """Apply dotted-path ``key=value`` overrides to a config dict.
 
     Values parse as JSON when possible (numbers, booleans, null, arrays),
-    otherwise they are taken as literal strings.  Paths must address keys
-    that already exist in the dict being overridden.
+    otherwise they are taken as literal strings.  A missing key is made, so
+    a partial document takes an override of a field it leaves out: the field
+    table decides which paths exist, in ``ScenarioConfig.from_dict``.  A path
+    through a value that is not an object is refused here.
     """
     out = json.loads(json.dumps(data))  # deep copy, JSON types only
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form path=value")
         path, raw = item.split("=", 1)
-        keys = path.split(".")
+        *keys, last = path.split(".")
         target = out
-        for key in keys[:-1]:
-            if not isinstance(target, dict) or key not in target:
+        for key in keys:
+            if not isinstance(target, dict):
                 raise ConfigError(f"override path {path!r} has no match at {key!r}")
-            target = target[key]
-        last = keys[-1]
-        if not isinstance(target, dict) or last not in target:
+            target = target.setdefault(key, {})
+        if not isinstance(target, dict):
             raise ConfigError(f"override path {path!r} has no match at {last!r}")
         try:
             value = json.loads(raw)
@@ -549,7 +539,8 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     the loop has made it; its rows are those of the record returned.  The
     rows are checked as finite only when the run ends.
     """
-    model = plant.PlantModel(config.build_constants(), config.build_conventions(), config.phi_true)
+    conventions = plant.PlantConventions(config.hc_mode, config.qgen_grouping, config.qin_direction)
+    model = plant.PlantModel(config.build_constants(), conventions, config.phi_true)
     controller = config.build_controller()
     traj = config.sampled_trajectory
     n_steps = traj.n_steps
@@ -616,7 +607,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
             hc_eng, hc_tp, hc_cum if k else 0.0, eta_cat,
             out.sat_air, out.sat_fuel, out.sat_delta,
         ))
-        events.append(";".join(e.replace(",", ";") for e in out.events) if out.events else "")
+        events.append(";".join(out.events) if out.events else "")
         prev_hc_tp, prev_t = hc_tp, t
         if len(rows) == block_rows:
             blocks.append(np.array(rows, dtype=float))
@@ -773,7 +764,7 @@ def _window(times: np.ndarray, window_start: float) -> np.ndarray:
 
 def _summarize(record, baseline) -> MetricsSummary:
     config = record.meta.get("config", {})
-    window_start = float(config.get("metrics_window_start", 5.0))
+    window_start = float(config.get("metrics_window_start", ScenarioConfig.metrics_window_start))
     times = record.times
     if not len(times):
         raise ConfigError("run record has no rows to summarize")
@@ -791,7 +782,7 @@ def _summarize(record, baseline) -> MetricsSummary:
     afr_err = record.series["afr_error"][mask]
 
     phi_true = config.get("phi_true", {})
-    phi = {loop: float(phi_true.get(loop, 1.0)) for loop in LOOPS}
+    phi = {loop: float(phi_true.get(loop, getattr(PhiTrue, loop))) for loop in LOOPS}
     conv_time: dict[str, float | None] = {}
     converged: dict[str, bool] = {}
     for loop in LOOPS:
@@ -822,7 +813,7 @@ def _summarize(record, baseline) -> MetricsSummary:
         for loop in LOOPS:
             f_col = record.series[f"f_{loop}"]
             resid = np.abs((record.series[f"phi_hat_{loop}"] - phi[loop]) * f_col)[mask]
-            phi_b = float(base_phi.get(loop, 1.0))
+            phi_b = float(base_phi.get(loop, getattr(PhiTrue, loop)))
             resid_b = np.abs(
                 (baseline.series[f"phi_hat_{loop}"] - phi_b) * baseline.series[f"f_{loop}"]
             )[mask]

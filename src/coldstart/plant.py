@@ -179,7 +179,7 @@ def afi(afr_value: float) -> float:
     return math.cos(0.13 * (afr_value - 13.5))
 
 
-def afr(mdot_ao: float, mdot_f: float, floor: float = 1e-9) -> float:
+def afr(mdot_ao: float, mdot_f: float, floor: float = PlantConstants.mdot_f_floor) -> float:
     """Air-fuel ratio from cylinder air flow and in-cylinder fuel flow; a
     non-finite ratio (an air flow that overflowed) is a degenerate input."""
     if mdot_f <= floor:

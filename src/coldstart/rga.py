@@ -20,10 +20,14 @@ import numpy as np
 from . import fanout
 from .errors import ConfigError, IdentificationError, SingularGainError, SingularMatrixError
 from .plant import real
-from .tables import csv_float
+from .tables import csv_float, json_value
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
+# frequencies per sweep at most: a point of a 4x4 model peaks near 2.4 KB while
+# rga.csv is written (tracemalloc over 20 000 points on one CPU; a larger model
+# takes more), so a sweep peaks near 1.7 GB, as the longest run does (MAX_STEPS)
+MAX_POINTS = 700_000
 MIN_FIT_SAMPLES = 10  # the fewest samples a first-order fit takes
 EXCITATION_FLOOR = 1e-12  # a variance at most this times max(1, mean**2) is a constant signal
 
@@ -102,10 +106,7 @@ class TFMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "TFMatrix":
-        try:
-            data = json.loads(text)
-        except ValueError as err:  # not JSON, or an int of more digits than int() takes
-            raise ConfigError(f"transfer matrix is not valid JSON: {err}") from None
+        data = json_value(text, "transfer matrix")
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise ConfigError("transfer matrix JSON must be an object with an 'entries' array")
         n = data.get("n")
@@ -287,8 +288,8 @@ def rga_sweep(
     OverflowError where a response or an RGA element overflows a float."""
     if not (w_min > 0 and w_max > w_min):
         raise ConfigError(f"need 0 < w_min < w_max, got [{w_min}, {w_max}]")
-    if n_points < 1:
-        raise ConfigError("n_points must be at least 1")
+    if not 1 <= n_points <= MAX_POINTS:
+        raise ConfigError(f"n_points must be in [1, {MAX_POINTS}], got {n_points!r}")
     omegas = np.logspace(math.log10(w_min), math.log10(w_max), n_points)
     p = tfm.response(omegas)
     # gap rows are left out first: one singular member fails a batched
@@ -385,6 +386,7 @@ class MimoIdentification:
     tfm: TFMatrix
     fits: dict       # (i, j) 1-based -> FirstOrderFit
     holes: dict      # (i, j) 1-based -> reason string ("zero response" or error text)
+    failed: set      # the (i, j) holes whose fit failed
 
 
 def identify_mimo(u_series, y_series, T: float) -> MimoIdentification:
@@ -393,7 +395,7 @@ def identify_mimo(u_series, y_series, T: float) -> MimoIdentification:
     ``u_series`` is (n, N): row j is input j's trace during its experiment.
     ``y_series`` is (n, n, N): [i, j] is output i's response in experiment j.
     A flat output becomes an explicit zero-coupling entry, and a failed fit
-    a hole whose reason starts with "fit failed".
+    a hole in ``failed`` whose reason starts with "fit failed".
     """
     u_series = np.asarray(u_series, dtype=float)
     y_series = np.asarray(y_series, dtype=float)
@@ -406,7 +408,7 @@ def identify_mimo(u_series, y_series, T: float) -> MimoIdentification:
         )
 
     entries = [[None] * n for _ in range(n)]
-    fits, holes = {}, {}
+    fits, holes, failed = {}, {}, set()
     for j in range(n):
         u = u_series[j]
         for i in range(n):
@@ -421,7 +423,8 @@ def identify_mimo(u_series, y_series, T: float) -> MimoIdentification:
                     fit = identify_first_order(u, y, T)
             except (IdentificationError, ConfigError, FloatingPointError) as exc:
                 holes[(i + 1, j + 1)] = f"fit failed: {exc}"
+                failed.add((i + 1, j + 1))
                 continue
             fits[(i + 1, j + 1)] = fit
             entries[i][j] = fit.tf
-    return MimoIdentification(tfm=TFMatrix(entries), fits=fits, holes=holes)
+    return MimoIdentification(tfm=TFMatrix(entries), fits=fits, holes=holes, failed=failed)

@@ -7,12 +7,14 @@ C reader takes (the routine ``float()`` uses, without underscores or
 non-ASCII digits), except in a named text column.  The body is read by one
 ``np.loadtxt`` call; where that refuses it, the text is re-read row by row,
 once, to raise a ConfigError naming the first faulty line and column.
+JSON inputs are decoded by ``json_value``, whose ConfigError names the input.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import re
 from typing import NoReturn
@@ -23,6 +25,15 @@ from .errors import ConfigError
 
 # any character other than a line end
 _NON_BLANK = re.compile(r"[^\r\n]")
+
+
+def json_value(text: str, what: str) -> object:
+    """The JSON value in ``text``; a ConfigError naming ``what`` when the
+    text is not JSON, or holds an int of more digits than int() takes."""
+    try:
+        return json.loads(text)
+    except ValueError as err:
+        raise ConfigError(f"{what} is not valid JSON: {err}") from None
 
 
 def csv_float(cell: str) -> float:

@@ -118,7 +118,6 @@ class TrajectoryTable:
             return tuple(np.interp(grid, t, np.asarray(values, dtype=float)).tolist())
 
         return SampledTrajectory(
-            T=T,
             afr_d=column(self.afr_d),
             omega_d=column(self.omega_d),
             t_exh_d=column(self.t_exh_d),
@@ -133,7 +132,6 @@ class SampledTrajectory:
     floats with no numpy scalar indexing.
     """
 
-    T: float
     afr_d: tuple[float, ...]
     omega_d: tuple[float, ...]
     t_exh_d: tuple[float, ...]

@@ -11,6 +11,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_simulate_trajectory_with_bare_cr_line_ends_exits_2(tmp_path, capsys):
 def test_simulate_validation_failures_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out), "--override", "nope=1"]) == 2
-    assert "no match" in capsys.readouterr().err
+    assert "config has unknown key(s) ['nope']" in capsys.readouterr().err
     assert main(["simulate", "--out", str(out), "--override", "T=-1"]) == 2
     capsys.readouterr()
     assert main(["simulate", "--out", str(out), "--override", "duration=1.01"]) == 2
@@ -228,7 +229,28 @@ def test_simulate_config_file_with_an_int_past_the_digit_limit_exits_2(tmp_path,
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text('{"T": 1' + "0" * 5000 + "}", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {cfg_path}: not valid JSON: Exceeds the limit" in capsys.readouterr().err
+    assert f"error: {cfg_path}: config is not valid JSON: Exceeds the limit" in (
+        capsys.readouterr().err
+    )
+
+
+def test_simulate_override_of_a_key_the_default_echo_leaves_out(tmp_path):
+    out = tmp_path / "out"
+    argv = [
+        "simulate", "--out", str(out), "--override", "constants.J=0.2",
+        "--override", "duration=2.0", "--override", "metrics_window_start=1.0",
+    ]
+    assert main(argv) == 0
+    assert json.loads((out / "config.json").read_text(encoding="utf-8"))["constants"] == {"J": 0.2}
+
+
+def test_a_partial_config_takes_an_override_of_a_field_it_omits(tmp_path):
+    cfg_path = tmp_path / "partial.json"
+    cfg_path.write_text('{"duration": 2.0, "metrics_window_start": 1.0}', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(out), "--override", "substeps=2"]
+    assert main(argv) == 0
+    assert json.loads((out / "config.json").read_text(encoding="utf-8"))["substeps"] == 2
 
 
 def test_simulate_runtime_abort_exits_3(tmp_path, capsys):
@@ -633,6 +655,26 @@ def test_rga_model_json_row_that_is_not_an_array_exits_2(tmp_path, capsys, text,
 # sha256 of rga.csv for default_coupling_matrix() at 2000 points, recorded with
 # the per-frequency sweep before it was evaluated over the whole grid at once
 DEFAULT_MODEL_RGA_CSV_SHA256 = "18a76a6b23b075bfa240ddc62060395f0dbaf1fd3950a733a237f74ab9cde617"
+
+
+# both ran np.logspace: a MemoryError, and a ValueError past numpy's size limit
+@pytest.mark.parametrize("points", [10**12, 10**20])
+def test_rga_points_past_the_cap_exit_2_before_the_model_is_read(tmp_path, capsys, points):
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(missing), "--points", str(points), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --points must be at most {rga.MAX_POINTS}, got {points}\n"
+    )
+    assert not out.exists()
+
+
+def test_rga_points_cap_is_read_when_the_flags_are_checked(tmp_path, capsys):
+    argv = ["rga", "--model", str(diag_model(tmp_path)), "--out", str(tmp_path / "out")]
+    with mock.patch.object(rga, "MAX_POINTS", 10):
+        assert main([*argv, "--points", "11"]) == 2
+        assert capsys.readouterr().err == "error: --points must be at most 10, got 11\n"
+        assert main([*argv, "--points", "10"]) == 0
 
 
 def test_rga_csv_bytes_match_the_per_frequency_digest(tmp_path):
@@ -1423,6 +1465,50 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys):
     grid.write_text(json.dumps({"phi_true.fuel": 0.5}))  # not a list
     assert main(["sweep", "--template", str(template), "--grid", str(grid), "--out", str(tmp_path / "o")]) == 2
     assert "value arrays" in capsys.readouterr().err
+
+
+def test_sweep_grid_axis_the_template_omits_runs_every_cell(tmp_path):
+    template = tmp_path / "template.json"
+    template.write_text('{"duration": 2.0, "metrics_window_start": 1.0}', encoding="utf-8")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"substeps": [1, 2], "constants.J": [0.1454, 0.2]}))
+    out = tmp_path / "out"
+    assert main(sweep_argv(template, grid, out)) == 0
+    rows = list(csv.reader((out / "sweep.csv").read_text(encoding="utf-8").splitlines()))
+    assert len(rows) == 1 + 4 and all(row[-1] == "" for row in rows[1:])
+
+
+def test_sweep_grid_past_the_cell_cap_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_CELLS", 3)
+    steps = count_controller_steps(monkeypatch)
+    forks = []
+    monkeypatch.setattr(fanout.Stream, "_fork", lambda *args: forks.append(args))
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"substeps": [1, 2], "quant_bits": [12, 16]}))
+    out = tmp_path / "out"
+    assert main(sweep_argv(template, grid, out)) == 2
+    assert capsys.readouterr().err == f"error: --grid {grid}: 4 cells, more than 3\n"
+    assert (steps, forks) == ([], [])
+    assert not out.exists()
+
+
+def test_a_huge_sweep_grid_is_refused_before_a_cell_is_built(tmp_path, capsys):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    paths = [f"phi_true.{loop}" for loop in looplab.LOOPS]
+    paths += ["phi_hat_init", "delta_initial", "afi_floor", "T"]
+    grid.write_text(json.dumps({path: [0.5 + i / 1000 for i in range(100)] for path in paths}))
+    out = tmp_path / "out"
+    built = AssertionError("the grid's cells were built")
+    with mock.patch.object(cli.itertools, "product", side_effect=built):
+        assert main(sweep_argv(template, grid, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: --grid {grid}: {100 ** 8} cells, more than {cli.MAX_CELLS}\n"
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -462,10 +462,12 @@ def test_apply_overrides_rejects_bad_items():
     data = ScenarioConfig().to_dict()
     with pytest.raises(ConfigError, match="path=value"):
         apply_overrides(data, ["phi_true.fuel"])
-    with pytest.raises(ConfigError, match="no match"):
-        apply_overrides(data, ["phi_true.boost=1"])
-    with pytest.raises(ConfigError, match="no match"):
-        apply_overrides(data, ["nope.fuel=1"])
+    with pytest.raises(ConfigError, match=re.escape("phi_true has unknown loop(s) ['boost']")):
+        ScenarioConfig.from_dict(apply_overrides(data, ["phi_true.boost=1"]))
+    with pytest.raises(ConfigError, match=re.escape("config has unknown key(s) ['nope']")):
+        ScenarioConfig.from_dict(apply_overrides(data, ["nope.fuel=1"]))
+    with pytest.raises(ConfigError, match="override path 'T.x' has no match at 'x'"):
+        apply_overrides(data, ["T.x=1"])
 
 
 # JSON values as json.loads gives them, with ints too large for a float and
@@ -736,6 +738,34 @@ def test_a_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.T = 1.0
     assert dataclasses.replace(cfg, duration=2.0).sampled_trajectory.n_steps == 100
+
+
+# every field, and every key of the rows that merge a partial object with
+# defaults: phi_true, signal_ranges, bounds and constants
+OVERRIDE_ROWS = [
+    *looplab._FIELDS.items(),
+    *(
+        (f"{name}.{key}", item)
+        for name, row in looplab._FIELDS.items() if getattr(row, "defaults", None) is not None
+        for key, item in row.items.items()
+    ),
+]
+
+
+def override_outcome(data: dict, override: str):
+    """The config ``override`` on ``data`` gives, or the message of its ConfigError."""
+    try:
+        return ScenarioConfig.from_dict(apply_overrides(data, [override]))
+    except ConfigError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_an_override_does_the_same_on_an_empty_and_on_the_default_document(data):
+    path, row = data.draw(st.sampled_from(OVERRIDE_ROWS))
+    override = f"{path}={json.dumps(data.draw(inside(row)))}"
+    assert override_outcome({}, override) == override_outcome(ScenarioConfig().to_dict(), override)
 
 
 @settings(max_examples=80, deadline=None)

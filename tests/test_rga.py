@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -544,6 +545,29 @@ def test_identify_mimo_attaches_pair_to_errors():
     assert partial.holes == {(2, 1): f"fit failed: {err.value}"}
     assert set(partial.fits) == {(1, 1), (1, 2), (2, 2)}
     assert partial.tfm.entries[1][0] is None
+
+
+def test_identify_mimo_failed_holds_the_failed_fits_and_no_other_hole():
+    rng = np.random.default_rng(29)
+    n_samples = 500
+    u1 = rng.normal(size=n_samples)
+    u2 = rng.normal(size=n_samples)
+    y = np.zeros((2, 2, n_samples))  # (1,2) is a zero response
+    y[0, 0] = simulate_first_order(FirstOrderTF(1.0, 1.0), u1, T=0.02)
+    for k in range(n_samples - 1):  # (2,1) grows: no stable first-order lag fits it
+        y[1, 0, k + 1] = 1.02 * y[1, 0, k] + 0.1 * u1[k]
+    y[1, 1] = simulate_first_order(FirstOrderTF(0.5, 2.0), u2, T=0.02)
+    result = identify_mimo(np.stack([u1, u2]), y, T=0.02)
+    assert result.failed == {(2, 1)}
+    assert set(result.holes) == {(1, 2), (2, 1)}
+
+
+def test_rga_sweep_refuses_more_points_than_the_cap():
+    model = default_coupling_matrix()
+    with mock.patch.object(rga, "MAX_POINTS", 10):
+        with pytest.raises(ConfigError, match=re.escape("n_points must be in [1, 10], got 11")):
+            rga_sweep(model, n_points=11)
+        assert len(rga_sweep(model, n_points=10).omegas) == 10
 
 
 @pytest.mark.parametrize(
