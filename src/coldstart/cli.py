@@ -15,8 +15,6 @@ variable COLDSTART_LOG (quiet, info, or debug).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import logging
@@ -42,7 +40,7 @@ from .looplab import (
 )
 from .plant import real
 from .rga import TFMatrix, identify_mimo, rga_sweep
-from .tables import json_value, read_body, read_header
+from .tables import csv_field, json_value, read_body, read_header
 from .trajectory import TrajectoryTable
 
 log = logging.getLogger("coldstart.cli")
@@ -270,13 +268,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     def load(path: str) -> RunRecord:
-        meta = {}
         sibling = Path(path).parent / "config.json"
-        if sibling.exists():  # checked as a config: the metrics read only valid fields
-            meta["config"] = _parse_file(sibling, ScenarioConfig.from_json).to_dict()
+        # checked as a config: the metrics read only valid fields
+        config = _parse_file(sibling, ScenarioConfig.from_json) if sibling.exists() else None
 
         def read(text: str) -> RunRecord:
-            record = RunRecord.from_csv(text, meta=meta)
+            record = RunRecord.from_csv(text, config)
             if not len(record):  # an error about this file, not about the pair
                 raise ConfigError("run record has no rows to summarize")
             return record
@@ -444,10 +441,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--grid {args.grid}: {n_cells} cells, more than {MAX_CELLS}")
 
     axes = sorted(grid)
-    header = ["cell", *axes, *MetricsSummary.csv_header(), "error"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    rows = [["cell", *axes, *MetricsSummary.csv_header(), "error"]]
 
     cells = list(itertools.product(*(grid[a] for a in axes))) if axes else []
     n_metrics = len(MetricsSummary.csv_header())
@@ -477,10 +471,11 @@ def cmd_sweep(args) -> int:
         if error is not None:
             n_failed += 1
             log.warning("cell %d failed: %s", idx, error)
-        writer.writerow(row)
+        rows.append(row)
 
     out = _out_dir(args.out)
-    (out / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+    text = "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
+    (out / "sweep.csv").write_text(text, encoding="utf-8")
     log.info("wrote %s (%d cells, %d failed)", out / "sweep.csv", len(cells), n_failed)
     return 4 if n_failed else 0
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import deque
 from dataclasses import dataclass, field, is_dataclass, replace
 from functools import cached_property
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
-from .plant import PhiTrue, real, reals
+from .plant import PhiTrue, real, reals, shown
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import MAX_STEPS, SampledTrajectory, TrajectoryTable, default_table
 
@@ -137,9 +136,9 @@ class _Count(_Row):
     def norm(self, value, name: str) -> int:
         x = real(value, name)  # compared as a float: 2**53 + 1 is an integer too
         if x != int(x) or x < self.low:
-            raise ConfigError(f"{name} must be an integer >= {self.low}, got {value!r}")
+            raise ConfigError(f"{name} must be an integer >= {self.low}, got {shown(value)}")
         if x > self.high:
-            raise ConfigError(f"{name} must be in [{self.low}, {self.high}], got {value!r}")
+            raise ConfigError(f"{name} must be in [{self.low}, {self.high}], got {shown(value)}")
         return int(value)
 
 
@@ -155,7 +154,7 @@ class _Choice(_Row):
         for choice in self.choices:
             if value == choice and isinstance(value, bool) == isinstance(choice, bool):
                 return choice
-        raise ConfigError(f"{name} {self.rule}, got {value!r}")
+        raise ConfigError(f"{name} {self.rule}, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ class _Reals:
 
     def norm(self, value, name: str) -> tuple[float, ...]:
         if self.pair and not (isinstance(value, (tuple, list)) and len(value) == 2):
-            raise ConfigError(f"{name} must be a (lo, hi) pair, got {value!r}")
+            raise ConfigError(f"{name} must be a (lo, hi) pair, got {shown(value)}")
         values = reals(value, name)
         if self.pair and not (values[0] < values[1] and math.isfinite(values[1] - values[0])):
             raise ConfigError(f"{name} must satisfy lo < hi with hi - lo finite, got {values!r}")
@@ -204,9 +203,9 @@ class _Object:
             raise ConfigError(f"{name} must be {self.shape}")
         if self.defaults is None and set(value) != set(self.items):  # every key is required
             raise ConfigError(f"{name} must be an object with {self.noun}s {sorted(self.items)}")
-        unknown = sorted(set(value) - set(self.items), key=str)
+        unknown = sorted(set(value) - set(self.items), key=shown)
         if unknown:
-            raise ConfigError(f"{name} has unknown {self.noun}(s) {unknown}")
+            raise ConfigError(f"{name} has unknown {self.noun}(s) {shown(unknown)}")
         value = {**(self.defaults or {}), **value}
         values = {k: self.items[k].norm(value[k], f"{name}.{k}") for k in self.items if k in value}
         return values if self.build is None else self.build(*values.values())
@@ -375,9 +374,9 @@ class ScenarioConfig:
         here as on construction, and a key that names no field is refused."""
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(_FIELDS))
+        unknown = sorted(set(data) - set(_FIELDS), key=shown)
         if unknown:
-            raise ConfigError(f"config has unknown key(s) {unknown}")
+            raise ConfigError(f"config has unknown key(s) {shown(unknown)}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -392,29 +391,32 @@ def apply_overrides(data: dict[str, Any], overrides: list[str]) -> dict[str, Any
     """Apply dotted-path ``key=value`` overrides to a config dict.
 
     Values parse as JSON when possible (numbers, booleans, null, arrays),
-    otherwise they are taken as literal strings.  A missing key is made, so
-    a partial document takes an override of a field it leaves out: the field
-    table decides which paths exist, in ``ScenarioConfig.from_dict``.  A path
-    through a value that is not an object is refused here.
+    otherwise they are taken as literal strings.  ``_FIELDS`` alone decides
+    which paths exist, on any document: a field, or one key of an object row,
+    made where the document lacks it or holds null.  A name no field has is
+    left for ``ScenarioConfig.from_dict`` to refuse.  The input is not changed.
     """
-    out = json.loads(json.dumps(data))  # deep copy, JSON types only
+    if not isinstance(data, dict):
+        raise ConfigError(f"config root must be an object, got {type(data).__name__}")
+    out = dict(data)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form path=value")
         path, raw = item.split("=", 1)
-        *keys, last = path.split(".")
-        target = out
-        for key in keys:
-            if not isinstance(target, dict):
-                raise ConfigError(f"override path {path!r} has no match at {key!r}")
-            target = target.setdefault(key, {})
-        if not isinstance(target, dict):
-            raise ConfigError(f"override path {path!r} has no match at {last!r}")
+        name, *keys = path.split(".")
         try:
             value = json.loads(raw)
         except ValueError:  # not JSON, or an int of more digits than int() takes
             value = raw
-        target[last] = value
+        row = _FIELDS.get(name)
+        if keys and row is not None:
+            depth = 1 if isinstance(row, _Object) else 0  # the keys the row takes
+            if len(keys) > depth:
+                raise ConfigError(f"override path {path!r} has no match at {keys[depth]!r}")
+            section = {} if out.get(name) is None else row._as_object(out[name])
+            # a section of any other form is left for from_dict to refuse
+            value = {**section, keys[0]: value} if isinstance(section, dict) else section
+        out[name] = value
     return out
 
 
@@ -433,28 +435,17 @@ _FLOAT_COLUMNS = (
 _FLAG_COLUMNS = dsmc.ControllerOutput._fields[21:24]  # sat_air, sat_fuel, sat_delta
 _TABLE_COLUMNS = _FLOAT_COLUMNS + _FLAG_COLUMNS  # the columns of ``RunRecord.table``
 RECORD_COLUMNS = _TABLE_COLUMNS + ("events",)
-# characters that make a field need quoting
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field: quoted, with quotes doubled, when it holds
-    a comma, a quote, CR or LF.  This is csv.writer's quoting, except that a
-    bare CR is quoted too, so the csv reader can read the field back."""
-    if not _CSV_SPECIAL.search(text):
-        return text
-    return '"' + text.replace('"', '""') + '"'
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Per-sample values of one closed-loop run plus the scenario echo: one
+    """Per-sample values of one closed-loop run plus the config it ran: one
     row per sample, one ``table`` column per ``RECORD_COLUMNS`` name but
     ``events``, and ``series`` maps each name to a view of its column."""
 
     table: np.ndarray
     events: list[str]  # one (possibly empty) ;-joined string per sample
-    meta: dict[str, Any] = field(default_factory=dict)
+    config: ScenarioConfig | None = None
 
     def __post_init__(self):
         if self.table.shape != (len(self.events), len(_TABLE_COLUMNS)):
@@ -499,22 +490,22 @@ class RunRecord:
         indexing and no full-size table of strings."""
         return "".join(
             f"{','.join(map(repr, values))},{int(sat_air)},{int(sat_fuel)},"
-            f"{int(sat_delta)},{_csv_field(event)}\n"
+            f"{int(sat_delta)},{tables.csv_field(event)}\n"
             for (*values, sat_air, sat_fuel, sat_delta), event in zip(
                 self.table[block].tolist(), self.events[block]
             )
         )
 
     @classmethod
-    def from_csv(cls, text: str, meta: dict[str, Any] | None = None) -> "RunRecord":
-        """Read a record written by ``to_csv``: its header must be exactly
-        ``RECORD_COLUMNS``, and the body is read by the rule of every numeric
-        CSV input (``tables.read_body``), with events as the text column."""
+    def from_csv(cls, text: str, config: ScenarioConfig | None = None) -> "RunRecord":
+        """Read a record of ``config`` written by ``to_csv``: its header must be
+        exactly ``RECORD_COLUMNS``, and the body is read by the rule of every
+        numeric CSV input (``tables.read_body``), with events as the text column."""
         header = tables.read_header(text, "run record")
         if tuple(header) != RECORD_COLUMNS:
             raise ConfigError("run record CSV does not have the expected columns")
         table, events = tables.read_body(text, "run record", header, text_column="events")
-        return cls(table[:, :-1], events, dict(meta or {}))
+        return cls(table[:, :-1], events, config)
 
 
 def _check_state(state: tuple, step: int) -> None:
@@ -535,7 +526,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     including the final state, where the last issued commands are shown held.
 
     ``sink``, if given, is called with each full block of
-    ``fanout.BLOCK_ROWS`` rows, as a ``RunRecord`` without meta, as soon as
+    ``fanout.BLOCK_ROWS`` rows, as a ``RunRecord`` without a config, as soon as
     the loop has made it; its rows are those of the record returned.  The
     rows are checked as finite only when the run ends.
     """
@@ -648,7 +639,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         step, column = np.argwhere(~finite)[0]
         name, value = _TABLE_COLUMNS[column], float(table[step, column])
         raise SimulationAbort(f"non-finite {name} {value!r}", step=int(step))
-    return RunRecord(table, events, {"config": config.to_dict()})
+    return RunRecord(table, events, config)
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +730,10 @@ S_OF_LOOP = {"fuel": "s1", "speed": "s2", "exh": "s3", "air": "s4"}  # each loop
 def compute_metrics(record: RunRecord, baseline: RunRecord | None = None) -> MetricsSummary:
     """Summarize one run; pair with a non-adaptive baseline for the ratios.
 
-    The evaluation window runs from the ``metrics_window_start`` of the
-    record's config echo (5 s without one) to the end.  Paired records must share the exact time grid. A
-    record whose values overflow a float in a summary is a ConfigError.
+    The window runs from the ``metrics_window_start`` of the record's config
+    (the default config's without one) to the end, and each record's
+    estimates are judged by its own config's ``phi_true``.  Paired records
+    must share the exact time grid. A float overflow in a summary is a ConfigError.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -763,12 +755,11 @@ def _window(times: np.ndarray, window_start: float) -> np.ndarray:
 
 
 def _summarize(record, baseline) -> MetricsSummary:
-    config = record.meta.get("config", {})
-    window_start = float(config.get("metrics_window_start", ScenarioConfig.metrics_window_start))
+    config = record.config or ScenarioConfig()
     times = record.times
     if not len(times):
         raise ConfigError("run record has no rows to summarize")
-    mask = _window(times, window_start)
+    mask = _window(times, config.metrics_window_start)
     if baseline is not None and not np.array_equal(times, baseline.times):
         raise ConfigError("paired records do not share the same time grid")
 
@@ -781,8 +772,7 @@ def _summarize(record, baseline) -> MetricsSummary:
 
     afr_err = record.series["afr_error"][mask]
 
-    phi_true = config.get("phi_true", {})
-    phi = {loop: float(phi_true.get(loop, getattr(PhiTrue, loop))) for loop in LOOPS}
+    phi = vars(config.phi_true)
     conv_time: dict[str, float | None] = {}
     converged: dict[str, bool] = {}
     for loop in LOOPS:
@@ -807,16 +797,13 @@ def _summarize(record, baseline) -> MetricsSummary:
     removal_overall: float | None = None
     tracking: dict[str, float] | None = None
     if baseline is not None:
-        base_config = baseline.meta.get("config", {})
-        base_phi = base_config.get("phi_true", {})
+        base_phi = vars((baseline.config or ScenarioConfig()).phi_true)
         removal = {}
         for loop in LOOPS:
             f_col = record.series[f"f_{loop}"]
             resid = np.abs((record.series[f"phi_hat_{loop}"] - phi[loop]) * f_col)[mask]
-            phi_b = float(base_phi.get(loop, getattr(PhiTrue, loop)))
-            resid_b = np.abs(
-                (baseline.series[f"phi_hat_{loop}"] - phi_b) * baseline.series[f"f_{loop}"]
-            )[mask]
+            base_hat = baseline.series[f"phi_hat_{loop}"]
+            resid_b = np.abs((base_hat - base_phi[loop]) * baseline.series[f"f_{loop}"])[mask]
             denom = float(np.mean(resid_b))
             removal[loop] = 1.0 - float(np.mean(resid)) / denom if denom > 0.0 else None
         defined = [v for v in removal.values() if v is not None]
@@ -828,7 +815,7 @@ def _summarize(record, baseline) -> MetricsSummary:
 
     return MetricsSummary(
         duration=float(times[-1]),
-        window_start=float(window_start),
+        window_start=config.metrics_window_start,
         mean_err=mean_err,
         std_err=std_err,
         mean_abs_s=mean_abs,

@@ -86,7 +86,7 @@ class PlantConventions:
         for f, modes in zip(fields(self), (HC_MODES, QGEN_MODES, QIN_MODES)):
             value = getattr(self, f.name)
             if value not in modes:
-                raise ConfigError(f"{f.name} must be one of {modes}, got {value!r}")
+                raise ConfigError(f"{f.name} must be one of {modes}, got {shown(value)}")
 
 
 class EngineState(NamedTuple):
@@ -112,21 +112,32 @@ def real(value, name: str) -> float:
     OverflowError.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {shown(value)}")
     return number
+
+
+def shown(value) -> str:
+    """``value`` as a message echoes it: its ``repr``, except that an int of
+    more digits than Python writes (4 300) is shown by its size."""
+    try:
+        return repr(value)
+    except ValueError:  # such an int, or a container holding one
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer of over 4300 digits"
 
 
 def reals(value, name: str) -> tuple[float, ...]:
     """A list or tuple ``value`` as a tuple of finite floats, each read by
     ``real`` as ``name[i]``; ConfigError naming ``name`` for anything else."""
     if not isinstance(value, (tuple, list)):
-        raise ConfigError(f"{name} must be an array of numbers, got {value!r}")
+        raise ConfigError(f"{name} must be an array of numbers, got {shown(value)}")
     return tuple(real(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 

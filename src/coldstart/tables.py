@@ -8,6 +8,8 @@ non-ASCII digits), except in a named text column.  The body is read by one
 ``np.loadtxt`` call; where that refuses it, the text is re-read row by row,
 once, to raise a ConfigError naming the first faulty line and column.
 JSON inputs are decoded by ``json_value``, whose ConfigError names the input.
+Every CSV field the program writes as text (the events of ``run.csv``,
+every cell of ``sweep.csv``) is quoted by one rule, ``csv_field``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,17 @@ from .errors import ConfigError
 
 # any character other than a line end
 _NON_BLANK = re.compile(r"[^\r\n]")
+# characters that make a field need quoting
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with quotes doubled, when it holds
+    a comma, a quote, CR or LF.  This is csv.writer's quoting, except that a
+    bare CR is quoted too, so the csv reader can read the field back."""
+    if not _CSV_SPECIAL.search(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def json_value(text: str, what: str) -> object:

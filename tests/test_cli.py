@@ -99,11 +99,26 @@ def test_simulate_overrides_are_echoed_into_the_config_artifact(tmp_path):
     assert "removal_ratio_overall = absent" in text
 
 
+# the attributes of a chart element that hold coordinates
+SVG_COORDINATES = ("points", "x", "y", "x1", "x2", "y1", "y2")
+
+
+def assert_finite_chart(path) -> int:
+    """Check that the SVG at ``path`` parses and that no coordinate is NaN
+    or infinite; the number of its polylines."""
+    root = ET.fromstring(path.read_text(encoding="utf-8"))
+    for element in root.iter():
+        for name in SVG_COORDINATES:
+            value = element.get(name, "").lower()
+            assert "nan" not in value and "inf" not in value, (path.name, element.tag, name)
+    return sum(1 for element in root.iter() if element.tag.endswith("polyline"))
+
+
 def test_simulate_duration_zero_single_row(tmp_path):
     out = tmp_path / "out"
     code = main(
         [
-            "simulate", "--out", str(out),
+            "simulate", "--out", str(out), "--plots",
             "--override", "duration=0.0",
             "--override", "metrics_window_start=0.0",
         ]
@@ -111,6 +126,9 @@ def test_simulate_duration_zero_single_row(tmp_path):
     assert code == 0
     rows = (out / "run.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(rows) == 2  # header plus the single initial sample
+    # one time and a constant series: both chart axes are degenerate
+    for name in ("tracking.svg", "estimates.svg", "hc_rates.svg", "hc_cumulative.svg", "eta_cat.svg"):
+        assert 1 <= assert_finite_chart(out / name) <= 4, name
 
 
 def test_simulate_trajectory_file_replaces_the_table(tmp_path):
@@ -633,6 +651,33 @@ def test_rga_model_csv_header_without_a_channel_pair_exits_2(tmp_path, capsys, t
     assert capsys.readouterr().err == (
         f"error: {path}: line 1: header needs a label and a (tau, k) pair per input\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("row,tau_1,k_1\n", "transfer matrix CSV needs a header and at least one row"),
+        ("row,tau_1,k_1,tau_2,k_2\n1,0.5,1.0,,\n2,0.5,1.0\n", "line 3 has 3 fields, expected 5"),
+    ],
+    ids=["header only", "short row"],
+)
+def test_rga_model_csv_with_no_row_or_a_short_row_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "model.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rga", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_rga_plot_of_a_model_whose_every_frequency_is_a_gap_has_finite_axes(tmp_path, caplog):
+    # two equal rows: every response matrix is singular, so no curve has a point
+    k = from_gain_time_constant
+    model = rga.TFMatrix([[k(1.0, 0.5), k(1.0, 0.9)], [k(1.0, 0.5), k(1.0, 0.9)]])
+    path = tmp_path / "model.json"
+    path.write_text(model.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["rga", "--model", str(path), "--out", str(out), "--plots"]) == 4
+    assert "200 of 200 frequencies were too ill-conditioned and are gap rows" in caplog.text
+    assert assert_finite_chart(out / "rga.svg") == 0
 
 
 @pytest.mark.parametrize(
@@ -1532,6 +1577,20 @@ def write_mixed_sweep(tmp_path):
 
 def sweep_argv(template, grid, out):
     return ["sweep", "--template", str(template), "--grid", str(grid), "--out", str(out)]
+
+
+def test_sweep_grid_key_with_a_bare_cr_reads_back_as_one_header_cell(tmp_path):
+    template = tmp_path / "template.json"
+    write_short_config(template)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"a\rb": [1], "substeps": [1]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(sweep_argv(template, grid, out)) == 4  # the key names no field
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 2
+    assert rows[0][:3] == ["cell", "a\rb", "substeps"]
+    assert rows[1][-1] == "config has unknown key(s) ['a\\rb']"
 
 
 def record_pids(monkeypatch, path, before=None):

@@ -1,5 +1,6 @@
 """Execution-lab checks: quantizer contract, stepping oracle, configs, runs, metrics."""
 
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -470,6 +471,34 @@ def test_apply_overrides_rejects_bad_items():
         apply_overrides(data, ["T.x=1"])
 
 
+INITIAL_STATE = [0.004, 125.0, 7.7e-4, 25.0, 25.0]
+
+
+@pytest.mark.parametrize(
+    "data, override, name, value",
+    [
+        ({"phi_true": PhiTrue()}, "phi_true.fuel=0.5", "phi_true", {**vars(PhiTrue()), "fuel": 0.5}),
+        (
+            {"initial_state": INITIAL_STATE}, "initial_state.m_a=0.003", "initial_state",
+            {**dict(zip(looplab.STATE_COLUMNS, INITIAL_STATE)), "m_a": 0.003},
+        ),
+        ({"T": 10**5000}, "duration=2.0", "duration", 2.0),
+    ],
+    ids=["dataclass", "sequence", "huge int"],
+)
+def test_apply_overrides_reads_a_python_document_and_leaves_it_as_it_was(
+    data, override, name, value
+):
+    before = {key: copy.deepcopy(item) for key, item in data.items()}
+    assert apply_overrides(data, [override]) == {**data, name: value}
+    assert data == before
+
+
+def test_apply_overrides_refuses_a_root_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="^config root must be an object, got list$"):
+        apply_overrides([], [])
+
+
 # JSON values as json.loads gives them, with ints too large for a float and
 # the non-finite floats that json reads from NaN and Infinity
 json_scalars = (
@@ -480,6 +509,9 @@ json_containers = st.lists(json_scalars, max_size=3) | st.dictionaries(
     st.text(max_size=4), json_scalars, max_size=3
 )
 json_values = json_scalars | json_containers | st.lists(json_containers, max_size=2)
+# a document may also hold an int of more digits than repr writes (4 300); an
+# override's text cannot, since json.dumps cannot write it
+document_values = json_values | st.just(10**5000) | st.lists(st.just(10**5000), max_size=2)
 DEFAULT_CONFIG = ScenarioConfig().to_dict()
 # every key of the default config, and every key of its sections, as a dotted path
 CONFIG_PATHS = sorted(
@@ -503,9 +535,9 @@ def config_inputs(draw):
         section = data.get(key)
         if isinstance(section, dict) and draw(st.booleans()):
             subs = st.sampled_from([*section, "junk"])
-            data[key] = {**section, **draw(st.dictionaries(subs, json_values, max_size=2))}
+            data[key] = {**section, **draw(st.dictionaries(subs, document_values, max_size=2))}
         else:
-            data[key] = draw(json_values)
+            data[key] = draw(document_values)
     # now and then: a malformed table stops from_dict before the other checks
     if draw(st.sampled_from((False,) * 7 + (True,))):
         # columns of one length, time from 0: the checks past the shape run
@@ -516,7 +548,7 @@ def config_inputs(draw):
         if n and draw(st.booleans()):
             data["trajectory"]["time"][0] = 0.0
     if draw(st.sampled_from((False,) * 9 + (True,))):
-        data = draw(json_values)
+        data = draw(document_values)
     path = st.sampled_from([*CONFIG_PATHS, "", "nope", "T.x", "phi_true.boost"])
     raw = json_values.map(json.dumps) | st.text(max_size=8)
     overrides = draw(st.lists(st.tuples(path, raw).map("=".join), max_size=2))
@@ -532,6 +564,52 @@ def test_config_from_json_like_input_raises_only_config_errors(inputs):
     except ConfigError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+@pytest.mark.parametrize("name", list(looplab._FIELDS))
+def test_an_int_past_the_repr_digit_limit_is_refused_naming_its_field(name):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**{name: 10**5000})
+    assert str(err.value).startswith(name), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: ScenarioConfig(T=10**5000),
+            "T must be a finite number, got an integer of 16610 bits",
+        ),
+        (
+            lambda: ScenarioConfig(initial_state=[10**5000] * 5),
+            "initial_state.m_a must be a finite number, got an integer of 16610 bits",
+        ),
+        (
+            lambda: PhiTrue(fuel=10**5000),
+            "phi_true.fuel must be a finite number, got an integer of 16610 bits",
+        ),
+        (
+            lambda: ScenarioConfig(T=[10**5000]),
+            "T must be a number, got a list holding an integer of over 4300 digits",
+        ),
+        (
+            lambda: ScenarioConfig(constants={10**5000: 1.0}),
+            "constants has unknown field(s) a list holding an integer of over 4300 digits",
+        ),
+        (
+            lambda: ScenarioConfig.from_dict({10**5000: 1.0, "nope": 1.0}),
+            "config has unknown key(s) a list holding an integer of over 4300 digits",
+        ),
+        (
+            lambda: ScenarioConfig.from_dict({1: 1.0, "nope": 1.0}),
+            "config has unknown key(s) ['nope', 1]",
+        ),
+    ],
+    ids=["scalar", "initial_state", "PhiTrue", "in a list", "object key", "config key", "mixed keys"],
+)
+def test_an_int_past_the_repr_digit_limit_is_shown_by_its_size(make, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # Strategies drawn from the rows of looplab._FIELDS: values inside a row's
@@ -765,6 +843,9 @@ def override_outcome(data: dict, override: str):
 def test_an_override_does_the_same_on_an_empty_and_on_the_default_document(data):
     path, row = data.draw(st.sampled_from(OVERRIDE_ROWS))
     override = f"{path}={json.dumps(data.draw(inside(row)))}"
+    if data.draw(st.booleans()):  # a path past a field, or a column of the null trajectory
+        path = data.draw(st.sampled_from(["T.x", "trajectory.time", "phi_true.fuel.x"]))
+        override = f"{path}={json.dumps(data.draw(json_values))}"
     assert override_outcome({}, override) == override_outcome(ScenarioConfig().to_dict(), override)
 
 
@@ -809,8 +890,15 @@ def test_run_grid_and_meta_echo():
     assert len(rec) == 101  # 2 s at 20 ms plus the final state row
     assert rec.series["time"][-1] == pytest.approx(2.0)
     assert np.all(np.diff(rec.series["time"]) > 0)
-    assert rec.meta["config"] == cfg.to_dict()
+    assert rec.config is cfg
     assert len(rec.events) == len(rec)
+
+
+def test_a_record_read_from_csv_carries_the_config_it_is_given():
+    cfg = short_config(duration=0.2)
+    text = run_scenario(cfg).to_csv()
+    assert RunRecord.from_csv(text, cfg).config is cfg
+    assert RunRecord.from_csv(text).config is None
 
 
 def test_run_adaptation_off_freezes_estimates():
@@ -1082,7 +1170,7 @@ def test_run_nan_control_law_aborts_at_its_step(monkeypatch, loop, bound, quanti
 def test_record_csv_round_trip_exact():
     rec = run_scenario(short_config(duration=1.0))
     text = rec.to_csv()
-    back = RunRecord.from_csv(text, meta=rec.meta)
+    back = RunRecord.from_csv(text, rec.config)
     for name in rec.series:
         np.testing.assert_array_equal(rec.series[name], back.series[name], err_msg=name)
     assert back.events == rec.events
@@ -1307,13 +1395,8 @@ def synthetic_record(times, phi_true=None, window_start=5.0, **series_overrides)
         table[:, columns.index(f"phi_hat_{loop}")] = 1.0
     for name, values in series_overrides.items():
         table[:, columns.index(name)] = values
-    meta = {
-        "config": {
-            "phi_true": dict(phi_true or {}),
-            "metrics_window_start": window_start,
-        }
-    }
-    return RunRecord(table, [""] * n, meta)
+    config = ScenarioConfig(phi_true=dict(phi_true or {}), metrics_window_start=window_start)
+    return RunRecord(table, [""] * n, config)
 
 
 def test_metrics_perfect_tracking_is_all_zero():
