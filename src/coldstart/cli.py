@@ -38,7 +38,7 @@ from .looplab import (
     compute_metrics,
     run_scenario,
 )
-from .plant import real
+from .plant import POSITIVE
 from .rga import TFMatrix, identify_mimo, rga_sweep
 from .tables import csv_field, json_value, read_body, read_header
 from .trajectory import TrajectoryTable
@@ -364,9 +364,7 @@ def _pairing_spec(text: str) -> tuple[float, list[dict]]:
     spec = json_value(text, "pairing spec")
     if not isinstance(spec, dict) or set(spec) != {"T", "experiments"}:
         raise ConfigError("pairing spec needs exactly the keys T and experiments")
-    T = real(spec["T"], "T")
-    if T <= 0:
-        raise ConfigError(f"T must be positive, got {T!r}")
+    T = POSITIVE.norm(spec["T"], "T")
     exps = spec["experiments"]
     if not isinstance(exps, list) or not exps:
         raise ConfigError("experiments must be a non-empty array")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import plant
-from .errors import ConfigError, DegenerateInputError
+from .errors import DegenerateInputError
 
 AFI_FLOOR_DEFAULT = 0.05
 
@@ -56,9 +56,19 @@ RHO_DEFAULTS = {"fuel": 1e-6, "speed": 8e3, "exh": 1.5e4, "air": 7e-7}
 BETA_DEFAULT = 0.5
 
 
+LOOP_ROWS = {
+    "beta": plant.Real(0.0, 1.0, rule="must lie in (0, 1)"),  # a stable surface
+    "rho": plant.POSITIVE,
+    "phi_hat": plant.REAL,
+    "s_prev": plant.REAL,
+    "adaptation_enabled": plant.BOOL,
+    "adapt_sign": plant.Choice((1.0, -1.0), "must be +1 or -1"),
+}
+
+
 @dataclass
 class AdaptiveLoop:
-    """State of one sliding-mode loop: gains plus the running estimate."""
+    """State of one sliding-mode loop: gains plus the running estimate (``LOOP_ROWS``)."""
 
     beta: float
     rho: float
@@ -68,16 +78,7 @@ class AdaptiveLoop:
     adapt_sign: float = 1.0  # -1 flips the estimator increment (diagnostic)
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(
-                f"beta must lie strictly inside (0, 1) for a stable surface, got {self.beta!r}"
-            )
-        if not self.rho > 0.0:
-            raise ConfigError(f"adaptation gain rho must be positive, got {self.rho!r}")
-        if not math.isfinite(self.phi_hat):
-            raise ConfigError(f"phi_hat must be finite, got {self.phi_hat!r}")
-        if self.adapt_sign not in (-1.0, 1.0):
-            raise ConfigError(f"adapt_sign must be +1 or -1, got {self.adapt_sign!r}")
+        plant.check_fields(self, LOOP_ROWS)
 
 
 def adapt(loop: AdaptiveLoop, s: float, f: float, T: float) -> float:
@@ -92,17 +93,14 @@ def adapt(loop: AdaptiveLoop, s: float, f: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class ActuatorBounds:
-    """Saturation limits applied to every emitted command."""
+    """Saturation limits of every emitted command, ``(lo, hi)`` pairs (``plant.PAIR``)."""
 
     mdot_ai: tuple[float, float] = (0.0, 0.1)    # throttle air [kg/s]
     mdot_fc: tuple[float, float] = (0.0, 0.01)   # injected fuel [kg/s]
     delta: tuple[float, float] = (-10.0, 45.0)   # spark retard [deg]
 
     def __post_init__(self):
-        for name in ("mdot_ai", "mdot_fc", "delta"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ConfigError(f"bound {name} must satisfy lo < hi, got ({lo!r}, {hi!r})")
+        plant.check_fields(self, dict.fromkeys(vars(self), plant.PAIR), "bounds.")
 
 
 def saturate(value: float, bound: tuple[float, float]) -> tuple[float, bool]:
@@ -186,19 +184,17 @@ class CascadeController:
         afi_floor: float = AFI_FLOOR_DEFAULT,
         delta_initial: float = 0.0,
     ):
-        if T <= 0.0:
-            raise ConfigError(f"sample time must be positive, got {T!r}")
         self.loop_fuel = loop_fuel
         self.loop_speed = loop_speed
         self.loop_exh = loop_exh
         self.loop_air = loop_air
-        self.T = T
+        self.T = plant.POSITIVE.norm(T, "sample time")
         self.constants = constants if constants is not None else plant.PlantConstants()
         self._plant = plant.PlantModel(self.constants)  # the drift the law reads
         self.bounds = bounds if bounds is not None else ActuatorBounds()
-        self.afi_floor = afi_floor
+        self.afi_floor = plant.REAL.norm(afi_floor, "afi_floor")
         self._m_a_target: float | None = None  # target the air loop tracks next step
-        self._delta_held = delta_initial
+        self._delta_held = plant.REAL.norm(delta_initial, "delta_initial")
         # anti-windup: the estimator update consumes s(k) as evidence about the
         # transition driven by the previous command, which is only valid when
         # that command was applied unsaturated.  At k=0 there is no previous

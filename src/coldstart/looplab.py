@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
-from .plant import PhiTrue, real, reals, shown
+from .plant import BOOL, PAIR, POSITIVE, REAL, Count, PhiTrue, Real, Reals, shown
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import MAX_STEPS, SampledTrajectory, TrajectoryTable, default_table
 
@@ -100,80 +100,8 @@ def euler_step(
 
 
 # ---------------------------------------------------------------------------
-# scenario configuration: ``_FIELDS`` holds one row per field, whose ``norm``
-# reads the field's Python or JSON form into the value stored (or raises a
-# ConfigError naming the field's path) and whose ``dump`` gives the JSON form
-
-
-class _Row:
-    def dump(self, value):
-        return value
-
-
-@dataclass(frozen=True)
-class _Real(_Row):
-    """A finite float in ``(low, high)``, or in ``[low, high]`` when ``closed``."""
-
-    low: float = -math.inf
-    high: float = math.inf
-    closed: bool = False
-    rule: str = ""  # the range in words
-
-    def norm(self, value, name: str) -> float:
-        x = real(value, name)
-        if not (self.low <= x <= self.high if self.closed else self.low < x < self.high):
-            raise ConfigError(f"{name} {self.rule}, got {x!r}")
-        return x
-
-
-@dataclass(frozen=True)
-class _Count(_Row):
-    """An integer in ``[low, high]``; a float of integral value is taken."""
-
-    low: int
-    high: float = math.inf
-
-    def norm(self, value, name: str) -> int:
-        x = real(value, name)  # compared as a float: 2**53 + 1 is an integer too
-        if x != int(x) or x < self.low:
-            raise ConfigError(f"{name} must be an integer >= {self.low}, got {shown(value)}")
-        if x > self.high:
-            raise ConfigError(f"{name} must be in [{self.low}, {self.high}], got {shown(value)}")
-        return int(value)
-
-
-@dataclass(frozen=True)
-class _Choice(_Row):
-    """One of ``choices``, stored as it is there: ``1`` reads as ``1.0``, but
-    a bool only as a bool."""
-
-    choices: tuple
-    rule: str
-
-    def norm(self, value, name: str):
-        for choice in self.choices:
-            if value == choice and isinstance(value, bool) == isinstance(choice, bool):
-                return choice
-        raise ConfigError(f"{name} {self.rule}, got {shown(value)}")
-
-
-@dataclass(frozen=True)
-class _Reals:
-    """An array of finite floats, stored as a tuple; with ``pair``, a
-    ``(lo, hi)`` pair with ``lo < hi`` and a finite span, which an ADC divides by."""
-
-    pair: bool = False
-
-    def norm(self, value, name: str) -> tuple[float, ...]:
-        if self.pair and not (isinstance(value, (tuple, list)) and len(value) == 2):
-            raise ConfigError(f"{name} must be a (lo, hi) pair, got {shown(value)}")
-        values = reals(value, name)
-        if self.pair and not (values[0] < values[1] and math.isfinite(values[1] - values[0])):
-            raise ConfigError(f"{name} must satisfy lo < hi with hi - lo finite, got {values!r}")
-        return values
-
-    def dump(self, value):
-        return list(value)
+# scenario configuration: ``_FIELDS`` holds one row per field, a ``plant.Row``
+# (the owning class's, where a class owns the rule) or an ``_Object`` of them
 
 
 @dataclass(frozen=True)
@@ -216,52 +144,46 @@ class _Object:
         return {k: self.items[k].dump(v) for k, v in self._as_object(value).items()}
 
 
-def _loops(row: _Real, **kw) -> _Object:
+def _loops(row: Real, **kw) -> _Object:
     return _Object(dict.fromkeys(LOOPS, row), "loop", "an object with the four loop names", **kw)
 
 
-_REAL, _POSITIVE, _PAIR = _Real(), _Real(0.0, rule="must be positive"), _Reals(pair=True)
-_BOOL = _Choice((True, False), "must be true or false")
 _FIELDS: dict[str, Any] = {
-    "T": _POSITIVE,
-    "duration": _Real(0.0, closed=True, rule="must be nonnegative"),
-    "quantization_enabled": _BOOL,
-    "quant_bits": _Count(8, 32),
+    "T": POSITIVE,
+    "duration": Real(0.0, closed=True, rule="must be nonnegative"),
+    "quantization_enabled": BOOL,
+    "quant_bits": Count(8, 32),
     "signal_ranges": _Object(
-        dict.fromkeys(DEFAULT_SIGNAL_RANGES, _PAIR), "signal", "an object of pairs",
+        dict.fromkeys(DEFAULT_SIGNAL_RANGES, PAIR), "signal", "an object of pairs",
         DEFAULT_SIGNAL_RANGES,
     ),
-    "phi_true": _loops(
-        _Real(0.0, rule="must be a positive number"), defaults=vars(PhiTrue()), build=PhiTrue
-    ),
-    "adaptation_enabled": _BOOL,
-    "adapt_sign": _Choice((1.0, -1.0), "must be +1 or -1"),
-    "phi_hat_init": _REAL,
-    "beta": _loops(_Real(0.0, 1.0, rule="must lie in (0, 1)")),
-    "rho": _loops(_POSITIVE),
+    "phi_true": _loops(plant.PHI_TRUE, defaults=vars(PhiTrue()), build=PhiTrue),
+    "adaptation_enabled": dsmc.LOOP_ROWS["adaptation_enabled"],
+    "adapt_sign": dsmc.LOOP_ROWS["adapt_sign"],
+    "phi_hat_init": dsmc.LOOP_ROWS["phi_hat"],
+    "beta": _loops(dsmc.LOOP_ROWS["beta"]),
+    "rho": _loops(dsmc.LOOP_ROWS["rho"]),
     "bounds": _Object(
-        dict.fromkeys(vars(dsmc.ActuatorBounds()), _PAIR), "bound",
+        dict.fromkeys(vars(dsmc.ActuatorBounds()), PAIR), "bound",
         "an object with mdot_ai/mdot_fc/delta pairs", vars(dsmc.ActuatorBounds()),
         dsmc.ActuatorBounds,
     ),
-    "afi_floor": _REAL,
+    "afi_floor": REAL,
     "initial_state": _Object(
-        dict.fromkeys(STATE_COLUMNS, _REAL), "field",
+        dict.fromkeys(STATE_COLUMNS, REAL), "field",
         "5 numbers or an object", build=plant.EngineState, sequence=True,
     ),
-    "delta_initial": _REAL,
-    "substeps": _Count(1, MAX_SUBSTEPS),
-    "feedback_delay_steps": _Count(0),
-    "metrics_window_start": _Real(0.0, closed=True, rule="must be nonnegative"),
-    "hc_mode": _Choice(plant.HC_MODES, f"must be one of {plant.HC_MODES}"),
-    "qgen_grouping": _Choice(plant.QGEN_MODES, f"must be one of {plant.QGEN_MODES}"),
-    "qin_direction": _Choice(plant.QIN_MODES, f"must be one of {plant.QIN_MODES}"),
+    "delta_initial": REAL,
+    "substeps": Count(1, MAX_SUBSTEPS),
+    "feedback_delay_steps": Count(0),
+    "metrics_window_start": Real(0.0, closed=True, rule="must be nonnegative"),
+    **plant.CONVENTION_ROWS,
     "constants": _Object(
-        {k: _POSITIVE if k in POSITIVE_CONSTANTS else _REAL for k in vars(plant.PlantConstants())},
+        {k: POSITIVE if k in POSITIVE_CONSTANTS else REAL for k in vars(plant.PlantConstants())},
         "field", "an object of numbers", defaults={},
     ),
     "trajectory": _Object(
-        dict.fromkeys(TRAJECTORY_COLUMNS, _Reals()), "column", "an object of number arrays",
+        dict.fromkeys(TRAJECTORY_COLUMNS, Reals()), "column", "an object of number arrays",
         build=TrajectoryTable, nullable=True,
     ),
 }
@@ -314,8 +236,7 @@ class ScenarioConfig:
     trajectory: TrajectoryTable | None = None  # None -> shipped default profile
 
     def __post_init__(self):
-        for name, row in _FIELDS.items():
-            object.__setattr__(self, name, row.norm(getattr(self, name), name))
+        plant.check_fields(self, _FIELDS)
         # too many steps, an off-grid duration or a short table: refused, not sampled
         self._trajectory_table.steps(self.T, self.duration)
 

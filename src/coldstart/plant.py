@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateInputError
@@ -76,17 +76,14 @@ class PlantConstants:
 
 @dataclass(frozen=True)
 class PlantConventions:
-    """Resolutions of ambiguous closed-form readings, kept switchable."""
+    """Switchable resolutions of ambiguous closed-form readings (``CONVENTION_ROWS``)."""
 
     hc_mode: str = "unburned_fraction"
     qgen_grouping: str = "as_printed"
     qin_direction: str = "as_printed"
 
     def __post_init__(self):
-        for f, modes in zip(fields(self), (HC_MODES, QGEN_MODES, QIN_MODES)):
-            value = getattr(self, f.name)
-            if value not in modes:
-                raise ConfigError(f"{f.name} must be one of {modes}, got {shown(value)}")
+        check_fields(self, CONVENTION_ROWS)
 
 
 class EngineState(NamedTuple):
@@ -141,9 +138,100 @@ def reals(value, name: str) -> tuple[float, ...]:
     return tuple(real(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
+class Row:
+    """A value rule: ``norm(value, name)`` is the value stored for a Python or
+    JSON form, or a ConfigError naming ``name``; ``dump`` is the JSON form. A
+    class and the config table (``looplab._FIELDS``) read a field by one row."""
+
+    def dump(self, value):
+        return value
+
+
+@dataclass(frozen=True)
+class Real(Row):
+    """A finite float in ``(low, high)``, or in ``[low, high]`` when ``closed``."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    closed: bool = False
+    rule: str = ""  # the range in words
+
+    def norm(self, value, name: str) -> float:
+        x = real(value, name)
+        if not (self.low <= x <= self.high if self.closed else self.low < x < self.high):
+            raise ConfigError(f"{name} {self.rule}, got {x!r}")
+        return x
+
+
+@dataclass(frozen=True)
+class Count(Row):
+    """An integer in ``[low, high]``; a float of integral value is taken."""
+
+    low: int
+    high: float = math.inf
+
+    def norm(self, value, name: str) -> int:
+        x = real(value, name)  # compared as a float: 2**53 + 1 is an integer too
+        if x != int(x) or x < self.low:
+            raise ConfigError(f"{name} must be an integer >= {self.low}, got {shown(value)}")
+        if x > self.high:
+            raise ConfigError(f"{name} must be in [{self.low}, {self.high}], got {shown(value)}")
+        return int(value)
+
+
+@dataclass(frozen=True)
+class Choice(Row):
+    """One of ``choices``, stored as it is there: ``1`` reads as ``1.0``, but
+    a bool only as a bool."""
+
+    choices: tuple
+    rule: str
+
+    def norm(self, value, name: str):
+        for choice in self.choices:
+            if value == choice and isinstance(value, bool) == isinstance(choice, bool):
+                return choice
+        raise ConfigError(f"{name} {self.rule}, got {shown(value)}")
+
+
+@dataclass(frozen=True)
+class Reals(Row):
+    """An array of finite floats, stored as a tuple; with ``pair``, a
+    ``(lo, hi)`` pair with ``lo < hi`` and a finite span, which an ADC divides by."""
+
+    pair: bool = False
+
+    def norm(self, value, name: str) -> tuple[float, ...]:
+        if self.pair and not (isinstance(value, (tuple, list)) and len(value) == 2):
+            raise ConfigError(f"{name} must be a (lo, hi) pair, got {shown(value)}")
+        values = reals(value, name)
+        if self.pair and not (values[0] < values[1] and math.isfinite(values[1] - values[0])):
+            raise ConfigError(f"{name} must satisfy lo < hi with hi - lo finite, got {values!r}")
+        return values
+
+    def dump(self, value):
+        return list(value)
+
+
+REAL, POSITIVE, PAIR = Real(), Real(0.0, rule="must be positive"), Reals(pair=True)
+BOOL = Choice((True, False), "must be true or false")
+CONVENTION_ROWS = {
+    "hc_mode": Choice(HC_MODES, f"must be one of {HC_MODES}"),
+    "qgen_grouping": Choice(QGEN_MODES, f"must be one of {QGEN_MODES}"),
+    "qin_direction": Choice(QIN_MODES, f"must be one of {QIN_MODES}"),
+}
+PHI_TRUE = Real(0.0, rule="must be a positive number")
+
+
+def check_fields(obj, rows: dict, prefix: str = "") -> None:
+    """Read each field of ``obj`` named in ``rows`` by its row; errors name ``prefix + name``."""
+    for name, row in rows.items():
+        object.__setattr__(obj, name, row.norm(getattr(obj, name), prefix + name))
+
+
 @dataclass(frozen=True)
 class PhiTrue:
-    """True multiplicative uncertainty on each controlled state's drift."""
+    """True multiplicative uncertainty on each controlled state's drift (``PHI_TRUE``)."""
 
     fuel: float = 1.0
     speed: float = 1.0
@@ -151,10 +239,7 @@ class PhiTrue:
     air: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not real(v, f"phi_true.{f.name}") > 0.0:
-                raise ConfigError(f"phi_true.{f.name} must be a positive number, got {v!r}")
+        check_fields(self, dict.fromkeys(vars(self), PHI_TRUE), "phi_true.")
 
 
 class EmissionOutputs(NamedTuple):

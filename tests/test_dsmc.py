@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coldstart import dsmc, plant
@@ -63,6 +63,87 @@ def test_phi_hat_must_be_finite():
 def test_a_loop_or_controller_out_of_its_domain_is_refused(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# A valid call of each value-checking constructor: per argument, its valid
+# value, the name a refusal of it starts with, and the attribute the built
+# object keeps it in.
+CONSTRUCTORS = {
+    "AdaptiveLoop": (dsmc.AdaptiveLoop, {a: (v, a, a) for a, v in vars(make_loop()).items()}),
+    "ActuatorBounds": (
+        dsmc.ActuatorBounds,
+        {a: (v, f"bounds.{a}", a) for a, v in vars(dsmc.ActuatorBounds()).items()},
+    ),
+    "PhiTrue": (
+        plant.PhiTrue, {a: (v, f"phi_true.{a}", a) for a, v in vars(plant.PhiTrue()).items()},
+    ),
+    "PlantConventions": (
+        plant.PlantConventions, {a: (v, a, a) for a, v in vars(plant.PlantConventions()).items()},
+    ),
+    "CascadeController": (
+        with_default_gains,
+        {
+            "T": (0.02, "sample time", "T"),
+            "afi_floor": (dsmc.AFI_FLOOR_DEFAULT, "afi_floor", "afi_floor"),
+            "delta_initial": (0.0, "delta_initial", "_delta_held"),
+        },
+    ),
+}
+STRAY = st.text(max_size=3) | st.none() | st.booleans() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1, 10**5000]
+)
+# a stray value, or a list, dict or tuple (of any length) holding stray values or floats
+STRAYS = st.one_of(
+    STRAY,
+    st.lists(STRAY | st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=2), STRAY, max_size=2),
+    st.lists(STRAY | st.floats(), max_size=3).map(tuple),
+)
+
+
+@st.composite
+def damaged_calls(draw):
+    name = draw(st.sampled_from(sorted(CONSTRUCTORS)))
+    return name, draw(st.sampled_from(sorted(CONSTRUCTORS[name][1]))), draw(STRAYS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=damaged_calls())
+@example(case=("ActuatorBounds", "mdot_ai", ("0", "1")))
+@example(case=("ActuatorBounds", "mdot_ai", (False, True)))
+@example(case=("ActuatorBounds", "mdot_ai", (0.0, math.inf)))
+@example(case=("ActuatorBounds", "mdot_ai", 0.5))
+@example(case=("ActuatorBounds", "mdot_ai", (0.0, 0.5, 1.0)))
+@example(case=("AdaptiveLoop", "beta", "x"))
+@example(case=("AdaptiveLoop", "phi_hat", 10**5000))
+@example(case=("AdaptiveLoop", "rho", math.inf))
+@example(case=("AdaptiveLoop", "s_prev", math.nan))
+@example(case=("AdaptiveLoop", "adaptation_enabled", "no"))
+@example(case=("CascadeController", "T", math.nan))
+@example(case=("CascadeController", "T", True))
+@example(case=("CascadeController", "T", "x"))
+@example(case=("CascadeController", "afi_floor", None))
+@example(case=("CascadeController", "delta_initial", math.nan))
+def test_a_constructor_keeps_a_clean_value_or_refuses_naming_the_argument(case):
+    """One argument of a valid call replaced by a stray value: the call
+    raises a ConfigError naming that argument, or builds an object that
+    keeps a value of the valid one's type, with finite numbers (a pair
+    increasing)."""
+    name, arg, value = case
+    make, args = CONSTRUCTORS[name]
+    like, refused_as, kept_in = args[arg]
+    try:
+        built = make(**{**{a: v for a, (v, _, _) in args.items()}, arg: value})
+    except ConfigError as e:
+        assert re.match(rf"{re.escape(refused_as)}[ \[]", str(e)), str(e)
+        return
+    kept = getattr(built, kept_in)
+    assert type(kept) is type(like), kept
+    if isinstance(like, tuple):
+        assert len(kept) == 2 and all(type(v) is float for v in kept) and kept[0] < kept[1], kept
+        assert math.isfinite(kept[1] - kept[0]), kept
+    elif isinstance(like, float):
+        assert math.isfinite(kept), kept
 
 
 # ---------------------------------------------------------------------------

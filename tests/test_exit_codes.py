@@ -3,9 +3,12 @@
 
 Each example takes the valid input files of one subcommand, damages one of
 them (a JSON value, a CSV cell or line, or one byte) and runs the command
-in process. Warnings are errors in this suite, so a stray numpy or ``math``
-warning fails the property too. Runs are short: the scenarios last 1 s on
-the shipped 20 ms grid, and no damage the strategy can do lengthens them.
+in process. An input refused with exit 2 leaves no ``--out``, and is refused
+before any controller step runs or any helper is forked, unless the record
+of a finished run overflows its metrics. Warnings are errors in this suite,
+so a stray numpy or ``math`` warning fails the property too. Runs are
+short: the scenarios last 1 s on the shipped 20 ms grid, and no damage the
+strategy can do lengthens them.
 """
 
 import contextlib
@@ -14,13 +17,16 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coldstart import fanout
 from coldstart.cli import main
+from coldstart.dsmc import CascadeController
 from coldstart.looplab import RECORD_COLUMNS, ScenarioConfig, run_scenario
 from coldstart.trajectory import default_table
 from lab_helpers import (
@@ -196,7 +202,8 @@ def damaged_inputs(draw):
     return command, files
 
 
-def run_main(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
+def run_main(command: str, files: dict[str, str | bytes]) -> tuple[int, str, bool]:
+    """The exit code, the stderr and whether ``--out`` exists afterwards."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for name, content in files.items():
@@ -208,7 +215,8 @@ def run_main(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv(command, d))
-    return code, stderr.getvalue()
+        made_out = (d / "out").exists()
+    return code, stderr.getvalue(), made_out
 
 
 def with_file(command: str, name: str, content) -> tuple[str, dict]:
@@ -263,7 +271,19 @@ NOT_UTF8 = b'{"n": 1, "entries": [[{"tau": 1, "k": 1\xff}]]}'
 @example(case=with_file("rga-json", "model.json", NOT_UTF8))
 def test_main_exits_0_2_3_or_4_and_raises_nothing(case):
     command, files = case
-    code, stderr = run_main(command, files)
+    step = mock.patch.object(
+        CascadeController, "step", autospec=True, side_effect=CascadeController.step
+    )
+    fork = mock.patch.object(
+        fanout.Stream, "_fork", autospec=True, side_effect=fanout.Stream._fork
+    )
+    with step as steps, fork as forks:
+        code, stderr, made_out = run_main(command, files)
     assert code in (0, 2, 3, 4), stderr
     if code in (2, 3):
         assert stderr.startswith("error: ")
+    if code == 2:
+        assert not made_out, stderr
+        # the one refusal that can only follow a run: its record overflows the metrics
+        if not stderr.startswith("error: run record values overflow its metrics: "):
+            assert (steps.call_count, forks.call_count) == (0, 0), stderr

@@ -421,13 +421,21 @@ def test_config_accepts_an_object_for_phi_true():
         ({"trajectory": "x"}, "trajectory must be"),
         ({"adapt_sign": 0.5}, "adapt_sign must be"),
         ({"constants": {"flywheel": 1.0}}, r"constants has unknown field\(s\) \['flywheel'\]"),
-        ({"bounds": dsmc.ActuatorBounds(mdot_ai=("a", "b"))}, r"bounds\.mdot_ai\[0\]"),
-        ({"bounds": dsmc.ActuatorBounds(mdot_ai=(0.0, math.inf))}, r"bounds\.mdot_ai\[1\]"),
     ],
 )
 def test_config_rejects_wrong_types_naming_the_field(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [(("a", "b"), r"bounds\.mdot_ai\[0\]"), ((0.0, math.inf), r"bounds\.mdot_ai\[1\]")],
+    ids=["not-numbers", "infinite"],
+)
+def test_actuator_bounds_refuse_a_bad_pair_naming_its_config_path(pair, message):
+    with pytest.raises(ConfigError, match=message):
+        dsmc.ActuatorBounds(mdot_ai=pair)
 
 
 def test_config_unknown_plant_constant_is_rejected():
@@ -630,13 +638,13 @@ def finite_floats(low=-math.inf, high=math.inf, closed=True):
 
 def inside(row) -> st.SearchStrategy:
     """JSON forms of values inside ``row``'s range."""
-    if isinstance(row, looplab._Real):
+    if isinstance(row, plant.Real):
         return finite_floats(row.low, row.high, row.closed)
-    if isinstance(row, looplab._Count):
+    if isinstance(row, plant.Count):
         return st.integers(row.low, None if math.isinf(row.high) else int(row.high))
-    if isinstance(row, looplab._Choice):
+    if isinstance(row, plant.Choice):
         return st.sampled_from(row.choices)
-    if isinstance(row, looplab._Reals):
+    if isinstance(row, plant.Reals):
         if row.pair:  # lo < hi, and a span hi - lo that is finite
             pairs = st.lists(finite_floats(), min_size=2, max_size=2, unique=True).map(sorted)
             return pairs.filter(lambda pair: math.isfinite(pair[1] - pair[0]))
@@ -655,20 +663,20 @@ NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
 def pushed(draw, row, path):
     """``(path, value)``: a JSON form for ``row`` with one part outside its
     range, and the dotted path of that part."""
-    if isinstance(row, (looplab._Real, looplab._Count)):
+    if isinstance(row, (plant.Real, plant.Count)):
         outside = [NOT_NUMBERS, NOT_FINITE, st.lists(finite_floats(), max_size=2)]
-        closed = isinstance(row, looplab._Count) or row.closed
+        closed = isinstance(row, plant.Count) or row.closed
         if math.isfinite(row.low):
             outside.append(finite_floats(high=row.low, closed=not closed))
         if math.isfinite(row.high):
             outside.append(finite_floats(low=row.high, closed=not closed))
-        if isinstance(row, looplab._Count):
+        if isinstance(row, plant.Count):
             outside.append(st.integers(row.low, row.low + 99).map(lambda i: i + 0.5))
         return path, draw(st.one_of(outside))
-    if isinstance(row, looplab._Choice):
+    if isinstance(row, plant.Choice):
         candidates = NOT_NUMBERS | NOT_FINITE | st.floats() | st.integers()
         return path, draw(candidates.filter(lambda value: value not in row.choices))
-    if isinstance(row, looplab._Reals):
+    if isinstance(row, plant.Reals):
         good = draw(inside(row))
         kind = draw(st.sampled_from(["shape", "cell", "order"] if row.pair else ["shape", "cell"]))
         if kind == "shape":
