@@ -39,12 +39,11 @@ fuel-flow target's lookahead is predicted the same way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import plant
-from .errors import DegenerateInputError
+from .errors import ConfigError, DegenerateInputError
 
 AFI_FLOOR_DEFAULT = 0.05
 
@@ -109,7 +108,7 @@ def saturate(value: float, bound: tuple[float, float]) -> tuple[float, bool]:
     NaN is refused: it compares false with both bounds, so it would pass
     as an unsaturated command.
     """
-    if math.isnan(value):
+    if value != value:  # NaN, tested without a call, as the ADC tests it
         raise DegenerateInputError(f"command is NaN; cannot saturate to {bound!r}")
     lo, hi = bound
     if value < lo:
@@ -165,6 +164,16 @@ class ControllerOutput(NamedTuple):
     events: tuple[str, ...]
 
 
+def _instance(value, cls: type, name: str):
+    """``value``, or a default ``cls()`` for None; ConfigError naming the
+    argument ``name`` for anything but a ``cls``."""
+    if value is None:
+        return cls()
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {plant.shown(value)}")
+    return value
+
+
 class CascadeController:
     """Runs the four loops in cascade order once per sample.
 
@@ -189,9 +198,9 @@ class CascadeController:
         self.loop_exh = loop_exh
         self.loop_air = loop_air
         self.T = plant.POSITIVE.norm(T, "sample time")
-        self.constants = constants if constants is not None else plant.PlantConstants()
+        self.constants = _instance(constants, plant.PlantConstants, "constants")
         self._plant = plant.PlantModel(self.constants)  # the drift the law reads
-        self.bounds = bounds if bounds is not None else ActuatorBounds()
+        self.bounds = _instance(bounds, ActuatorBounds, "bounds")
         self.afi_floor = plant.REAL.norm(afi_floor, "afi_floor")
         self._m_a_target: float | None = None  # target the air loop tracks next step
         self._delta_held = plant.REAL.norm(delta_initial, "delta_initial")
@@ -292,7 +301,8 @@ class CascadeController:
         self._m_a_target = m_a_d_next
         self._adapt_hold = (sat_fuel, sat_air, sat_delta or spark_singular, sat_air)
 
-        return ControllerOutput(
+        # made by tuple.__new__, as TargetWindow is, with no Python call
+        return tuple.__new__(ControllerOutput, (
             mdot_ai, mdot_fc, delta, m_a_d_now,
             s1, s2, s3, s4, xi1, xi2, xi3, xi4,
             self.loop_fuel.phi_hat, self.loop_speed.phi_hat,
@@ -301,4 +311,4 @@ class CascadeController:
             afr_value - targets.afr_d,
             sat_air, sat_fuel, sat_delta,
             events,
-        )
+        ))

@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, is_dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -51,6 +52,9 @@ DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
 # ---------------------------------------------------------------------------
 # ADC emulation
 
+MAX_ADC_BITS = 52  # the longest word whose codes adc_channel rounds exactly
+_ROUNDER = 2.0**MAX_ADC_BITS
+
 
 def quantize(value: float, bits: int, lo: float, hi: float) -> float:
     """Uniform mid-tread quantizer over [lo, hi]; out-of-range values clamp.
@@ -63,19 +67,27 @@ def quantize(value: float, bits: int, lo: float, hi: float) -> float:
 
 def adc_channel(bits: int, lo: float, hi: float):
     """``quantize`` bound to one word length and span, its arguments checked
-    once: the quantizer the loop runs on each sampled signal."""
+    once: the quantizer the loop runs on each sampled signal.
+
+    A code is rounded half to even as ``round`` rounds it, but in floats:
+    for 0 <= x < 2**52, ``x + 2**52 - 2**52`` is ``round(x)`` exactly, so a
+    word is at most ``MAX_ADC_BITS`` long."""
     if bits < 1:
         raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
-    if not lo < hi:
-        raise ConfigError(f"quantizer range must satisfy lo < hi, got ({lo!r}, {hi!r})")
+    if bits > MAX_ADC_BITS:
+        raise ConfigError(f"quantizer takes at most {MAX_ADC_BITS} bits, got {bits!r}")
     width = hi - lo
-    levels = (1 << bits) - 1
+    if not (lo < hi and math.isfinite(width)):  # an infinite width has no codes
+        raise ConfigError(
+            f"quantizer range must satisfy lo < hi with hi - lo finite, got ({lo!r}, {hi!r})"
+        )
+    levels = float((1 << bits) - 1)
 
     def channel(value: float) -> float:
         if value != value:
             raise DegenerateInputError(f"cannot quantize NaN over ({lo!r}, {hi!r})")
         clamped = lo if value < lo else hi if value > hi else value
-        return lo + round((clamped - lo) / width * levels) * width / levels
+        return lo + ((clamped - lo) / width * levels + _ROUNDER - _ROUNDER) * width / levels
 
     return channel
 
@@ -429,6 +441,13 @@ class RunRecord:
         return cls(table[:, :-1], events, config)
 
 
+def _float_table(rows: list[tuple]) -> np.ndarray:
+    """``rows`` of ``_TABLE_COLUMNS`` values as ``np.array(rows, dtype=float)``
+    makes them, from one flat iterator of a known length: no row is walked twice."""
+    n = len(_TABLE_COLUMNS)
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * n).reshape(-1, n)
+
+
 def _check_state(state: tuple, step: int) -> None:
     """SimulationAbort at ``step`` unless ``state`` is finite with the engine turning."""
     if not all(map(math.isfinite, state)):
@@ -522,7 +541,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         events.append(";".join(out.events) if out.events else "")
         prev_hc_tp, prev_t = hc_tp, t
         if len(rows) == block_rows:
-            blocks.append(np.array(rows, dtype=float))
+            blocks.append(_float_table(rows))
             rows = []
             if sink is not None:
                 sink(RunRecord(blocks[-1], events[-block_rows:]))
@@ -553,7 +572,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     ))
     events.append("")
 
-    table = np.concatenate([*blocks, np.array(rows, dtype=float)])
+    table = np.concatenate([*blocks, _float_table(rows)])
     # the state is checked as the run steps, the rest of the record here, row by row
     finite = np.isfinite(table)
     if not finite.all():

@@ -348,11 +348,16 @@ def catalyst_efficiency(
     reference) and a temperature term (cuts it off on a cold brick).
     """
     # exponents are clamped so far-out-of-domain inputs saturate instead of
-    # overflowing; the clamp only engages where the result is 0 anyway
-    afr_exp = min(-5.0 * (afr_value / afr_ref - 0.7) ** 15, 700.0)
-    temp_exp = min(-0.2 * ((t_cat - 30.0) / 150.0) ** 5, 700.0)
+    # overflowing; the clamp only engages where the result is 0 anyway.  Each
+    # clamp is the comparison min(x, c) or max(x, c) makes, so NaN and -0.0
+    # pass as there, without the builtin's call once per Euler substep
+    afr_exp = -5.0 * (afr_value / afr_ref - 0.7) ** 15
+    afr_exp = 700.0 if 700.0 < afr_exp else afr_exp
+    temp_exp = -0.2 * ((t_cat - 30.0) / 150.0) ** 5
+    temp_exp = 700.0 if 700.0 < temp_exp else temp_exp
     eta = 0.98 * (1.0 - math.exp(afr_exp)) * (1.0 - math.exp(temp_exp))
-    return min(max(eta, 0.0), 0.98)
+    eta = 0.0 if 0.0 > eta else eta
+    return 0.98 if 0.98 < eta else eta
 
 
 def tailpipe_hc(hc_eng: float, eta_cat: float) -> float:

@@ -40,9 +40,13 @@ class FirstOrderTF:
     k: float    # inverse DC gain [-]
 
     def __post_init__(self):
+        # each field is read by plant.real, but a non-finite float keeps the
+        # words a failed fit reports: "tau must be finite, got inf"
         for name in ("tau", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, real(value, name))
         if self.tau == 0.0 and self.k == 0.0:
             raise ConfigError("tau and k cannot both be zero")
 

@@ -1,11 +1,13 @@
 """Model builders and data generators that only the tests use: the
 gain/time-constant form of a first-order channel, the quantizer's plain
-arithmetic that each ADC channel is checked against, a cascade controller
-with the default gains, the illustrative coupling matrix whose
-``rga.csv`` digest is pinned, the exact sampled response of a first-order
-channel that identification round trips are checked against, the
-closed-loop channel gains that the RGA is checked against, and CSV writers
-for the model and trajectory files the program only reads.
+arithmetic that each ADC channel is checked against, the catalyst fit
+with the builtin ``min``/``max`` clamps that its comparisons are checked
+against, a cascade controller with the default gains, the illustrative
+coupling matrix whose ``rga.csv`` digest is pinned, the exact sampled
+response of a first-order channel that identification round trips are
+checked against, the closed-loop channel gains that the RGA is checked
+against, and CSV writers for the model and trajectory files the program
+only reads.
 Also hooks into the per-block form of the CSV writers, to see which
 process formats each block when the blocks are shared across CPUs.
 """
@@ -51,6 +53,16 @@ def reference_quantize(value: float, bits: int, lo: float, hi: float) -> float:
     levels = (1 << bits) - 1
     code = round((clamped - lo) / (hi - lo) * levels)
     return lo + code * (hi - lo) / levels
+
+
+def reference_catalyst_efficiency(afr_value: float, t_cat: float, afr_ref: float) -> float:
+    """``plant.catalyst_efficiency`` with its four clamps written as the
+    builtin ``min`` and ``max``: the oracle its comparisons are checked
+    against, NaN and -0.0 included."""
+    afr_exp = min(-5.0 * (afr_value / afr_ref - 0.7) ** 15, 700.0)
+    temp_exp = min(-0.2 * ((t_cat - 30.0) / 150.0) ** 5, 700.0)
+    eta = 0.98 * (1.0 - math.exp(afr_exp)) * (1.0 - math.exp(temp_exp))
+    return min(max(eta, 0.0), 0.98)
 
 
 def with_default_gains(T: float = 0.02, **kwargs) -> CascadeController:

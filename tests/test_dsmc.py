@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coldstart import dsmc, plant
+from coldstart import dsmc, plant, rga
 from coldstart.errors import ConfigError, DegenerateInputError
 from coldstart.trajectory import TargetWindow
 from lab_helpers import with_default_gains
@@ -86,8 +86,11 @@ CONSTRUCTORS = {
             "T": (0.02, "sample time", "T"),
             "afi_floor": (dsmc.AFI_FLOOR_DEFAULT, "afi_floor", "afi_floor"),
             "delta_initial": (0.0, "delta_initial", "_delta_held"),
+            "constants": (plant.PlantConstants(), "constants", "constants"),
+            "bounds": (dsmc.ActuatorBounds(), "bounds", "bounds"),
         },
     ),
+    "FirstOrderTF": (rga.FirstOrderTF, {a: (1.0, a, a) for a in ("tau", "k")}),
 }
 STRAY = st.text(max_size=3) | st.none() | st.booleans() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -1, 10**5000]
@@ -124,6 +127,11 @@ def damaged_calls(draw):
 @example(case=("CascadeController", "T", "x"))
 @example(case=("CascadeController", "afi_floor", None))
 @example(case=("CascadeController", "delta_initial", math.nan))
+@example(case=("CascadeController", "constants", "x"))
+@example(case=("CascadeController", "bounds", "x"))
+@example(case=("FirstOrderTF", "tau", True))
+@example(case=("FirstOrderTF", "tau", "x"))
+@example(case=("FirstOrderTF", "k", 10**5000))
 def test_a_constructor_keeps_a_clean_value_or_refuses_naming_the_argument(case):
     """One argument of a valid call replaced by a stray value: the call
     raises a ConfigError naming that argument, or builds an object that

@@ -82,6 +82,30 @@ def test_quantize_validates_arguments():
         quantize(0.5, 0, 0.0, 1.0)
     with pytest.raises(ConfigError):
         quantize(0.5, 8, 1.0, 1.0)
+    # a code rounds in floats, which holds below 2**52 levels
+    with pytest.raises(ConfigError, match="^quantizer takes at most 52 bits, got 53$"):
+        quantize(0.5, 53, 0.0, 1.0)
+    for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ConfigError, match="hi - lo finite"):
+            quantize(0.5, 8, lo, hi)
+
+
+def test_quantize_rounds_a_tie_to_even_as_round_does():
+    """A code halfway between two levels goes to the even one, bit for bit as
+    ``round`` takes it in the reference, at 8, 16 and 32 bits; and the widest
+    word, 52 bits, matches the reference too."""
+    for bits in (8, 16, 32):
+        levels = (1 << bits) - 1
+        lo, hi = -1.0, levels - 1.0  # a unit step: a value's code is value - lo
+        ties = [n + 0.5 for n in (0, 1, 2, 3, levels // 2, levels - 2, levels - 1)]
+        for code in ties:
+            value = lo + code
+            assert (value - lo) / (hi - lo) * levels == code  # an exact tie
+            got = quantize(value, bits, lo, hi)
+            assert got.hex() == reference_quantize(value, bits, lo, hi).hex(), (bits, code)
+            assert got - lo == 2 * round(code / 2), (bits, code)
+    for value in (0.0, 1.0 / 3.0, 0.5, 1.0 - 2**-52, 1.0, 2.0):
+        assert quantize(value, 52, 0.0, 1.0).hex() == reference_quantize(value, 52, 0.0, 1.0).hex()
 
 
 def test_quantize_refuses_nan():

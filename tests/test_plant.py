@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from lab_helpers import reference_catalyst_efficiency
 
 from coldstart import plant
 from coldstart.errors import ConfigError, DegenerateInputError
@@ -306,6 +309,51 @@ def test_catalyst_efficiency_bounds_and_monotonicity():
         grid = np.linspace(30.0, 1000.0, 80)
         etas = [plant.catalyst_efficiency(afr_value, float(t), afr_ref=ref) for t in grid]
         assert all(b >= a - 1e-15 for a, b in zip(etas, etas[1:]))
+
+
+def catalyst_outcome(efficiency, *args):
+    """What ``efficiency`` gives at ``args``: the exception type it raises, or
+    the bits of its value, with every NaN alike."""
+    try:
+        eta = efficiency(*args)
+    except ArithmeticError as err:  # a fit overflows, or a zero reference
+        return type(err)
+    return "nan" if math.isnan(eta) else eta.hex()
+
+
+EDGES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+# AFR over its reference: rich of -0.69 the AFR exponent clamps at 700; near
+# 0.7 the AFR factor is exactly 0.0, which a negative brick factor makes -0.0
+RATIOS = st.floats(-3.0, 3.0) | st.floats(0.6, 0.8) | EDGES
+# below about -740 degC the brick exponent clamps at 700; near 30 its factor is 0.0
+BRICK = st.floats(-3000.0, 1500.0) | st.floats(20.0, 40.0) | st.floats() | EDGES
+
+
+@st.composite
+def catalyst_inputs(draw):
+    afr_ref = draw(st.sampled_from([plant.AFR_ST_DEFAULT, 8.4]) | st.floats() | EDGES)
+    afr_value = draw(st.builds(lambda r: r * afr_ref, RATIOS) | st.floats() | EDGES)
+    return afr_value, draw(BRICK), afr_ref
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=catalyst_inputs())
+@example(args=(-2.0 * 14.7, 400.0, 14.7))  # the AFR exponent clamps, then eta at 0
+@example(args=(14.7, -1000.0, 14.7))  # the brick exponent clamps, then eta at 0
+@example(args=(0.0, -1000.0, 14.7))  # eta clamps at 0.98
+@example(args=(0.7 * 14.7, 20.0, 14.7))  # eta is -0.0, which max(eta, 0.0) keeps
+@example(args=(math.nan, 400.0, 14.7))
+@example(args=(14.7, math.nan, 14.7))
+@example(args=(-math.inf, math.inf, 14.7))
+@example(args=(math.inf, -math.inf, 14.7))
+@example(args=(14.7, 330.0, 0.0))  # ZeroDivisionError
+@example(args=(1e300, 400.0, 14.7))  # OverflowError
+def test_catalyst_clamps_give_the_bits_of_min_and_max(args):
+    """The comparisons that clamp ``catalyst_efficiency`` give what the
+    builtin ``min``/``max`` give, bit for bit, for every float input."""
+    assert catalyst_outcome(plant.catalyst_efficiency, *args) == catalyst_outcome(
+        reference_catalyst_efficiency, *args
+    ), args
 
 
 def test_tailpipe_hc_fraction_passes_through():
