@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import plant
-from .errors import ConfigError, DegenerateInputError
+from .errors import DegenerateInputError
 
 AFI_FLOOR_DEFAULT = 0.05
 
@@ -164,16 +164,6 @@ class ControllerOutput(NamedTuple):
     events: tuple[str, ...]
 
 
-def _instance(value, cls: type, name: str):
-    """``value``, or a default ``cls()`` for None; ConfigError naming the
-    argument ``name`` for anything but a ``cls``."""
-    if value is None:
-        return cls()
-    if not isinstance(value, cls):
-        raise ConfigError(f"{name} must be a {cls.__name__}, got {plant.shown(value)}")
-    return value
-
-
 class CascadeController:
     """Runs the four loops in cascade order once per sample.
 
@@ -193,14 +183,14 @@ class CascadeController:
         afi_floor: float = AFI_FLOOR_DEFAULT,
         delta_initial: float = 0.0,
     ):
-        self.loop_fuel = loop_fuel
-        self.loop_speed = loop_speed
-        self.loop_exh = loop_exh
-        self.loop_air = loop_air
+        self.loop_fuel = plant.instance(loop_fuel, AdaptiveLoop, "loop_fuel")
+        self.loop_speed = plant.instance(loop_speed, AdaptiveLoop, "loop_speed")
+        self.loop_exh = plant.instance(loop_exh, AdaptiveLoop, "loop_exh")
+        self.loop_air = plant.instance(loop_air, AdaptiveLoop, "loop_air")
         self.T = plant.POSITIVE.norm(T, "sample time")
-        self.constants = _instance(constants, plant.PlantConstants, "constants")
+        self.constants = plant.instance(constants, plant.PlantConstants, "constants", default=True)
         self._plant = plant.PlantModel(self.constants)  # the drift the law reads
-        self.bounds = _instance(bounds, ActuatorBounds, "bounds")
+        self.bounds = plant.instance(bounds, ActuatorBounds, "bounds", default=True)
         self.afi_floor = plant.REAL.norm(afi_floor, "afi_floor")
         self._m_a_target: float | None = None  # target the air loop tracks next step
         self._delta_held = plant.REAL.norm(delta_initial, "delta_initial")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Any
@@ -31,9 +31,6 @@ from .trajectory import MAX_STEPS, SampledTrajectory, TrajectoryTable, default_t
 LOOPS = ("fuel", "speed", "exh", "air")
 # the loops that track a desired output; air tracks the speed loop's target
 TRACKED_LOOPS = ("fuel", "speed", "exh")
-# plant constants the model divides by, or that keep the fuel flow it
-# divides by off zero; zero or negative values are rejected
-POSITIVE_CONSTANTS = ("J", "alpha_f", "mcp", "r_c", "afr_cat", "mdot_f_floor")
 
 # Euler substeps per sample at most: a run's cost is linear in them, and at
 # the shipped T of 20 ms this is a 20 us plant step
@@ -191,8 +188,7 @@ _FIELDS: dict[str, Any] = {
     "metrics_window_start": Real(0.0, closed=True, rule="must be nonnegative"),
     **plant.CONVENTION_ROWS,
     "constants": _Object(
-        {k: POSITIVE if k in POSITIVE_CONSTANTS else REAL for k in vars(plant.PlantConstants())},
-        "field", "an object of numbers", defaults={},
+        plant.CONSTANT_ROWS, "field", "an object of numbers", defaults={},
     ),
     "trajectory": _Object(
         dict.fromkeys(TRAJECTORY_COLUMNS, Reals()), "column", "an object of number arrays",
@@ -255,7 +251,7 @@ class ScenarioConfig:
     # -- derived builders ---------------------------------------------------
 
     def build_constants(self) -> plant.PlantConstants:
-        return replace(plant.PlantConstants(), **self.constants)
+        return plant.PlantConstants(**self.constants)
 
     def build_controller(self) -> dsmc.CascadeController:
         def loop(name: str) -> dsmc.AdaptiveLoop:

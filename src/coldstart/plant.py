@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateInputError
@@ -55,7 +55,7 @@ QIN_MODES = ("as_printed", "heats_catalyst")
 
 @dataclass(frozen=True)
 class PlantConstants:
-    """Fixed physical parameters of the engine and catalyst."""
+    """Fixed physical parameters of the engine and catalyst (``CONSTANT_ROWS``)."""
 
     J: float = 0.1454        # crankshaft inertia [kg m^2]
     alpha_f: float = 0.06    # fuel-film lag time constant [s]
@@ -72,6 +72,9 @@ class PlantConstants:
     # reference recovers the intended lean-limit shape (see decision log).
     afr_cat: float = 8.4     # catalyst conversion AFR reference [-]
     mdot_f_floor: float = 1e-9  # fuel flow below this is degenerate [kg/s]
+
+    def __post_init__(self):
+        check_fields(self, CONSTANT_ROWS, "constants.")
 
 
 @dataclass(frozen=True)
@@ -221,12 +224,29 @@ CONVENTION_ROWS = {
     "qin_direction": Choice(QIN_MODES, f"must be one of {QIN_MODES}"),
 }
 PHI_TRUE = Real(0.0, rule="must be a positive number")
+# the constants the model divides by, or that keep the fuel flow it divides by
+# off zero, are positive
+CONSTANT_ROWS = {f.name: REAL for f in fields(PlantConstants)} | dict.fromkeys(
+    ("J", "alpha_f", "mcp", "r_c", "afr_cat", "mdot_f_floor"), POSITIVE
+)
 
 
 def check_fields(obj, rows: dict, prefix: str = "") -> None:
     """Read each field of ``obj`` named in ``rows`` by its row; errors name ``prefix + name``."""
     for name, row in rows.items():
         object.__setattr__(obj, name, row.norm(getattr(obj, name), prefix + name))
+
+
+def instance(value, cls: type, name: str, default: bool = False):
+    """``value``, or with ``default`` a ``cls()`` for None; ConfigError naming
+    the argument ``name`` for anything but a ``cls``. The one rule for an
+    object argument."""
+    if value is None and default:
+        return cls()
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ConfigError(f"{name} must be {article} {cls.__name__}, got {shown(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -378,7 +398,9 @@ class PlantModel:
         conventions: PlantConventions = PlantConventions(),
         phi: PhiTrue = PhiTrue(),
     ):
-        self.constants = constants
+        self.constants = constants = instance(constants, PlantConstants, "constants")
+        conventions = instance(conventions, PlantConventions, "conventions")
+        phi = instance(phi, PhiTrue, "phi")
         for name in ("J", "alpha_f", "mcp", "t_atm", "afr_cat", "mdot_f_floor"):
             setattr(self, name, getattr(constants, name))
         self.speed_gain = TORQUE_AIR_GAIN / constants.J  # speed-row input gain on manifold air

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fanout
 from .errors import ConfigError, IdentificationError, SingularGainError, SingularMatrixError
-from .plant import real
+from .plant import Count, instance, real, shown
 from .tables import csv_float, json_value
 
 DEFAULT_COND_LIMIT = 1e12
@@ -76,14 +76,17 @@ class TFMatrix:
     entries: tuple  # tuple of tuples of FirstOrderTF | None
 
     def __post_init__(self):
+        if not (isinstance(self.entries, (tuple, list)) and self.entries):
+            raise ConfigError(f"entries must be a non-empty array, got {shown(self.entries)}")
         n = len(self.entries)
-        if n == 0:
-            raise ConfigError("empty transfer matrix")
         rows = []
         for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ConfigError(f"row {i} has {len(row)} entries, expected {n}")
-            rows.append(tuple(row))
+            if not (isinstance(row, (tuple, list)) and len(row) == n):
+                raise ConfigError(f"entries[{i}] must be an array of {n} items, got {shown(row)}")
+            rows.append(tuple(
+                tf if tf is None else instance(tf, FirstOrderTF, f"entries[{i}][{j}]")
+                for j, tf in enumerate(row)
+            ))
         object.__setattr__(self, "entries", tuple(rows))
 
     @property
@@ -290,10 +293,10 @@ def rga_sweep(
 ) -> RGAResult:
     """Log-spaced RGA sweep; ill-conditioned frequencies become gaps.
     OverflowError where a response or an RGA element overflows a float."""
-    if not (w_min > 0 and w_max > w_min):
+    w_min, w_max = real(w_min, "w_min"), real(w_max, "w_max")
+    if not 0 < w_min < w_max:
         raise ConfigError(f"need 0 < w_min < w_max, got [{w_min}, {w_max}]")
-    if not 1 <= n_points <= MAX_POINTS:
-        raise ConfigError(f"n_points must be in [1, {MAX_POINTS}], got {n_points!r}")
+    n_points = Count(1, MAX_POINTS).norm(n_points, "n_points")  # the cap read at call time
     omegas = np.logspace(math.log10(w_min), math.log10(w_max), n_points)
     p = tfm.response(omegas)
     # gap rows are left out first: one singular member fails a batched

@@ -67,7 +67,8 @@ def test_a_loop_or_controller_out_of_its_domain_is_refused(build, message):
 
 # A valid call of each value-checking constructor: per argument, its valid
 # value, the name a refusal of it starts with, and the attribute the built
-# object keeps it in.
+# object keeps it in (None where it keeps no such attribute: then only a
+# refusal passes).
 CONSTRUCTORS = {
     "AdaptiveLoop": (dsmc.AdaptiveLoop, {a: (v, a, a) for a, v in vars(make_loop()).items()}),
     "ActuatorBounds": (
@@ -80,9 +81,25 @@ CONSTRUCTORS = {
     "PlantConventions": (
         plant.PlantConventions, {a: (v, a, a) for a, v in vars(plant.PlantConventions()).items()},
     ),
-    "CascadeController": (
-        with_default_gains,
+    "PlantConstants": (
+        plant.PlantConstants,
+        {a: (v, f"constants.{a}", a) for a, v in vars(plant.PlantConstants()).items()},
+    ),
+    "PlantModel": (
+        plant.PlantModel,
         {
+            "constants": (plant.PlantConstants(), "constants", "constants"),
+            "conventions": (plant.PlantConventions(), "conventions", None),
+            "phi": (plant.PhiTrue(), "phi", None),
+        },
+    ),
+    "CascadeController": (
+        dsmc.CascadeController,
+        {
+            **{
+                f"loop_{k}": (dsmc.AdaptiveLoop(dsmc.BETA_DEFAULT, rho), f"loop_{k}", f"loop_{k}")
+                for k, rho in dsmc.RHO_DEFAULTS.items()
+            },
             "T": (0.02, "sample time", "T"),
             "afi_floor": (dsmc.AFI_FLOOR_DEFAULT, "afi_floor", "afi_floor"),
             "delta_initial": (0.0, "delta_initial", "_delta_held"),
@@ -91,6 +108,7 @@ CONSTRUCTORS = {
         },
     ),
     "FirstOrderTF": (rga.FirstOrderTF, {a: (1.0, a, a) for a in ("tau", "k")}),
+    "TFMatrix": (rga.TFMatrix, {"entries": ([[rga.FirstOrderTF(1.0, 1.0)]], "entries", None)}),
 }
 STRAY = st.text(max_size=3) | st.none() | st.booleans() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -1, 10**5000]
@@ -132,6 +150,15 @@ def damaged_calls(draw):
 @example(case=("FirstOrderTF", "tau", True))
 @example(case=("FirstOrderTF", "tau", "x"))
 @example(case=("FirstOrderTF", "k", 10**5000))
+@example(case=("PlantConstants", "J", "x"))
+@example(case=("PlantConstants", "J", 0.0))
+@example(case=("PlantConstants", "J", math.nan))
+@example(case=("PlantConstants", "alpha_f", -1.0))
+@example(case=("PlantModel", "constants", "x"))
+@example(case=("CascadeController", "loop_fuel", "x"))
+@example(case=("CascadeController", "loop_air", None))
+@example(case=("TFMatrix", "entries", None))
+@example(case=("TFMatrix", "entries", [[1.0]]))
 def test_a_constructor_keeps_a_clean_value_or_refuses_naming_the_argument(case):
     """One argument of a valid call replaced by a stray value: the call
     raises a ConfigError naming that argument, or builds an object that
@@ -145,6 +172,7 @@ def test_a_constructor_keeps_a_clean_value_or_refuses_naming_the_argument(case):
     except ConfigError as e:
         assert re.match(rf"{re.escape(refused_as)}[ \[]", str(e)), str(e)
         return
+    assert kept_in is not None, built
     kept = getattr(built, kept_in)
     assert type(kept) is type(like), kept
     if isinstance(like, tuple):

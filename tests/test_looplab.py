@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coldstart import cli, dsmc, fanout, looplab, plant
@@ -374,12 +374,40 @@ def test_config_steps_are_capped_before_anything_is_allocated():
             ScenarioConfig.from_dict(data)
 
 
-@pytest.mark.parametrize("name", looplab.POSITIVE_CONSTANTS)
+@pytest.mark.parametrize(
+    "name", [n for n, row in plant.CONSTANT_ROWS.items() if row is plant.POSITIVE]
+)
 @pytest.mark.parametrize("value", [0, -0.5])
 def test_config_rejects_non_positive_plant_constants(name, value):
     message = f"constants.{name} must be positive, got {float(value)!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ScenarioConfig(constants={name: value})
+
+
+# clean, non-positive and non-finite numbers, and values of the wrong type
+CONSTANT_VALUES = st.one_of(
+    st.floats(), st.integers(-2, 2), st.text(max_size=2), st.none(),
+    st.sampled_from([True, 10**5000, [1.0]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constants=st.dictionaries(st.sampled_from(list(plant.CONSTANT_ROWS)), CONSTANT_VALUES))
+@example(constants={"J": "x"})
+@example(constants={"J": 0.0})
+@example(constants={"J": math.nan})
+@example(constants={"alpha_f": -1.0})
+def test_the_config_and_plant_constants_refuse_or_build_alike(constants):
+    """``PlantConstants`` owns the rule of its fields: a config refuses a
+    constants object with the message ``PlantConstants`` gives, or builds
+    the same constants."""
+    try:
+        expected = plant.PlantConstants(**constants)
+    except ConfigError as err:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(err))}$"):
+            ScenarioConfig(constants=constants)
+        return
+    assert ScenarioConfig(constants=constants).build_constants() == expected
 
 
 @pytest.mark.parametrize("name", ["quantization_enabled", "adaptation_enabled"])

@@ -434,6 +434,15 @@ def test_sweep_validates_grid():
         rga_sweep(default_coupling_matrix(), w_min=1.0, w_max=0.1)
     with pytest.raises(ValueError):
         rga_sweep(default_coupling_matrix(), n_points=0)
+    # each argument is read by its row kind, and a refusal names it
+    for grid, message in (
+        ({"w_min": "x"}, "w_min must be a number, got 'x'"),
+        ({"w_max": math.inf}, "w_max must be a finite number, got inf"),
+        ({"n_points": 5.5}, "n_points must be an integer >= 1, got 5.5"),
+        ({"n_points": True}, "n_points must be a number, got True"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            rga_sweep(default_coupling_matrix(), **grid)
 
 
 def test_sweep_csv_layout():
