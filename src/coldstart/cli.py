@@ -114,16 +114,17 @@ def _out_dir(path: str) -> Path:
 # hand-rolled SVG line charts (deterministic, no plotting dependency)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT, _TICKS = 760, 380, 6  # every chart's size in pixels, and ticks per axis
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
-def _line_chart(title, x_label, y_label, x, series, width=760, height=380) -> str:
+def _line_chart(title, x_label, y_label, x, series) -> str:
     """Minimal multi-series line chart; ``series`` is [(label, y-array), ...]."""
     ml, mr, mt, mb = 64, 16, 30, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
     x = np.asarray(x, dtype=float)
     finite_y = np.concatenate(
         [np.asarray(y, dtype=float)[np.isfinite(np.asarray(y, dtype=float))] for _, y in series]
@@ -147,10 +148,10 @@ def _line_chart(title, x_label, y_label, x, series, width=760, height=380) -> st
         return mt + (y_hi - v) / (y_hi - y_lo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
         f'font-family="monospace" font-size="13">{title}</text>',
     ]
     for tx in _ticks(x_lo, x_hi):
@@ -174,7 +175,7 @@ def _line_chart(title, x_label, y_label, x, series, width=760, height=380) -> st
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         f'font-family="monospace" font-size="11">{x_label}</text>'
     )
     parts.append(

@@ -24,17 +24,13 @@ import numpy as np
 
 from . import dsmc, fanout, plant, tables
 from .errors import ConfigError, DegenerateInputError, SimulationAbort
-from .plant import BOOL, PAIR, POSITIVE, REAL, Count, PhiTrue, Real, Reals, shown
+from .plant import BOOL, NONNEGATIVE, PAIR, POSITIVE, REAL, Count, PhiTrue, Reals, shown
 from .trajectory import COLUMNS as TRAJECTORY_COLUMNS
 from .trajectory import MAX_STEPS, SampledTrajectory, TrajectoryTable, default_table
 
 LOOPS = ("fuel", "speed", "exh", "air")
 # the loops that track a desired output; air tracks the speed loop's target
 TRACKED_LOOPS = ("fuel", "speed", "exh")
-
-# Euler substeps per sample at most: a run's cost is linear in them, and at
-# the shipped T of 20 ms this is a 20 us plant step
-MAX_SUBSTEPS = 1000
 
 # the state's names in the record and in the config's JSON, in EngineState order
 STATE_COLUMNS = ("m_a", "omega_e", "mdot_f", "t_cat", "t_exh")
@@ -51,6 +47,7 @@ DEFAULT_SIGNAL_RANGES: dict[str, tuple[float, float]] = {
 
 MAX_ADC_BITS = 52  # the longest word whose codes adc_channel rounds exactly
 _ROUNDER = 2.0**MAX_ADC_BITS
+ADC_BITS = Count(1, MAX_ADC_BITS)
 
 
 def quantize(value: float, bits: int, lo: float, hi: float) -> float:
@@ -63,22 +60,15 @@ def quantize(value: float, bits: int, lo: float, hi: float) -> float:
 
 
 def adc_channel(bits: int, lo: float, hi: float):
-    """``quantize`` bound to one word length and span, its arguments checked
-    once: the quantizer the loop runs on each sampled signal.
+    """``quantize`` bound to one word length and span, each read once by its
+    row: the quantizer the loop runs on each sampled signal.
 
     A code is rounded half to even as ``round`` rounds it, but in floats:
     for 0 <= x < 2**52, ``x + 2**52 - 2**52`` is ``round(x)`` exactly, so a
     word is at most ``MAX_ADC_BITS`` long."""
-    if bits < 1:
-        raise ConfigError(f"quantizer needs at least 1 bit, got {bits!r}")
-    if bits > MAX_ADC_BITS:
-        raise ConfigError(f"quantizer takes at most {MAX_ADC_BITS} bits, got {bits!r}")
+    levels = float((1 << ADC_BITS.norm(bits, "quantizer bits")) - 1)
+    lo, hi = PAIR.norm((lo, hi), "quantizer range")  # a finite width: it has codes
     width = hi - lo
-    if not (lo < hi and math.isfinite(width)):  # an infinite width has no codes
-        raise ConfigError(
-            f"quantizer range must satisfy lo < hi with hi - lo finite, got ({lo!r}, {hi!r})"
-        )
-    levels = float((1 << bits) - 1)
 
     def channel(value: float) -> float:
         if value != value:
@@ -97,14 +87,14 @@ def euler_step(
     substeps: int = 1,
 ) -> tuple[plant.EngineState, plant.EmissionOutputs]:
     """One fixed-step Euler advance of ``model`` over ``T`` with ``inputs``
-    held: ``PlantModel.advance``, the run loop's plant step, as named tuples.
+    held: ``PlantModel.stepper``'s step, the run loop's, as named tuples.
 
     Returns the next state and the emission chain evaluated at the start
     state, which is the record row of this step.  ``substeps > 1``
     subdivides the interval (stiffness check only; the shipped scenarios
     use a single step).
     """
-    state, emission = model.advance(state, inputs, T, substeps)
+    state, emission = model.stepper(T, substeps)(state, inputs)
     return plant.EngineState(*state), plant.EmissionOutputs(*emission)
 
 
@@ -153,13 +143,13 @@ class _Object:
         return {k: self.items[k].dump(v) for k, v in self._as_object(value).items()}
 
 
-def _loops(row: Real, **kw) -> _Object:
+def _loops(row: plant.Real, **kw) -> _Object:
     return _Object(dict.fromkeys(LOOPS, row), "loop", "an object with the four loop names", **kw)
 
 
 _FIELDS: dict[str, Any] = {
     "T": POSITIVE,
-    "duration": Real(0.0, closed=True, rule="must be nonnegative"),
+    "duration": NONNEGATIVE,
     "quantization_enabled": BOOL,
     "quant_bits": Count(8, 32),
     "signal_ranges": _Object(
@@ -183,9 +173,9 @@ _FIELDS: dict[str, Any] = {
         "5 numbers or an object", build=plant.EngineState, sequence=True,
     ),
     "delta_initial": REAL,
-    "substeps": Count(1, MAX_SUBSTEPS),
+    "substeps": plant.SUBSTEPS,
     "feedback_delay_steps": Count(0),
-    "metrics_window_start": Real(0.0, closed=True, rule="must be nonnegative"),
+    "metrics_window_start": NONNEGATIVE,
     **plant.CONVENTION_ROWS,
     "constants": _Object(
         plant.CONSTANT_ROWS, "field", "an object of numbers", defaults={},
@@ -473,6 +463,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     n_steps = traj.n_steps
     T = config.T
     quantized = config.quantization_enabled
+    step = model.stepper(T, config.substeps)
     # one ADC channel per signal, in DEFAULT_SIGNAL_RANGES order
     (
         adc_m_a, adc_omega_e, adc_mdot_f, adc_t_cat, adc_t_exh,
@@ -500,7 +491,6 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     # line is sized by the run, not by the configured delay.
     depth = min(config.feedback_delay_steps, n_steps) + 1
     fb_queue: deque[tuple] = deque([state] * depth, maxlen=depth)
-    advance, substeps = model.advance, config.substeps
 
     for k, targets in enumerate(traj.windows()):
         feedback = fb_queue[0]
@@ -519,9 +509,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         else:
             applied = (out.mdot_ai, out.mdot_fc, out.delta)
         try:
-            next_state, (_, afr_value, hc_eng, eta_cat, hc_tp) = advance(
-                state, applied, T, substeps
-            )
+            next_state, (_, afr_value, hc_eng, eta_cat, hc_tp) = step(state, applied)
         except DegenerateInputError as err:
             raise SimulationAbort(f"plant: {err}", step=k) from None
         t = k * T

@@ -7,11 +7,11 @@ burn duration, engine-out HC, catalyst conversion efficiency) are exposed
 as pure functions so they can be checked in isolation.
 
 The four controlled states are control-affine, x' = phi*f(x) + g(x)*u.
-f(x) lives in ``PlantModel``, built once per run: its Euler advance runs the
-emission chain once per substep, then the drift, the brick heat balance and
-the update.  ``emissions`` is a face over it for callers that hold the
-frozen parameter objects, and the controller reads the drift and speed-row
-input gain from its own model.
+f(x) lives in ``PlantModel``, built once per run: the Euler step that
+``stepper`` binds runs the emission chain once per substep, then the drift,
+the brick heat balance and the update.  ``emissions`` is a face over it for
+callers that hold the frozen parameter objects, and the controller reads the
+drift and speed-row input gain from its own model.
 
 Angles are in crank degrees unless noted, temperatures in degC, flows in kg/s.
 """
@@ -217,6 +217,7 @@ class Reals(Row):
 
 
 REAL, POSITIVE, PAIR = Real(), Real(0.0, rule="must be positive"), Reals(pair=True)
+NONNEGATIVE = Real(0.0, closed=True, rule="must be nonnegative")
 BOOL = Choice((True, False), "must be true or false")
 CONVENTION_ROWS = {
     "hc_mode": Choice(HC_MODES, f"must be one of {HC_MODES}"),
@@ -224,6 +225,10 @@ CONVENTION_ROWS = {
     "qin_direction": Choice(QIN_MODES, f"must be one of {QIN_MODES}"),
 }
 PHI_TRUE = Real(0.0, rule="must be a positive number")
+# Euler substeps per sample at most: a run's cost is linear in them, and at
+# the shipped T of 20 ms this is a 20 us plant step
+MAX_SUBSTEPS = 1000
+SUBSTEPS = Count(1, MAX_SUBSTEPS)
 # the constants the model divides by, or that keep the fuel flow it divides by
 # off zero, are positive
 CONSTANT_ROWS = {f.name: REAL for f in fields(PlantConstants)} | dict.fromkeys(
@@ -386,7 +391,7 @@ def tailpipe_hc(hc_eng: float, eta_cat: float) -> float:
 
 
 class PlantModel:
-    """The plant of one run: f(x), the emission chain and the Euler advance.
+    """The plant of one run: f(x), the emission chain and the Euler step.
 
     The constants are read and the convention branches resolved once, here;
     the per-step methods take and give plain floats and tuples, in
@@ -472,27 +477,29 @@ class PlantModel:
             self.phi_exh * f_exh + (SPARK_TEMP_GAIN * afi_value / alpha_e) * delta,
         ), chain
 
-    def advance(
-        self, state: tuple, inputs: tuple, T: float, substeps: int = 1
-    ) -> tuple[tuple, tuple]:
-        """The state ``T`` later by ``substeps`` Euler substeps x + h*x' of
-        h = T/substeps with ``inputs`` held, and the chain at ``state``."""
-        if substeps < 1:
-            raise ConfigError(f"substeps must be a positive integer, got {substeps!r}")
-        h = T / substeps
-        chain = None
-        for _ in range(substeps):
-            (d_m_a, d_omega_e, d_mdot_f, d_T_cat, d_T_exh), at = self.rates(state, inputs)
-            chain = chain or at  # the first substep's, at ``state``
-            m_a, omega_e, mdot_f, T_cat, T_exh = state
-            state = (
-                m_a + h * d_m_a,
-                omega_e + h * d_omega_e,
-                mdot_f + h * d_mdot_f,
-                T_cat + h * d_T_cat,
-                T_exh + h * d_T_exh,
-            )
-        return state, chain
+    def stepper(self, T: float, substeps: int = 1):
+        """``step(state, inputs)``: the state ``T`` later by ``substeps`` Euler
+        substeps x + h*x' of h = T/substeps with ``inputs`` held, and the chain
+        at ``state``. ``T`` and ``substeps`` are read once, here, by their rows."""
+        substeps = SUBSTEPS.norm(substeps, "substeps")
+        h = NONNEGATIVE.norm(T, "T") / substeps
+
+        def step(state: tuple, inputs: tuple) -> tuple[tuple, tuple]:
+            chain = None
+            for _ in range(substeps):
+                (d_m_a, d_omega_e, d_mdot_f, d_T_cat, d_T_exh), at = self.rates(state, inputs)
+                chain = chain or at  # the first substep's, at ``state``
+                m_a, omega_e, mdot_f, T_cat, T_exh = state
+                state = (
+                    m_a + h * d_m_a,
+                    omega_e + h * d_omega_e,
+                    mdot_f + h * d_mdot_f,
+                    T_cat + h * d_T_cat,
+                    T_exh + h * d_T_exh,
+                )
+            return state, chain
+
+        return step
 
 
 def emissions(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fanout
 from .errors import ConfigError, IdentificationError, SingularGainError, SingularMatrixError
-from .plant import Count, instance, real, shown
+from .plant import POSITIVE, Count, instance, real, shown
 from .tables import csv_float, json_value
 
 DEFAULT_COND_LIMIT = 1e12
@@ -338,10 +338,9 @@ def identify_first_order(u, y, T: float) -> FirstOrderFit:
     mapped back with the step time ``T``.  A constant, already-settled record
     still yields the DC gain but no time constant.
     """
+    T = POSITIVE.norm(T, "T")
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    if T <= 0:
-        raise IdentificationError(f"step time must be positive, got {T}")
     if len(u) != len(y):
         raise IdentificationError(f"length mismatch: {len(u)} inputs vs {len(y)} outputs")
     if len(u) < MIN_FIT_SAMPLES:
@@ -404,6 +403,7 @@ def identify_mimo(u_series, y_series, T: float) -> MimoIdentification:
     A flat output becomes an explicit zero-coupling entry, and a failed fit
     a hole in ``failed`` whose reason starts with "fit failed".
     """
+    T = POSITIVE.norm(T, "T")
     u_series = np.asarray(u_series, dtype=float)
     y_series = np.asarray(y_series, dtype=float)
     if u_series.ndim != 2:

@@ -9,7 +9,6 @@ two-step lookahead of its target.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import tables
 from .errors import ConfigError
-from .plant import reals
+from .plant import NONNEGATIVE, POSITIVE, reals
 
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
 
@@ -87,12 +86,10 @@ class TrajectoryTable:
 
     def steps(self, T: float, duration: float) -> int:
         """The controller steps of a ``duration`` s run sampled every ``T`` s;
-        a ConfigError unless that is a whole number of at most ``MAX_STEPS``
-        samples and the table covers one sample past it."""
-        if not 0.0 < T < math.inf:
-            raise ConfigError(f"sample time must be positive and finite, got {T!r}")
-        if not 0.0 <= duration < math.inf:
-            raise ConfigError(f"duration must be nonnegative and finite, got {duration!r}")
+        a ConfigError unless each reads by its row and that is a whole number
+        of at most ``MAX_STEPS`` samples, which the table covers one past."""
+        T = POSITIVE.norm(T, "sample time")
+        duration = NONNEGATIVE.norm(duration, "duration")
         steps = duration / T
         if steps > MAX_STEPS:  # an infinite quotient too
             raise ConfigError(f"duration / T must be at most {MAX_STEPS} steps, got {steps!r}")

@@ -7,7 +7,8 @@ coupling matrix whose ``rga.csv`` digest is pinned, the exact sampled
 response of a first-order channel that identification round trips are
 checked against, the closed-loop channel gains that the RGA is checked
 against, and CSV writers for the model and trajectory files the program
-only reads.
+only reads, and the stray values that the argument properties put in
+place of one argument of a valid call.
 Also hooks into the per-block form of the CSV writers, to see which
 process formats each block when the blocks are shared across CPUs.
 """
@@ -19,11 +20,24 @@ import os
 import time
 
 import numpy as np
+from hypothesis import strategies as st
 
 from coldstart.dsmc import BETA_DEFAULT, RHO_DEFAULTS, AdaptiveLoop, CascadeController
 from coldstart.errors import ConfigError, DegenerateInputError, SingularGainError
 from coldstart.rga import DEFAULT_COND_LIMIT, FirstOrderTF, TFMatrix, _check_invertible
 from coldstart.trajectory import COLUMNS, TrajectoryTable
+
+
+STRAY = st.text(max_size=3) | st.none() | st.booleans() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1, 10**5000]
+)
+# a stray value, or a list, dict or tuple (of any length) holding stray values or floats
+STRAYS = st.one_of(
+    STRAY,
+    st.lists(STRAY | st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=2), STRAY, max_size=2),
+    st.lists(STRAY | st.floats(), max_size=3).map(tuple),
+)
 
 
 def to_gain_time_constant(tf: FirstOrderTF) -> tuple[float, float]:

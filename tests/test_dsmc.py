@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coldstart import dsmc, plant, rga
 from coldstart.errors import ConfigError, DegenerateInputError
 from coldstart.trajectory import TargetWindow
-from lab_helpers import with_default_gains
+from lab_helpers import STRAYS, with_default_gains
 
 
 def make_loop(beta=0.5, rho=1.0, phi_hat=1.0, **kw):
@@ -110,16 +110,6 @@ CONSTRUCTORS = {
     "FirstOrderTF": (rga.FirstOrderTF, {a: (1.0, a, a) for a in ("tau", "k")}),
     "TFMatrix": (rga.TFMatrix, {"entries": ([[rga.FirstOrderTF(1.0, 1.0)]], "entries", None)}),
 }
-STRAY = st.text(max_size=3) | st.none() | st.booleans() | st.sampled_from(
-    [math.nan, math.inf, -math.inf, -1, 10**5000]
-)
-# a stray value, or a list, dict or tuple (of any length) holding stray values or floats
-STRAYS = st.one_of(
-    STRAY,
-    st.lists(STRAY | st.floats(), max_size=3),
-    st.dictionaries(st.text(max_size=2), STRAY, max_size=2),
-    st.lists(STRAY | st.floats(), max_size=3).map(tuple),
-)
 
 
 @st.composite

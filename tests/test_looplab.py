@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coldstart import cli, dsmc, fanout, looplab, plant
+from coldstart import cli, dsmc, fanout, looplab, plant, rga
 from coldstart.errors import ConfigError, DegenerateInputError, SimulationAbort
 from coldstart.looplab import (
     LOOPS,
@@ -26,6 +26,7 @@ from coldstart.looplab import (
     PhiTrue,
     RunRecord,
     ScenarioConfig,
+    adc_channel,
     apply_overrides,
     compute_metrics,
     euler_step,
@@ -33,8 +34,13 @@ from coldstart.looplab import (
     run_scenario,
 )
 from coldstart.trajectory import COLUMNS as TRAJECTORY_COLUMNS
-from coldstart.trajectory import TrajectoryTable
-from lab_helpers import kill_first_helper_mid_block, reference_quantize
+from coldstart.trajectory import TrajectoryTable, default_table
+from lab_helpers import (
+    STRAYS,
+    kill_first_helper_mid_block,
+    reference_quantize,
+    simulate_first_order,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +89,14 @@ def test_quantize_validates_arguments():
     with pytest.raises(ConfigError):
         quantize(0.5, 8, 1.0, 1.0)
     # a code rounds in floats, which holds below 2**52 levels
-    with pytest.raises(ConfigError, match="^quantizer takes at most 52 bits, got 53$"):
+    with pytest.raises(ConfigError, match=r"^quantizer bits must be in \[1, 52\], got 53$"):
         quantize(0.5, 53, 0.0, 1.0)
-    for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)):
-        with pytest.raises(ConfigError, match="hi - lo finite"):
+    for lo, hi, message in (
+        (-math.inf, 0.0, r"^quantizer range\[0\] must be a finite number, got -inf$"),
+        (0.0, math.inf, r"^quantizer range\[1\] must be a finite number, got inf$"),
+        (-1e308, 1e308, "hi - lo finite"),
+    ):
+        with pytest.raises(ConfigError, match=message):
             quantize(0.5, 8, lo, hi)
 
 
@@ -211,6 +221,79 @@ def test_euler_step_substeps_refine_toward_smaller_steps():
     assert 0.0 < d24 < d12
     with pytest.raises(ConfigError):
         euler_step(state, inputs, plant.PlantModel(), 0.02, substeps=0)
+
+
+# a step-excited first-order record, which identifies cleanly at T = 0.02
+FIT_U = np.where(np.arange(200) // 50 % 2 == 0, 1.0, 0.0)
+FIT_Y = simulate_first_order(rga.FirstOrderTF(tau=0.5, k=2.0), FIT_U, 0.02)
+# entry -> (call, {argument: (valid value, name a refusal starts with)});
+# a stepper runs its step, and identify_mimo gives the fit of its one pair,
+# so a T that fails the fit, not the call, shows
+ADC_ARGS = {
+    "bits": (8, "quantizer bits"), "lo": (0.0, "quantizer range"), "hi": (1.0, "quantizer range"),
+}
+STEP_ARGS = {"T": (0.02, "T"), "substeps": (1, "substeps")}
+GRID_ARGS = {"T": (0.02, "sample time"), "duration": (1.0, "duration")}
+RUN_ENTRIES = {
+    "adc_channel": (adc_channel, ADC_ARGS),
+    "quantize": (lambda **kw: quantize(0.5, **kw), ADC_ARGS),
+    "stepper": (
+        lambda T, substeps: plant.PlantModel().stepper(T, substeps)(
+            nominal_state(), nominal_inputs()
+        ),
+        STEP_ARGS,
+    ),
+    "euler_step": (
+        lambda T, substeps: euler_step(
+            nominal_state(), nominal_inputs(), plant.PlantModel(), T, substeps
+        ),
+        STEP_ARGS,
+    ),
+    "steps": (lambda T, duration: default_table().steps(T, duration), GRID_ARGS),
+    "sample": (lambda T, duration: default_table().sample(T, duration), GRID_ARGS),
+    "identify_first_order": (
+        lambda T: rga.identify_first_order(FIT_U, FIT_Y, T),
+        {"T": (0.02, "T")},
+    ),
+    "identify_mimo": (
+        lambda T: rga.identify_mimo(FIT_U[None], FIT_Y[None, None], T).fits[(1, 1)],
+        {"T": (0.02, "T")},
+    ),
+}
+
+
+@st.composite
+def damaged_run_calls(draw):
+    name = draw(st.sampled_from(sorted(RUN_ENTRIES)))
+    return name, {draw(st.sampled_from(sorted(RUN_ENTRIES[name][1]))): draw(STRAYS)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=damaged_run_calls())
+@example(case=("adc_channel", {"bits": 1.5}))
+@example(case=("steps", {"T": "x"}))
+@example(case=("identify_first_order", {"T": math.inf}))
+@example(case=("stepper", {"substeps": True}))
+@example(case=("adc_channel", {"lo": "a", "hi": "b"}))
+@example(case=("adc_channel", {"bits": True}))
+@example(case=("stepper", {"substeps": 1.5}))
+@example(case=("steps", {"T": True}))
+@example(case=("identify_mimo", {"T": "x"}))
+@example(case=("identify_mimo", {"T": math.nan}))
+def test_a_run_entry_keeps_a_clean_value_or_refuses_naming_the_argument(case):
+    """Arguments of a valid call replaced by stray values: the call raises a
+    ConfigError naming one of them, or returns what the valid call returns
+    the type of."""
+    name, stray = case
+    call, args = RUN_ENTRIES[name]
+    valid = call(**{a: v for a, (v, _) in args.items()})
+    try:
+        got = call(**{**{a: v for a, (v, _) in args.items()}, **stray})
+    except ConfigError as e:
+        names = "|".join(re.escape(args[a][1]) for a in stray)
+        assert re.match(rf"({names})[ \[]", str(e)), str(e)
+        return
+    assert type(got) is type(valid), got
 
 
 def test_phi_true_validation():
@@ -352,7 +435,7 @@ def test_the_readme_integer_ranges_are_those_of_the_field_table():
 
 
 def test_config_substeps_are_capped():
-    assert ScenarioConfig(substeps=looplab.MAX_SUBSTEPS).substeps == 1000
+    assert ScenarioConfig(substeps=plant.MAX_SUBSTEPS).substeps == 1000
     assert ScenarioConfig(substeps=2.0).substeps == 2
     # an int past 2**53 is no float, but still an integer
     assert ScenarioConfig(feedback_delay_steps=2**53 + 1).feedback_delay_steps == 2**53 + 1
@@ -1007,10 +1090,13 @@ def test_run_feedback_delay_past_the_run_matches_a_delay_of_the_run_length():
 
 
 def test_run_non_finite_state_abort_names_the_state(monkeypatch):
-    def nan_advance(self, state, *args, **kwargs):
-        return (math.nan, 140.0, 8e-4, 25.0, 25.0), self.emissions(*state[:4], 0.0)
+    def nan_stepper(self, *args):
+        def step(state, inputs):
+            return (math.nan, 140.0, 8e-4, 25.0, 25.0), self.emissions(*state[:4], 0.0)
 
-    monkeypatch.setattr(plant.PlantModel, "advance", nan_advance)
+        return step
+
+    monkeypatch.setattr(plant.PlantModel, "stepper", nan_stepper)
     message = "step 1: non-finite state (nan, 140.0, 0.0008, 25.0, 25.0)"
     with pytest.raises(SimulationAbort, match=f"^{re.escape(message)}$") as err:
         run_scenario(short_config())
@@ -1020,13 +1106,18 @@ def test_run_non_finite_state_abort_names_the_state(monkeypatch):
 def test_run_state_check_passes_finite_values_whose_sum_overflows(monkeypatch):
     # the loop's fast test sums the state; a sum that overflows is not a
     # non-finite state, so the plant is the one to refuse the next step
-    real = plant.PlantModel.advance
+    real = plant.PlantModel.stepper
 
     def hot(self, *args):
-        (m_a, omega_e, mdot_f, _, _), chain = real(self, *args)
-        return (m_a, omega_e, mdot_f, 1e308, 1e308), chain
+        real_step = real(self, *args)
 
-    monkeypatch.setattr(plant.PlantModel, "advance", hot)
+        def step(state, inputs):
+            (m_a, omega_e, mdot_f, _, _), chain = real_step(state, inputs)
+            return (m_a, omega_e, mdot_f, 1e308, 1e308), chain
+
+        return step
+
+    monkeypatch.setattr(plant.PlantModel, "stepper", hot)
     with pytest.raises(SimulationAbort, match=r"^step 1: plant: emission chain overflows") as err:
         run_scenario(short_config())
     assert err.value.step == 1

@@ -495,10 +495,10 @@ def test_advance_is_its_substeps_chained(substeps):
     T = 0.02
     model = PlantModel(PlantConstants(), PlantConventions(qin_direction="heats_catalyst"), PHI)
     for state, inputs in random_states_and_inputs(300, seed=77):
-        got, chain = model.advance(state, inputs, T, substeps)
-        want, want_chain = model.advance(state, inputs, T / substeps, 1)
+        got, chain = model.stepper(T, substeps)(state, inputs)
+        want, want_chain = model.stepper(T / substeps)(state, inputs)
         for _ in range(substeps - 1):
-            want, _ = model.advance(want, inputs, T / substeps, 1)
+            want, _ = model.stepper(T / substeps)(want, inputs)
         assert type(got) is tuple and type(chain) is tuple
         assert bits(got) == bits(want)
         assert bits(chain) == bits(want_chain) == bits(model.rates(state, inputs)[1])
@@ -508,7 +508,7 @@ def test_advance_is_its_substeps_chained(substeps):
 def test_euler_step_is_advance_as_named_tuples(substeps):
     model = PlantModel(phi=PHI)
     for state, inputs in random_states_and_inputs(50, seed=78):
-        x, chain = model.advance(state, inputs, 0.02, substeps)
+        x, chain = model.stepper(0.02, substeps)(state, inputs)
         got_state, got_chain = euler_step(state, inputs, model, 0.02, substeps)
         assert type(got_state) is EngineState and type(got_chain) is plant.EmissionOutputs
         assert bits(got_state) == bits(EngineState(*x))
@@ -518,9 +518,10 @@ def test_euler_step_is_advance_as_named_tuples(substeps):
 @pytest.mark.parametrize("substeps", [0, -1])
 def test_advance_refuses_substeps_below_one(substeps):
     state, inputs = next(random_states_and_inputs(1))
-    with pytest.raises(ConfigError, match="substeps must be a positive integer"):
-        PlantModel().advance(state, inputs, 0.02, substeps)
-    with pytest.raises(ConfigError, match="substeps must be a positive integer"):
+    message = f"^substeps must be an integer >= 1, got {substeps}$"
+    with pytest.raises(ConfigError, match=message):
+        PlantModel().stepper(0.02, substeps)
+    with pytest.raises(ConfigError, match=message):
         euler_step(state, inputs, PlantModel(), 0.02, substeps)
 
 

@@ -498,7 +498,7 @@ def test_identify_rejects_bad_lengths():
         identify_first_order(np.ones(5), np.ones(5), T=0.02)
     with pytest.raises(IdentificationError):
         identify_first_order(np.ones(20), np.ones(19), T=0.02)
-    with pytest.raises(IdentificationError):
+    with pytest.raises(ConfigError, match=r"^T must be positive, got 0\.0$"):
         identify_first_order(np.ones(20), np.ones(20), T=0.0)
 
 

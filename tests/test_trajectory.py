@@ -157,9 +157,9 @@ def test_sample_rejects_off_grid_duration():
         (1e-320, 1e10, "^duration / T must be at most 1000000 steps, got inf$"),
         # finite, but too many steps for np.arange to allocate
         (1e-300, 1.0, r"^duration / T must be at most 1000000 steps, got 9.999999999999999e\+299$"),
-        (float("nan"), 1.0, "sample time must be positive and finite, got nan"),
-        (0.02, float("nan"), "duration must be nonnegative and finite, got nan"),
-        (0.02, float("inf"), "duration must be nonnegative and finite, got inf"),
+        (float("nan"), 1.0, "sample time must be a finite number, got nan"),
+        (0.02, float("nan"), "duration must be a finite number, got nan"),
+        (0.02, float("inf"), "duration must be a finite number, got inf"),
     ],
 )
 def test_steps_and_sample_refuse_a_step_count_that_is_no_number(T, duration, message):
