@@ -255,9 +255,9 @@ def cmd_simulate(args) -> int:
     with RunRecord.csv_stream() as stream:
         record = run_scenario(cfg, sink=stream.hand_over)
         metrics = compute_metrics(record)
-        text = record.to_csv(stream)
-    out = _out_dir(args.out)  # made only for a run that has its record and metrics
-    (out / "run.csv").write_text(text, encoding="utf-8")
+        out = _out_dir(args.out)  # made only for a run that has its record and metrics
+        with (out / "run.csv").open("w", encoding="utf-8") as file:
+            record.write_csv(file, stream)
     (out / "metrics.txt").write_text(metrics.to_text(), encoding="utf-8")
     (out / "config.json").write_text(cfg.to_json(), encoding="utf-8")
     if args.plots:
@@ -325,7 +325,8 @@ def cmd_rga(args) -> int:
     except OverflowError as err:
         raise ConfigError(f"--wmax {args.wmax!r} is too high: {err}") from None
     out = _out_dir(args.out)
-    (out / "rga.csv").write_text(result.to_csv(), encoding="utf-8")
+    with (out / "rga.csv").open("w", encoding="utf-8") as file:
+        result.write_csv(file)
     if args.plots:
         with np.errstate(invalid="ignore"):
             chart = _line_chart(

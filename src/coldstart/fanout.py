@@ -4,9 +4,10 @@ A ``Stream`` is a ``with`` block whose helpers run items while this process
 goes on; ``join`` collects their results and has this process run the items
 no helper took.  Its items are either ready before the helpers are forked,
 as ``sweep`` shares its cells and the ``run.csv`` and ``rga.csv`` writers
-their blocks of rows (``join_blocks``), or handed over one by one while this
+their blocks of rows (``write_blocks``), or handed over one by one while this
 process is still making them, as ``simulate`` hands over the blocks of its
-record while the loop steps.
+record while the loop steps.  A CSV writer writes each block's text to its
+file in row order and drops it, so a table's text is never joined.
 
 Each item is claimed once: helpers take the front and this process the back,
 so that it formats the tail of a record while the helpers finish the head.
@@ -28,7 +29,7 @@ import threading
 import time
 from collections import deque
 
-BLOCK_ROWS = 256  # rows of a CSV table that one process converts to text at a time
+BLOCK_ROWS = 64  # rows of a CSV table that one process converts to text at a time
 PIPE_BYTES = 1 << 20  # a pipe: the default pipe-max-size; a new pipe holds 64 KiB
 _OPEN = 1 << 62  # the back of a stream whose length is not known yet
 
@@ -165,8 +166,8 @@ class Stream:
     def _fork(self, ctx, inbox) -> None:
         reader, writer = ctx.Pipe(duplex=False)
         try:
-            # a CSV block pickles to 136-255 KiB: a result larger than the
-            # pipe stalls its helper until this process reads between items
+            # a CSV block pickles to 22-59 KiB: results past what the pipe
+            # holds stall its helper until this process reads between items
             self._pipe_bytes.append(_widen(writer))
             proc = ctx.Process(target=self._helper, args=(writer, inbox), daemon=True)
             proc.start()
@@ -261,15 +262,17 @@ class Stream:
         self._count = count
         return self._done
 
-    def join_blocks(self, n_rows: int, format_rows) -> str:
-        """``format_rows(block)`` of each ``block`` slice of ``BLOCK_ROWS``
-        consecutive rows out of ``n_rows``, joined in row order: the text of
-        a serial loop over the blocks, whichever process formatted each one.
-        This process formats any block it got no text for, in order, so a
-        block that raises raises here."""
+    def write_blocks(self, file, n_rows: int, format_rows) -> None:
+        """Write ``format_rows(block)`` of each ``block`` slice of
+        ``BLOCK_ROWS`` consecutive rows out of ``n_rows`` to ``file``, in row
+        order: the text of a serial loop over the blocks, whichever process
+        formatted each one.  Each block's text is dropped once written.  This
+        process formats any block it got no text for, in order, so a block
+        that raises raises here, after the blocks before it are written."""
         n_blocks, run_block = _blocks(n_rows, format_rows)
         done = self.join(run_block, n_blocks)
-        return "".join(done.pop(idx) if idx in done else run_block(idx) for idx in range(n_blocks))
+        for idx in range(n_blocks):
+            file.write(done.pop(idx) if idx in done else run_block(idx))
 
     def __exit__(self, *exc) -> None:
         self._end_feed()
@@ -289,10 +292,10 @@ class Stream:
         )
 
 
-def join_blocks(n_rows: int, format_rows) -> str:
-    """``Stream.join_blocks`` of a stream whose blocks are all ready: shared
+def write_blocks(file, n_rows: int, format_rows) -> None:
+    """``Stream.write_blocks`` of a stream whose blocks are all ready: shared
     between this process, from the back, and forked helpers, from the
     front."""
     n_blocks, run_block = _blocks(n_rows, format_rows)
     with Stream(run_block, n_blocks) as stream:
-        return stream.join_blocks(n_rows, format_rows)
+        stream.write_blocks(file, n_rows, format_rows)

@@ -12,6 +12,7 @@ same record, byte for byte in serialized form.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import deque
@@ -79,6 +80,11 @@ def adc_channel(bits: int, lo: float, hi: float):
     return channel
 
 
+# the plant state and commands ``euler_step`` takes, each an array of finite floats
+_STATE = Reals(size=len(plant.EngineState._fields))
+_INPUTS = Reals(size=len(plant.ControlInput._fields))
+
+
 def euler_step(
     state: plant.EngineState,
     inputs: plant.ControlInput,
@@ -94,7 +100,8 @@ def euler_step(
     subdivides the interval (stiffness check only; the shipped scenarios
     use a single step).
     """
-    state, emission = model.stepper(T, substeps)(state, inputs)
+    step = plant.instance(model, plant.PlantModel, "model").stepper(T, substeps)
+    state, emission = step(_STATE.norm(state, "state"), _INPUTS.norm(inputs, "inputs"))
     return plant.EngineState(*state), plant.EmissionOutputs(*emission)
 
 
@@ -384,19 +391,28 @@ class RunRecord:
     def times(self) -> np.ndarray:
         return self.table[:, 0]
 
-    def to_csv(self, stream: fanout.Stream | None = None) -> str:
-        """One row per sample in ``RECORD_COLUMNS`` order: float reprs, 0/1
-        flags, then the events text, quoted only where CSV needs it.
+    def write_csv(self, file, stream: fanout.Stream | None = None) -> None:
+        """Write one row per sample in ``RECORD_COLUMNS`` order to ``file``:
+        float reprs, 0/1 flags, then the events text, quoted only where CSV
+        needs it.
 
         Rows are converted a block of ``fanout.BLOCK_ROWS`` at a time, the
-        blocks shared across CPUs by ``fanout.join_blocks``, or, with the
+        blocks shared across CPUs by ``fanout.write_blocks``, or, with the
         ``csv_stream`` that ``run_scenario`` fed this record's blocks to,
-        taken from it as its helper formatted them during the run.
+        taken from it as its helper formatted them during the run.  Each
+        block is written in row order and then dropped.
         """
-        header = ",".join(RECORD_COLUMNS) + "\n"
+        file.write(",".join(RECORD_COLUMNS) + "\n")
         if stream is None:
-            return header + fanout.join_blocks(len(self), self._csv_rows)
-        return header + stream.join_blocks(len(self), self._csv_rows)
+            fanout.write_blocks(file, len(self), self._csv_rows)
+        else:
+            stream.write_blocks(file, len(self), self._csv_rows)
+
+    def to_csv(self) -> str:
+        """The text ``write_csv`` writes."""
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
     @staticmethod
     def csv_stream() -> fanout.Stream:

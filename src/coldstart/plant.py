@@ -199,14 +199,20 @@ class Choice(Row):
 
 @dataclass(frozen=True)
 class Reals(Row):
-    """An array of finite floats, stored as a tuple; with ``pair``, a
-    ``(lo, hi)`` pair with ``lo < hi`` and a finite span, which an ADC divides by."""
+    """An array of finite floats, stored as a tuple, of ``size`` items where
+    given; with ``pair``, a ``(lo, hi)`` pair with ``lo < hi`` and a finite
+    span, which an ADC divides by."""
 
     pair: bool = False
+    size: int | None = None
 
     def norm(self, value, name: str) -> tuple[float, ...]:
         if self.pair and not (isinstance(value, (tuple, list)) and len(value) == 2):
             raise ConfigError(f"{name} must be a (lo, hi) pair, got {shown(value)}")
+        if self.size is not None and not (
+            isinstance(value, (tuple, list)) and len(value) == self.size
+        ):
+            raise ConfigError(f"{name} must be {self.size} numbers, got {shown(value)}")
         values = reals(value, name)
         if self.pair and not (values[0] < values[1] and math.isfinite(values[1] - values[0])):
             raise ConfigError(f"{name} must satisfy lo < hi with hi - lo finite, got {values!r}")

@@ -244,12 +244,14 @@ class RGAResult:
             scores = np.mean(np.abs(diag_db) <= 3.0, axis=0)
         self.dominance = scores
 
-    def to_csv(self) -> str:
-        """One row per frequency: omega, the gap flag, each element's real and
-        imaginary part, then each element's dB magnitude; gap rows are blank.
+    def write_csv(self, file) -> None:
+        """Write one row per frequency to ``file``: omega, the gap flag, each
+        element's real and imaginary part, then each element's dB magnitude;
+        gap rows are blank.
 
         Rows are converted a block of ``fanout.BLOCK_ROWS`` at a time, the
-        blocks shared across CPUs by ``fanout.join_blocks``.
+        blocks shared across CPUs by ``fanout.write_blocks``, and each block
+        is written in row order and then dropped.
         """
         n = self.lambdas.shape[1]
         header = ["omega", "gap"]
@@ -259,8 +261,14 @@ class RGAResult:
         for i in range(n):
             for j in range(n):
                 header.append(f"db_{i + 1}_{j + 1}")
-        rows = fanout.join_blocks(len(self.omegas), self._csv_rows)
-        return ",".join(header) + "\n" + rows
+        file.write(",".join(header) + "\n")
+        fanout.write_blocks(file, len(self.omegas), self._csv_rows)
+
+    def to_csv(self) -> str:
+        """The text ``write_csv`` writes."""
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
     def _csv_rows(self, block: slice) -> str:
         """The CSV lines of the frequencies in ``block``.  Every field is a

@@ -318,6 +318,7 @@ def test_simulate_whose_surfaces_overflow_the_metrics_exits_2(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: run record values overflow its metrics: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
@@ -363,15 +364,15 @@ def test_simulate_digests_hold_on_any_cpu_count(tmp_path, monkeypatch, cpus):
     assert main(["simulate", "--out", str(out)]) == 0
     for name in ("run.csv", "metrics.txt"):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == refs[name], name
-    assert_block_pids(pids, cpus)
+    assert_block_pids(pids, cpus, 2001)
 
 
-def assert_block_pids(pids, cpus):
-    """The 2 001-row record or 2 000-row sweep is 8 blocks, each formatted
-    once; only this process formats them on one CPU, and helpers did too
-    on four."""
+def assert_block_pids(pids, cpus, n_rows):
+    """The ``n_rows`` rows are split into blocks of ``fanout.BLOCK_ROWS``
+    rows, each formatted once; only this process formats them on one CPU,
+    and helpers did too on four."""
     runs = pids.read_text(encoding="utf-8").split()
-    assert len(runs) == 8
+    assert len(runs) == -(-n_rows // fanout.BLOCK_ROWS)
     if cpus == 1:
         assert set(runs) == {str(os.getpid())}
     if cpus == 4:
@@ -742,7 +743,7 @@ def test_rga_csv_digest_holds_on_any_cpu_count(tmp_path, monkeypatch, cpus):
     assert main(["rga", "--model", str(path), "--points", "2000", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "rga.csv").read_bytes()).hexdigest()
     assert digest == DEFAULT_MODEL_RGA_CSV_SHA256
-    assert_block_pids(pids, cpus)
+    assert_block_pids(pids, cpus, 2000)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The fan-out itself: results equal a serial loop's, a helper's result pipe
-holds a whole CSV block, a fed stream never waits on its helper, and each
-stream, ready or fed, logs one DEBUG line."""
+holds a whole CSV block, a fed stream never waits on its helper, each
+stream, ready or fed, logs one DEBUG line, and a CSV writer holds about one
+copy of its text."""
 
 import errno
 import logging
@@ -10,15 +11,17 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coldstart
-from coldstart import fanout
+from coldstart import fanout, looplab, rga
 from lab_helpers import wait_for
 
-# about a pickled 256-row block of rga.csv, and more than a default pipe holds
+# a result larger than a default pipe of 64 KiB holds
 LARGE = 300 << 10
 
 # groups: items, form, by helpers, claimed by helpers before the join, by the
@@ -135,8 +138,8 @@ def test_results_are_the_same_on_any_cpu_count(monkeypatch, caplog, cpus):
 
 
 def test_simulate_logs_one_stream_line_at_debug_and_none_at_info(tmp_path):
-    """The 2 001-row record is 8 blocks of ``fanout.BLOCK_ROWS`` rows, each
-    formatted once, by the helper or by the caller."""
+    """The 2 001-row record is split into blocks of ``fanout.BLOCK_ROWS``
+    rows, each formatted once, by the helper or by the caller."""
     src = str(Path(coldstart.__file__).parents[1])
     stderr = {}
     for level in ("info", "debug"):
@@ -152,7 +155,8 @@ def test_simulate_logs_one_stream_line_at_debug_and_none_at_info(tmp_path):
     assert len(shares) == 1
     line = STREAM_LINE.fullmatch(shares[0].split(": ", 1)[1])
     count, by_helpers, by_caller = map(int, line.group(1, 3, 5))
-    assert (count, line.group(2), by_helpers + by_caller) == (8, "fed", 8)
+    n_blocks = -(-2001 // fanout.BLOCK_ROWS)
+    assert (count, line.group(2), by_helpers + by_caller) == (n_blocks, "fed", n_blocks)
     assert (tmp_path / "info" / "run.csv").read_bytes() == (
         tmp_path / "debug" / "run.csv"
     ).read_bytes()
@@ -264,3 +268,40 @@ def test_a_stream_stops_its_helper_when_the_feed_raises(tmp_path, monkeypatch, c
     assert not multiprocessing.active_children()
     (line,) = stream_lines(caplog)  # one line, though the stream was never joined
     assert line.group(1, 2, 3, 5) == ("2", "fed", "0", "0")
+
+
+def random_record(n_rows: int) -> looplab.RunRecord:
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal((n_rows, len(looplab.RECORD_COLUMNS) - 4))
+    table = np.hstack([floats, rng.integers(0, 2, (n_rows, 3))])
+    return looplab.RunRecord(table, ["" if i % 5 else f"event {i}" for i in range(n_rows)])
+
+
+def random_sweep(n_freq: int) -> rga.RGAResult:
+    rng = np.random.default_rng(n_freq)
+    lambdas = rng.standard_normal((n_freq, 3, 3)) + 1j * rng.standard_normal((n_freq, 3, 3))
+    gaps = np.arange(n_freq) % 7 == 3
+    lambdas[gaps] = np.nan
+    return rga.RGAResult(omegas=np.logspace(-3, 3, n_freq), lambdas=lambdas, gaps=gaps)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("make", [random_record, random_sweep], ids=["run.csv", "rga.csv"])
+def test_a_csv_writer_holds_about_one_copy_of_its_text(tmp_path, monkeypatch, make, cpus):
+    """Each block goes to the file in row order and is then dropped, so the
+    traced peak of a 20 000-row write stays near the size of the file;
+    joining the blocks into one text first would take twice it."""
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    table = make(20_000)
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        with path.open("w", encoding="utf-8") as file:
+            table.write_csv(file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 1.5 * size, f"peak {peak} bytes for a {size}-byte file"
+    assert path.read_text(encoding="utf-8") == table.to_csv()
+    assert not multiprocessing.active_children()
