@@ -47,7 +47,7 @@ log = logging.getLogger("coldstart.cli")
 
 # cells per sweep at most, checked before any is built: a cell of a two-axis
 # grid peaks near 2.1 KB (tracemalloc over 8 000 cells on two CPUs), so the
-# largest sweep peaks near 1.7 GB, as the longest run does (MAX_STEPS)
+# largest sweep peaks near 1.7 GB, the most any one command is sized to hold
 MAX_CELLS = 800_000
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
@@ -104,10 +104,22 @@ def _check_out(path: str) -> None:
             return
 
 
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(out: str, artifacts: dict) -> Path:
+    """Make the ``--out`` directory, parents too, and write each artifact in
+    order: a file name maps to its text, or to a function that writes the
+    text to the open file. An OSError names the file it failed on."""
+    directory = Path(out)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, content in artifacts.items():
+        path = directory / name
+        try:
+            with path.open("w", encoding="utf-8") as file:
+                content(file) if callable(content) else file.write(content)
+        except OSError as err:
+            if err.filename is not None:
+                raise
+            raise OSError(err.errno, err.strerror, str(path)) from None
+    return directory
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +216,10 @@ def _line_chart(title, x_label, y_label, x, series) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_run_plots(out: Path, record: RunRecord) -> None:
+def _run_plots(record: RunRecord) -> dict:
+    """The five SVG charts of a run, by file name."""
     t = record.series["time"]
-    charts = {
+    return {
         "tracking.svg": _line_chart(
             "sliding surfaces", "time [s]", "s_i",
             t, [(loop, record.series[col]) for loop, col in S_OF_LOOP.items()],
@@ -228,8 +241,6 @@ def _write_run_plots(out: Path, record: RunRecord) -> None:
             t, [("eta_cat", record.series["eta_cat"])],
         ),
     }
-    for name, text in charts.items():
-        (out / name).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +265,15 @@ def cmd_simulate(args) -> int:
     # run.csv is formatted while the loop steps, by a helper forked before it
     with RunRecord.csv_stream() as stream:
         record = run_scenario(cfg, sink=stream.hand_over)
-        metrics = compute_metrics(record)
-        out = _out_dir(args.out)  # made only for a run that has its record and metrics
-        with (out / "run.csv").open("w", encoding="utf-8") as file:
-            record.write_csv(file, stream)
-    (out / "metrics.txt").write_text(metrics.to_text(), encoding="utf-8")
-    (out / "config.json").write_text(cfg.to_json(), encoding="utf-8")
-    if args.plots:
-        _write_run_plots(out, record)
+        metrics = compute_metrics(record).to_text()
+        out = _write(args.out, {  # made only for a run that has its record and metrics
+            "run.csv": lambda file: record.write_csv(file, stream),
+            "metrics.txt": metrics,
+            "config.json": cfg.to_json(),
+            **(_run_plots(record) if args.plots else {}),
+        })
     log.info("wrote %s", out / "run.csv")
-    sys.stdout.write(metrics.to_text())
+    sys.stdout.write(metrics)
     return 0
 
 
@@ -324,12 +334,10 @@ def cmd_rga(args) -> int:
         result = rga_sweep(model, args.wmin, args.wmax, args.points)
     except OverflowError as err:
         raise ConfigError(f"--wmax {args.wmax!r} is too high: {err}") from None
-    out = _out_dir(args.out)
-    with (out / "rga.csv").open("w", encoding="utf-8") as file:
-        result.write_csv(file)
+    artifacts = {"rga.csv": result.write_csv}
     if args.plots:
         with np.errstate(invalid="ignore"):
-            chart = _line_chart(
+            artifacts["rga.svg"] = _line_chart(
                 "diagonal RGA magnitude", "log10 omega [rad/s]", "|lambda_ii| [dB]",
                 np.log10(result.omegas),
                 [
@@ -337,7 +345,7 @@ def cmd_rga(args) -> int:
                     for i in range(result.lambdas.shape[1])
                 ],
             )
-        (out / "rga.svg").write_text(chart, encoding="utf-8")
+    _write(args.out, artifacts)
     for i, score in enumerate(result.dominance, start=1):
         sys.stdout.write(f"pairing {i}-{i}: dominance = {score:.4f}\n")
     n_gaps = int(result.gaps.sum())
@@ -403,9 +411,6 @@ def cmd_identify(args) -> int:
             y_series[i, j] = data[col]
 
     ident = identify_mimo(u_series, y_series, T)
-    out = _out_dir(args.out)
-    (out / "model.json").write_text(ident.tfm.to_json() + "\n", encoding="utf-8")
-
     lines = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -423,7 +428,7 @@ def cmd_identify(args) -> int:
                 if (i, j) in ident.failed:
                     log.warning("pair (%d,%d): %s", i, j, ident.holes[(i, j)])
     report = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(report, encoding="utf-8")
+    _write(args.out, {"model.json": ident.tfm.to_json() + "\n", "report.txt": report})
     sys.stdout.write(report)
     if ident.failed:
         log.warning("%d of %d channels could not be fitted", len(ident.failed), n * n)
@@ -473,9 +478,8 @@ def cmd_sweep(args) -> int:
             log.warning("cell %d failed: %s", idx, error)
         rows.append(row)
 
-    out = _out_dir(args.out)
     text = "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
-    (out / "sweep.csv").write_text(text, encoding="utf-8")
+    out = _write(args.out, {"sweep.csv": text})
     log.info("wrote %s (%d cells, %d failed)", out / "sweep.csv", len(cells), n_failed)
     return 4 if n_failed else 0
 

@@ -19,14 +19,14 @@ import numpy as np
 
 from . import fanout
 from .errors import ConfigError, IdentificationError, SingularGainError, SingularMatrixError
-from .plant import POSITIVE, Count, instance, real, shown
+from .plant import POSITIVE, REAL, Count, check_fields, instance, real, shown
 from .tables import csv_float, json_value
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
-# frequencies per sweep at most: a point of a 4x4 model peaks near 2.4 KB while
-# rga.csv is written (tracemalloc over 20 000 points on one CPU; a larger model
-# takes more), so a sweep peaks near 1.7 GB, as the longest run does (MAX_STEPS)
+# frequencies per sweep at most: a point of a 4x4 model peaks near 1.4 KB while
+# rga.csv is written (tracemalloc over 20 000 and 40 000 points on one CPU; a
+# larger model takes more), so a sweep peaks near 0.96 GB
 MAX_POINTS = 700_000
 MIN_FIT_SAMPLES = 10  # the fewest samples a first-order fit takes
 EXCITATION_FLOOR = 1e-12  # a variance at most this times max(1, mean**2) is a constant signal
@@ -40,13 +40,7 @@ class FirstOrderTF:
     k: float    # inverse DC gain [-]
 
     def __post_init__(self):
-        # each field is read by plant.real, but a non-finite float keeps the
-        # words a failed fit reports: "tau must be finite, got inf"
-        for name in ("tau", "k"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, real(value, name))
+        check_fields(self, dict.fromkeys(("tau", "k"), REAL))
         if self.tau == 0.0 and self.k == 0.0:
             raise ConfigError("tau and k cannot both be zero")
 
@@ -137,9 +131,8 @@ class TFMatrix:
                     continue
                 if not isinstance(c, dict) or set(c) != {"tau", "k"}:
                     raise ConfigError(f"channel ({i},{j}) must be null or an object of tau and k")
-                tau, k = (real(c[name], f"channel ({i},{j}): {name}") for name in ("tau", "k"))
                 try:
-                    cells.append(FirstOrderTF(tau, k))
+                    cells.append(FirstOrderTF(c["tau"], c["k"]))
                 except ConfigError as err:
                     raise ConfigError(f"channel ({i},{j}): {err}") from None
             rows.append(tuple(cells))

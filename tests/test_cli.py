@@ -1,11 +1,15 @@
 """End-to-end command checks: files, exit codes, stdout, determinism."""
 
+import builtins
 import csv
+import errno
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -480,6 +484,76 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
     assert not multiprocessing.active_children()
 
 
+# the files each command names, in the order it writes them
+ARTIFACTS = {
+    "simulate": [
+        "run.csv", "metrics.txt", "config.json",
+        "tracking.svg", "estimates.svg", "hc_rates.svg", "hc_cumulative.svg", "eta_cat.svg",
+    ],
+    "rga": ["rga.csv", "rga.svg"],
+    "identify": ["model.json", "report.txt"],
+    "sweep": ["sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(ARTIFACTS))
+def test_each_command_writes_exactly_the_artifacts_it_names(tmp_path, monkeypatch, subcommand):
+    argv = out_argv(tmp_path, subcommand)
+    if subcommand in ("simulate", "rga"):
+        argv.append("--plots")
+    out = tmp_path / "out"
+    calls, opened = [], []
+    write = cli._write
+
+    def spy(path, artifacts):
+        calls.append((path, list(artifacts)))
+        return write(path, artifacts)
+
+    def recording(inner):
+        def open_file(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                opened.append(Path(file))
+            return inner(file, mode, *args, **kwargs)
+
+        return open_file
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file written outside cli._write")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write", spy)
+        patch.setattr(Path, "write_text", refuse)
+        patch.setattr(Path, "write_bytes", refuse)
+        patch.setattr(io, "open", recording(io.open))
+        patch.setattr(builtins, "open", recording(builtins.open))
+        assert main([*argv, "--out", str(out)]) == (4 if subcommand == "sweep" else 0)
+    assert calls == [(str(out), ARTIFACTS[subcommand])]
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS[subcommand])
+    assert opened == [out / name for name in ARTIFACTS[subcommand]]
+
+
+def test_a_write_cut_by_the_file_size_limit_exits_2_naming_its_file(tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():  # runs in the child, after the fork: the limit is the child's own
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, hard))
+
+    src = str(Path(coldstart.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coldstart.cli", "simulate", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_file_size,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out / 'run.csv')!r}\n"
+    )
+
+
 def test_simulate_refuses_an_empty_metrics_window_before_it_steps(tmp_path, monkeypatch, capsys):
     steps = count_controller_steps(monkeypatch)
     out = tmp_path / "out"
@@ -630,8 +704,8 @@ def test_rga_model_csv_with_a_bare_cr_in_a_cell_exits_2(tmp_path, capsys):
             "channel (1,1): tau must be a finite number, got " + HUGE_INT,
             id="model.json-int-too-large-for-a-float",
         ),
-        ("model.csv", "row,tau_1,k_1\n1,nan,1.0\n", "tau must be finite"),
-        ("model.csv", "row,tau_1,k_1\n1,0.5,-inf\n", "k must be finite"),
+        ("model.csv", "row,tau_1,k_1\n1,nan,1.0\n", "tau must be a finite number"),
+        ("model.csv", "row,tau_1,k_1\n1,0.5,-inf\n", "k must be a finite number"),
     ],
 )
 def test_rga_non_finite_channel_parameters_exit_2(tmp_path, capsys, name, text, message):
@@ -1098,7 +1172,7 @@ def test_identify_fit_no_channel_model_holds_is_a_hole(tmp_path):
     assert main(["identify", "--data", str(data), "--pairs", str(pairs), "--out", str(out)]) == 4
     report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
     assert [line.split(": ", 1)[1] for line in report] == [
-        "fit failed: tau must be finite, got inf"
+        "fit failed: tau must be a finite number, got inf"
     ] * 4
 
 

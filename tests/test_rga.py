@@ -84,7 +84,7 @@ def test_tf_rejects_double_zero():
     [(math.nan, 1.0, "tau"), (math.inf, 1.0, "tau"), (1.0, -math.inf, "k"), (0.0, math.nan, "k")],
 )
 def test_tf_rejects_non_finite_parameters(tau, k, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
         FirstOrderTF(tau, k)
 
 
