@@ -466,17 +466,18 @@ def cmd_sweep(args) -> int:
         return [str(idx), *values, *metrics.to_csv_row(), ""], None
 
     # rows, log lines and the first escaping exception are those of a serial
-    # loop: a cell the shared run left without a result is run here, in order
-    with fanout.Stream(run_cell, len(cells)) as stream:
-        done = stream.join(run_cell)
+    # loop: the results come in cell order, wherever each cell ran, and a
+    # cell is logged before its result is asked for
     n_failed = 0
-    for idx in range(len(cells)):
-        log.info("cell %d/%d: %s", idx + 1, len(cells), ", ".join(overrides(idx)) or "-")
-        row, error = done.pop(idx) if idx in done else run_cell(idx)
-        if error is not None:
-            n_failed += 1
-            log.warning("cell %d failed: %s", idx, error)
-        rows.append(row)
+    with fanout.Stream(run_cell, len(cells)) as stream:
+        results = stream.results(run_cell)
+        for idx in range(len(cells)):
+            log.info("cell %d/%d: %s", idx + 1, len(cells), ", ".join(overrides(idx)) or "-")
+            row, error = next(results)
+            if error is not None:
+                n_failed += 1
+                log.warning("cell %d failed: %s", idx, error)
+            rows.append(row)
 
     text = "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
     out = _write(args.out, {"sweep.csv": text})

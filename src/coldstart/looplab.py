@@ -403,10 +403,7 @@ class RunRecord:
         block is written in row order and then dropped.
         """
         file.write(",".join(RECORD_COLUMNS) + "\n")
-        if stream is None:
-            fanout.write_blocks(file, len(self), self._csv_rows)
-        else:
-            stream.write_blocks(file, len(self), self._csv_rows)
+        fanout.write_blocks(file, len(self), self._csv_rows, stream)
 
     def to_csv(self) -> str:
         """The text ``write_csv`` writes."""
@@ -435,11 +432,21 @@ class RunRecord:
     def from_csv(cls, text: str, config: ScenarioConfig | None = None) -> "RunRecord":
         """Read a record of ``config`` written by ``to_csv``: its header must be
         exactly ``RECORD_COLUMNS``, and the body is read by the rule of every
-        numeric CSV input (``tables.read_body``), with events as the text column."""
+        numeric CSV input (``tables.read_body``), with events as the text column.
+        A record with rows must have those of a run of ``config``, if given:
+        one per step and one more, at times ``k * T``, so a cut file is refused."""
         header = tables.read_header(text, "run record")
         if tuple(header) != RECORD_COLUMNS:
             raise ConfigError("run record CSV does not have the expected columns")
         table, events = tables.read_body(text, "run record", header, text_column="events")
+        if config is not None and events:
+            n_rows = config._trajectory_table.steps(config.T, config.duration) + 1
+            times = np.arange(n_rows) * config.T
+            if len(events) != n_rows or not np.array_equal(table[:, 0], times):
+                raise ConfigError(
+                    f"run record is not a run of its config: {len(events)} rows, where the "
+                    f"config makes {n_rows}, at times k * {config.T!r} s"
+                )
         return cls(table[:, :-1], events, config)
 
 

@@ -24,9 +24,10 @@ from .tables import csv_float, json_value
 
 DEFAULT_COND_LIMIT = 1e12
 DEFAULT_GRID = (1e-2, 1e2, 200)  # rad/s span and point count of the sweep
-# frequencies per sweep at most: a point of a 4x4 model peaks near 1.4 KB while
-# rga.csv is written (tracemalloc over 20 000 and 40 000 points on one CPU; a
-# larger model takes more), so a sweep peaks near 0.96 GB
+# frequencies per sweep at most: a point of a 4x4 model peaks near 1.3 KB while
+# the sweep is computed and near 0.41 KB while rga.csv is written, a block at a
+# time (tracemalloc over 20 000 and 40 000 points on one CPU; a larger model
+# takes more), so a sweep peaks near 0.91 GB
 MAX_POINTS = 700_000
 MIN_FIT_SAMPLES = 10  # the fewest samples a first-order fit takes
 EXCITATION_FLOOR = 1e-12  # a variance at most this times max(1, mean**2) is a constant signal

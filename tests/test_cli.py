@@ -1,6 +1,7 @@
 """End-to-end command checks: files, exit codes, stdout, determinism."""
 
 import builtins
+import contextlib
 import csv
 import errno
 import hashlib
@@ -1334,6 +1335,36 @@ def test_metrics_of_a_header_only_baseline_names_the_baseline_file(tmp_path, cap
     assert capsys.readouterr().err == f"error: {base}: run record has no rows to summarize\n"
 
 
+def test_metrics_of_a_run_cut_at_a_row_boundary_exits_2_naming_it(tmp_path, capsys, short_run):
+    """A write killed between blocks leaves whole rows, fewer than the
+    config beside them makes."""
+    lines = short_run["run.csv"].splitlines(keepends=True)
+    n_rows = len(lines) - 1
+    drawn = np.random.default_rng(32).choice(np.arange(2, n_rows - 1), 6, replace=False)
+    for cut in (1, *drawn.tolist(), n_rows - 1):
+        run = write_run(tmp_path / f"cut{cut}", short_run, run_csv="".join(lines[: 1 + cut]))
+        assert main(["metrics", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run}: run record is not a run of its config: {cut} rows, where the "
+            f"config makes {n_rows}, at times k * 0.02 s\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "config, rows", [(ScenarioConfig(), 2001), (ScenarioConfig(duration=4.0, T=0.04), 101)],
+    ids=["stale-40-s", "same-rows-other-times"],
+)
+def test_metrics_of_a_run_beside_another_config_exits_2_naming_it(
+    tmp_path, capsys, short_run, config, rows
+):
+    run = write_run(tmp_path / "run", short_run, config_json=config.to_json())
+    assert main(["metrics", "--run", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {run}: run record is not a run of its config: 101 rows, where the "
+        f"config makes {rows}, at times k * {config.T!r} s\n"
+    )
+
+
 def test_metrics_of_values_that_overflow_a_summary_exits_2(tmp_path, capsys, short_run):
     # a row inside the 1 s metrics window: the spread of s1 squares it
     bad = with_cell(short_run["run.csv"], 90, "s1", "1e200")
@@ -1741,14 +1772,14 @@ def test_sweep_cell_raising_outside_the_contract_escapes_main(tmp_path, monkeypa
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 4)
     caller = os.getpid()
     raised = tmp_path / "raised"
-
-    # of the six cells that run, the caller claims the last first and the
-    # helpers the first: the chosen role's end is the cell that raises
-    raising = (3, 1.0) if claimant == "caller" else (0, 0.5)
+    raising = tmp_path / "raising"
 
     def before(cfg, pid):
         role = "caller" if pid == caller else "helper"
-        if not cfg.constants and (cfg.feedback_delay_steps, cfg.phi_true.fuel) == raising:
+        if role == claimant:  # the first cell the chosen role runs is the one that raises
+            with contextlib.suppress(FileExistsError), open(raising, "x", encoding="utf-8") as fh:
+                fh.write(cfg.to_json())
+        if raising.exists() and raising.read_text(encoding="utf-8") == cfg.to_json():
             with open(raised, "a", encoding="utf-8") as fh:
                 fh.write(f"{role}\n")
             raise RuntimeError("cell outside the contract")

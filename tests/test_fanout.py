@@ -1,7 +1,7 @@
 """The fan-out itself: results equal a serial loop's, a helper's result pipe
 holds a whole CSV block, a fed stream never waits on its helper, each
-stream, ready or fed, logs one DEBUG line, and a CSV writer holds about one
-copy of its text."""
+stream, ready or fed, logs one DEBUG line, and a CSV writer holds a few
+blocks of its text, not the file."""
 
 import errno
 import logging
@@ -60,7 +60,7 @@ def stream_lines(caplog) -> list[re.Match]:
 def share(count: int, run_item) -> dict:
     """The results of a ready stream of ``count`` items, as ``sweep`` runs it."""
     with fanout.Stream(run_item, count) as stream:
-        return stream.join(run_item)
+        return dict(enumerate(stream.results(run_item)))
 
 
 def test_a_helper_does_not_wait_for_the_caller_to_read_a_large_result(
@@ -178,7 +178,7 @@ def test_a_fed_stream_gives_the_serial_results_on_any_cpu_count(monkeypatch, cap
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
     with fanout.Stream(item_text) as stream:
         feed(stream, 9)
-        done = stream.join(item_text, 10)  # the tenth item is never handed over
+        done = dict(enumerate(stream.results(item_text, 10)))  # the tenth is never handed over
     assert done == {idx: item_text(idx) for idx in range(10)}
     (line,) = stream_lines(caplog)
     count, by_helpers, by_caller, forked = map(int, line.group(1, 3, 5, 6))
@@ -189,16 +189,17 @@ def test_a_fed_stream_gives_the_serial_results_on_any_cpu_count(monkeypatch, cap
 
 
 def test_a_fed_stream_does_not_wait_on_a_helper_that_is_behind(tmp_path, monkeypatch, caplog):
-    """The helper takes no item before the feed is over, so every item
-    handed over after the item pipe is half full must be kept back: were
+    """The helper waits in its first item until the feed is over, so every
+    item handed over after the item pipe is half full must be kept back: were
     it sent, this process would sit in send while the helper waits."""
     require_wide_pipes()
     caplog.set_level(logging.DEBUG, logger="coldstart.fanout")
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
-    fed = tmp_path / "fed"
+    inside, fed = tmp_path / "inside", tmp_path / "fed"
     items = [f"{idx:x}" * (300 << 10) for idx in range(12)]  # pickled, 300 KiB each
 
     def run_item(item):
+        inside.touch()
         wait_for(fed.exists, timeout=20.0)
         return item.upper()
 
@@ -206,8 +207,9 @@ def test_a_fed_stream_does_not_wait_on_a_helper_that_is_behind(tmp_path, monkeyp
     with fanout.Stream(run_item) as stream:
         for item in items:
             stream.hand_over(item)
+        wait_for(inside.exists)
         fed.touch()
-        done = stream.join(lambda idx: items[idx].upper(), len(items))
+        done = dict(enumerate(stream.results(lambda idx: items[idx].upper(), len(items))))
     assert time.monotonic() - start < 15.0
     assert done == {idx: item.upper() for idx, item in enumerate(items)}
     (line,) = stream_lines(caplog)
@@ -229,7 +231,7 @@ def test_a_fed_stream_whose_item_pipe_will_not_widen_forks_no_helper(monkeypatch
     monkeypatch.setattr(fcntl, "fcntl", refuse)
     with fanout.Stream(item_text) as stream:
         feed(stream, 3)
-        done = stream.join(item_text, 3)
+        done = dict(enumerate(stream.results(item_text, 3)))
     assert done == {idx: item_text(idx) for idx in range(3)}
     (line,) = stream_lines(caplog)
     assert line.group(5, 6, 7) == ("3", "0", "None")
@@ -238,7 +240,8 @@ def test_a_fed_stream_whose_item_pipe_will_not_widen_forks_no_helper(monkeypatch
 
 def test_a_fed_stream_outlives_its_helper(tmp_path, monkeypatch):
     """The helper dies on its first item; the items handed over after that
-    go into a pipe nobody reads, and the caller runs every one."""
+    go into a pipe nobody reads, and the caller runs every one, the first
+    item too."""
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
     died = tmp_path / "died"
 
@@ -251,8 +254,8 @@ def test_a_fed_stream_outlives_its_helper(tmp_path, monkeypatch):
         wait_for(died.exists)
         wait_for(lambda: not multiprocessing.active_children())
         feed(stream, 8)
-        done = stream.join(item_text, 9)
-    assert done == {idx: item_text(idx) for idx in range(1, 9)}  # 0 is the caller's to redo
+        done = dict(enumerate(stream.results(item_text, 9)))
+    assert done == {idx: item_text(idx) for idx in range(9)}
     assert not multiprocessing.active_children()
 
 
@@ -304,4 +307,25 @@ def test_a_csv_writer_holds_about_one_copy_of_its_text(tmp_path, monkeypatch, ma
     size = path.stat().st_size
     assert peak <= 1.5 * size, f"peak {peak} bytes for a {size}-byte file"
     assert path.read_text(encoding="utf-8") == table.to_csv()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("make", [random_record, random_sweep], ids=["run.csv", "rga.csv"])
+def test_a_csv_writer_holds_a_few_blocks_not_the_file(tmp_path, monkeypatch, make, cpus):
+    """The results come in row order, so each block is written as soon as it
+    is there: the traced peak of a 20 000-row write is that of a few blocks,
+    not of the file."""
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+    table = make(20_000)
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        with path.open("w", encoding="utf-8") as file:
+            table.write_csv(file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 0.1 * size, f"peak {peak} bytes for a {size}-byte file"
     assert not multiprocessing.active_children()
