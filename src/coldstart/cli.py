@@ -107,18 +107,22 @@ def _check_out(path: str) -> None:
 def _write(out: str, artifacts: dict) -> Path:
     """Make the ``--out`` directory, parents too, and write each artifact in
     order: a file name maps to its text, or to a function that writes the
-    text to the open file. An OSError names the file it failed on."""
+    text to the open file. Each is written to ``<name>.tmp`` beside it, then
+    moved onto its name, so a failed write leaves the file it would replace
+    whole and no tmp file: the OSError names the artifact it failed on."""
     directory = Path(out)
     directory.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         path = directory / name
+        tmp = directory / f"{name}.tmp"
         try:
-            with path.open("w", encoding="utf-8") as file:
+            with tmp.open("w", encoding="utf-8") as file:
                 content(file) if callable(content) else file.write(content)
+            os.replace(tmp, path)
         except OSError as err:
-            if err.filename is not None:
-                raise
             raise OSError(err.errno, err.strerror, str(path)) from None
+        finally:
+            tmp.unlink(missing_ok=True)
     return directory
 
 

@@ -18,7 +18,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -450,13 +449,6 @@ class RunRecord:
         return cls(table[:, :-1], events, config)
 
 
-def _float_table(rows: list[tuple]) -> np.ndarray:
-    """``rows`` of ``_TABLE_COLUMNS`` values as ``np.array(rows, dtype=float)``
-    makes them, from one flat iterator of a known length: no row is walked twice."""
-    n = len(_TABLE_COLUMNS)
-    return np.fromiter(chain.from_iterable(rows), float, len(rows) * n).reshape(-1, n)
-
-
 def _check_state(state: tuple, step: int) -> None:
     """SimulationAbort at ``step`` unless ``state`` is finite with the engine turning."""
     if not all(map(math.isfinite, state)):
@@ -477,7 +469,10 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     ``sink``, if given, is called with each full block of
     ``fanout.BLOCK_ROWS`` rows, as a ``RunRecord`` without a config, as soon as
     the loop has made it; its rows are those of the record returned.  The
-    rows are checked as finite only when the run ends.
+    rows are checked as finite only when the run ends.  The record's table is
+    allocated once and each row set in place, so a block is a view of rows
+    the loop never writes again, and a sink that keeps a block keeps the
+    run's whole table alive; ``fanout.Stream.hand_over`` pickles each at once.
     """
     conventions = plant.PlantConventions(config.hc_mode, config.qgen_grouping, config.qin_direction)
     model = plant.PlantModel(config.build_constants(), conventions, config.phi_true)
@@ -497,8 +492,9 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     )
     isfinite = math.isfinite
 
-    rows: list[tuple] = []  # one tuple per sample in _TABLE_COLUMNS order, this block's
-    blocks: list[np.ndarray] = []  # the float tables of the full blocks
+    # the record's table, one row per sample in _TABLE_COLUMNS order, each
+    # set once as the loop makes it
+    table = np.empty((n_steps + 1, len(_TABLE_COLUMNS)))
     events: list[str] = []
     block_rows = fanout.BLOCK_ROWS
     # the trapezoid integral of hc_tp, summed in row order as np.cumsum sums
@@ -538,20 +534,17 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         t = k * T
         if k:
             hc_cum += 0.5 * (hc_tp + prev_hc_tp) * (t - prev_t)
-        rows.append((
+        table[k] = (
             t, *state, *applied,
             *out[3:20],  # m_a_d .. f_air, the columns between the commands and afr
             afr_value, targets.afr_d, targets.omega_d, targets.t_exh_d, out.afr_error,
             hc_eng, hc_tp, hc_cum if k else 0.0, eta_cat,
             out.sat_air, out.sat_fuel, out.sat_delta,
-        ))
+        )
         events.append(";".join(out.events) if out.events else "")
         prev_hc_tp, prev_t = hc_tp, t
-        if len(rows) == block_rows:
-            blocks.append(_float_table(rows))
-            rows = []
-            if sink is not None:
-                sink(RunRecord(blocks[-1], events[-block_rows:]))
+        if sink is not None and (k + 1) % block_rows == 0:
+            sink(RunRecord(table[k + 1 - block_rows:k + 1], events[-block_rows:]))
         state = next_state
         # a finite sum means five finite values; a failed test (an overflowing
         # sum of finite values too) goes to the full check, which names the fault
@@ -567,7 +560,7 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
     t = n_steps * T
     if n_steps:
         hc_cum += 0.5 * (hc_tp + prev_hc_tp) * (t - prev_t)
-    rows.append((
+    table[n_steps] = (
         t, *state, *applied,
         *(0.0,) * 9,  # m_a_d, s1..s4, xi1..xi4
         controller.loop_fuel.phi_hat, controller.loop_speed.phi_hat,
@@ -576,10 +569,9 @@ def run_scenario(config: ScenarioConfig, sink=None) -> RunRecord:
         afr_value, traj.afr_d[n_steps], traj.omega_d[n_steps], traj.t_exh_d[n_steps], 0.0,
         hc_eng, hc_tp, hc_cum if n_steps else 0.0, eta_cat,
         0.0, 0.0, 0.0,
-    ))
+    )
     events.append("")
 
-    table = np.concatenate([*blocks, _float_table(rows)])
     # the state is checked as the run steps, the rest of the record here, row by row
     finite = np.isfinite(table)
     if not finite.all():

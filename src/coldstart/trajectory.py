@@ -23,12 +23,11 @@ from .plant import NONNEGATIVE, POSITIVE, reals
 COLUMNS = ("time", "afr_d", "omega_d", "t_exh_d")
 
 # samples per run at most: a row is 304 B of float table and about 670 B of
-# run.csv text, and on one CPU it peaks near 0.76 KB while the run builds it
-# (its table block, that block's copy into the whole table, its targets) and
-# near 0.43 KB while run.csv is written (the table, the targets and the block
-# being written; tracemalloc over 18 000 and 36 000 rows), so this run peaks
-# near 0.76 GB: 5.5 h of engine time at the shipped T, whose shipped run is
-# 2 000 steps.
+# run.csv text, and on one CPU it peaks near 0.45 KB while the run builds it
+# (its row of the table, its targets) and near 0.42 KB while run.csv is
+# written (the table, the targets and the block being written; tracemalloc
+# over 18 000 and 36 000 rows), so this run peaks near 0.45 GB: 5.5 h of
+# engine time at the shipped T, whose shipped run is 2 000 steps.
 MAX_STEPS = 1_000_000
 
 

@@ -530,7 +530,7 @@ def test_each_command_writes_exactly_the_artifacts_it_names(tmp_path, monkeypatc
         assert main([*argv, "--out", str(out)]) == (4 if subcommand == "sweep" else 0)
     assert calls == [(str(out), ARTIFACTS[subcommand])]
     assert sorted(os.listdir(out)) == sorted(ARTIFACTS[subcommand])
-    assert opened == [out / name for name in ARTIFACTS[subcommand]]
+    assert opened == [out / f"{name}.tmp" for name in ARTIFACTS[subcommand]]
 
 
 def test_a_write_cut_by_the_file_size_limit_exits_2_naming_its_file(tmp_path):
@@ -553,6 +553,37 @@ def test_a_write_cut_by_the_file_size_limit_exits_2_naming_its_file(tmp_path):
     assert proc.stderr == (
         f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out / 'run.csv')!r}\n"
     )
+
+
+def test_a_write_cut_by_the_file_size_limit_leaves_the_old_run_whole(tmp_path):
+    """Each artifact is moved onto its name only once it is whole, and
+    run.csv comes first, so a cut run.csv leaves the run already in
+    ``--out`` as it was, and no tmp file."""
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():  # in the child, as in the test above
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, hard))
+
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--override", "duration=10.0"]) == 0
+    old = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert sorted(old) == ["config.json", "metrics.txt", "run.csv"]
+    src = str(Path(coldstart.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coldstart.cli", "simulate", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_file_size,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out / 'run.csv')!r}\n"
+    )
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == old
+    assert not list(out.glob("*.tmp"))
+    assert not multiprocessing.active_children()
 
 
 def test_simulate_refuses_an_empty_metrics_window_before_it_steps(tmp_path, monkeypatch, capsys):
